@@ -5,7 +5,8 @@ Every output file gets a ``<name>.prov.json`` sidecar recording the SHA-256
 of the files the producing command read, plus the hash of the (pre-override)
 config document.  Commands refuse to consume artifacts whose recorded inputs
 no longer match, so stale pipelines fail loudly with exit code 3; bad or
-missing configuration exits with code 2.
+missing configuration, and input the library rejects with ValueError, exit
+with code 2.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
     try:
         ctx = Context(args)
         return args.func(ctx)
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except StaleArtifactError as e:

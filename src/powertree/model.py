@@ -215,6 +215,68 @@ def best_split(features: np.ndarray, targets: np.ndarray, feature_index: int,
     return thr, red
 
 
+@dataclass(frozen=True)
+class _Growth:
+    """Every node of one grown tree, in preorder (a node, its left subtree,
+    then its right subtree), one array entry per node.
+
+    value (the training-target mean), n_samples, impurity and depth are
+    recorded on decision nodes as well as on leaves.  Leaves have
+    left == right == -1, feature 0, threshold 0.0 and reduction 0.0.
+    """
+
+    n_samples: np.ndarray
+    impurity: np.ndarray
+    value: np.ndarray
+    depth: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    reduction: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def is_leaf(self) -> np.ndarray:
+        return self.left < 0
+
+
+def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
+    """Grow a variance-minimizing binary regression tree (see fit_tree)."""
+    if len(dataset) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    X = dataset.features.astype(np.float64)
+    y = dataset.powers.astype(np.float64)
+    root_var = float(np.var(y))
+    # n_samples, impurity, value, depth, feature, threshold, reduction,
+    # left, right
+    nodes: list[list] = []
+
+    def build(rows: np.ndarray, depth: int) -> int:
+        yy = y[rows]
+        m = int(rows.size)
+        var = float(np.var(yy))
+        i = len(nodes)
+        nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0, -1, -1])
+        if depth >= hp.max_depth or m < hp.min_split_sample:
+            return i
+        if np.all(yy == yy[0]):
+            return i
+        if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
+            return i
+        found = _best_split_all(X[rows], yy, hp.min_leaf_sample)
+        if found is None:
+            return i
+        j, thr, red = found
+        mask = X[rows, j] <= thr
+        left = build(rows[mask], depth + 1)
+        right = build(rows[~mask], depth + 1)
+        nodes[i][4:] = [j, thr, red, left, right]
+        return i
+
+    build(np.arange(len(dataset), dtype=np.intp), 0)
+    return _Growth(*(np.array(column) for column in zip(*nodes)))
+
+
 def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     """Grow a variance-minimizing binary regression tree.
 
@@ -223,37 +285,21 @@ def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     variance fraction, or no candidate split reduces variance (candidates
     that would starve a child below min_leaf_sample are skipped).
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    X = dataset.features.astype(np.float64)
-    y = dataset.powers.astype(np.float64)
-    root_var = float(np.var(y))
-
-    def build(rows: np.ndarray, depth: int) -> tuple[TreeNode, int]:
-        yy = y[rows]
-        m = int(rows.size)
-        var = float(np.var(yy))
-        leaf = TreeNode(n_samples=m, impurity=var, value=float(yy.mean()))
-        if depth >= hp.max_depth or m < hp.min_split_sample:
-            return leaf, depth
-        if np.all(yy == yy[0]):
-            return leaf, depth
-        if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
-            return leaf, depth
-        found = _best_split_all(X[rows], yy, hp.min_leaf_sample)
-        if found is None:
-            return leaf, depth
-        j, thr, red = found
-        mask = X[rows, j] <= thr
-        left, dl = build(rows[mask], depth + 1)
-        right, dr = build(rows[~mask], depth + 1)
-        node = TreeNode(n_samples=m, impurity=var, feature=j, threshold=thr,
-                        left=left, right=right, reduction=red)
-        return node, max(dl, dr)
-
-    root, depth = build(np.arange(len(dataset), dtype=np.intp), 0)
-    return DecisionTree(root, depth, dataset.n_features, dataset.clock_freq,
-                        dataset.feature_names)
+    g = _grow(dataset, hp)
+    n, imp, val, feat, thr, red, left, right = (a.tolist() for a in (
+        g.n_samples, g.impurity, g.value, g.feature, g.threshold,
+        g.reduction, g.left, g.right))
+    built: list[TreeNode | None] = [None] * len(n)
+    for i in reversed(range(len(n))):  # children follow their parent
+        if left[i] < 0:
+            built[i] = TreeNode(n_samples=n[i], impurity=imp[i], value=val[i])
+        else:
+            built[i] = TreeNode(n_samples=n[i], impurity=imp[i],
+                                feature=feat[i], threshold=thr[i],
+                                left=built[left[i]], right=built[right[i]],
+                                reduction=red[i])
+    return DecisionTree(built[0], int(g.depth.max()), dataset.n_features,
+                        dataset.clock_freq, dataset.feature_names)
 
 
 def predict_tree(tree: DecisionTree, features) -> float:

@@ -67,9 +67,7 @@ def rfe(dataset: Dataset, hp: HyperParams,
         gone = set(dropped)
         remaining = [name for name in remaining if name not in gone]
 
-    final = fit_tree(dataset.select_features(remaining), HyperParams(
-        hp.max_depth, hp.min_split_sample, hp.min_leaf_sample,
-        hp.min_leaf_impurity))
+    final = fit_tree(dataset.select_features(remaining), hp)
     imp = feature_importances(final)
     ranked = sorted(range(len(remaining)),
                     key=lambda j: (-imp[j], position[remaining[j]]))

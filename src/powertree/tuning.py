@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DecisionTree, HyperParams, fit_linear, fit_tree,
-                    mae_percent, predict_linear_batch, predict_tree_batch)
+from .model import (DecisionTree, HyperParams, _grow, _Growth, fit_linear,
+                    fit_tree, mae_percent, predict_linear_batch,
+                    predict_tree_batch)
 from .workload import Dataset
 
 __all__ = [
@@ -85,19 +86,43 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     Score ties prefer simpler models: smaller max_depth first, then larger
     min_leaf_impurity.  The returned best_model is retrained on the entire
     dataset (training plus validation folds).
+
+    The search is exact with one tree grown per fold and min_leaf_sample
+    value.  Of the four axes, only min_leaf_sample changes which split a
+    node takes.  max_depth, min_split_sample and min_leaf_impurity are
+    monotone stopping rules tested on the node alone (its depth, sample
+    count and variance fraction), and a node that is not stopped takes the
+    same split whatever their values.  So the tree fit_tree grows for any
+    combination is a prefix of the tree grown at the loosest limits of the
+    grid (largest max_depth, smallest min_split_sample and
+    min_leaf_impurity) with the same min_leaf_sample: a node is a leaf of
+    the combination's tree exactly when it is a leaf of the loosest tree or
+    one of the combination's own rules stops it.  Each validation row then
+    lands on the first node of its loosest-tree path where the
+    combination's rule fires, and is predicted that node's training-target
+    mean.  The rules use the float expressions fit_tree uses, so every fold
+    score is bitwise equal to fitting each combination on its own.
     """
     if len(dataset) < k:
         raise ValueError("dataset smaller than the number of folds")
+    combos = grid.combinations()
     folds = kfold_split(len(dataset), k, seed)
     pools = _fold_pools(folds)
-    rows: list[CvRow] = []
-    for hp in grid.combinations():
-        scores = []
+    X = dataset.features.astype(np.float64)
+    scores: list[list[float]] = [[] for _ in combos]
+    for leaf in sorted(set(grid.min_leaf_sample)):
+        members = [c for c, hp in enumerate(combos)
+                   if hp.min_leaf_sample == leaf]
+        loosest = HyperParams(max(grid.max_depth), min(grid.min_split_sample),
+                              leaf, min(grid.min_leaf_impurity))
         for fold, pool in zip(folds, pools):
-            tree = fit_tree(dataset.take(pool), hp)
-            pred = predict_tree_batch(tree, dataset.features[fold])
-            scores.append(mae_percent(pred, dataset.powers[fold]))
-        rows.append(CvRow(hp, tuple(scores), float(np.mean(scores))))
+            grown = _grow(dataset.take(pool), loosest)
+            preds = _truncated_predict(grown, X[fold],
+                                       [combos[c] for c in members])
+            for c, pred in zip(members, preds):
+                scores[c].append(mae_percent(pred, dataset.powers[fold]))
+    rows = [CvRow(hp, tuple(s), float(np.mean(s)))
+            for hp, s in zip(combos, scores)]
 
     best = min(rows, key=lambda r: (
         r.mean_score, r.params.max_depth, -r.params.min_leaf_impurity,
@@ -105,6 +130,40 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     best_model = fit_tree(dataset, best.params)
     return CvResult(tuple(rows), best.params, best.mean_score, k, seed,
                     best_model)
+
+
+def _truncated_predict(grown: _Growth, X: np.ndarray,
+                       hps: list[HyperParams]) -> np.ndarray:
+    """Predictions of the grown tree cut back to each of hps, as an
+    (len(hps), n_rows) array.
+
+    A node stops a combination when it is a leaf of the grown tree or one of
+    the combination's limits fires there, with fit_tree's tests:
+    depth >= max_depth, n_samples < min_split_sample, or
+    impurity / root impurity < min_leaf_impurity.
+    """
+    max_depth = np.array([hp.max_depth for hp in hps])[:, None]
+    min_split = np.array([hp.min_split_sample for hp in hps])[:, None]
+    min_impurity = np.array([hp.min_leaf_impurity for hp in hps])[:, None]
+    is_leaf = grown.is_leaf
+    rows = np.arange(X.shape[0])
+    # paths[d, r]: the node at depth d on row r's path, or its leaf if the
+    # path ends higher up
+    paths = np.zeros((int(grown.depth.max()) + 1, rows.size), dtype=np.intp)
+    for d in range(1, paths.shape[0]):
+        cur = paths[d - 1]
+        go_left = X[rows, grown.feature[cur]] <= grown.threshold[cur]
+        paths[d] = np.where(is_leaf[cur], cur,
+                            np.where(go_left, grown.left[cur], grown.right[cur]))
+    root_var = grown.impurity[0]
+    # a zero-variance root is a leaf, which stops every combination before
+    # the ratio is read
+    ratio = grown.impurity / root_var if root_var > 0.0 else grown.impurity
+    stop = (is_leaf | (grown.depth >= max_depth)
+            | (grown.n_samples < min_split) | (ratio < min_impurity))
+    # the first stopping node on each path; a path's leaf always stops
+    first = stop[:, paths].argmax(axis=1)
+    return grown.value[paths[first, rows]]
 
 
 @dataclass(frozen=True)

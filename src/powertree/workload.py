@@ -244,6 +244,10 @@ class Dataset:
             raise ValueError("feature_names must match feature columns")
         if self.period_cycles < 1:
             raise ValueError("period_cycles must be >= 1")
+        if not np.issubdtype(f.dtype, np.integer):
+            raise ValueError(f"activity counts must be integers, not {f.dtype}")
+        if not np.isfinite(p).all():
+            raise ValueError("true dynamic power must be finite")
         if f.size:
             if f.min() < 0 or f.max() > self.period_cycles:
                 raise ValueError("activity counts must lie in [0, period_cycles]")
@@ -491,16 +495,26 @@ def load_dataset(csv_path: str | Path,
     if meta_path is None:
         meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
     meta = json.loads(Path(meta_path).read_text())
-    lines = [l for l in csv_path.read_text().splitlines() if l]
-    header = lines[0].split(",")
+    # (line number, text) of the non-empty lines
+    lines = [(i, l) for i, l in enumerate(csv_path.read_text().splitlines(), 1)
+             if l]
+    if not lines:
+        raise ValueError(f"{csv_path}: empty file")
+    header = lines[0][1].split(",")
     if header[-1] != "power_w":
         raise ValueError(f"{csv_path}: last column must be power_w")
     names = tuple(header[:-1])
     features = np.zeros((len(lines) - 1, len(names)), dtype=np.int64)
     powers = np.zeros(len(lines) - 1, dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+    for i, (lineno, line) in enumerate(lines[1:]):
         cells = line.split(",")
-        features[i] = [int(c) for c in cells[:-1]]
-        powers[i] = float(cells[-1])
+        if len(cells) != len(header):
+            raise ValueError(f"{csv_path}, line {lineno}: {len(cells)} cells, "
+                             f"header has {len(header)}")
+        try:
+            features[i] = [int(c) for c in cells[:-1]]
+            powers[i] = float(cells[-1])
+        except ValueError as e:
+            raise ValueError(f"{csv_path}, line {lineno}: {e}") from None
     return Dataset(features, powers, names,
                    int(meta["period_cycles"]), float(meta["clock_freq_hz"]))

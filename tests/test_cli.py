@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -130,6 +131,26 @@ class TestExitCodes:
         dataset = tmp_path / "out" / "dataset.csv"
         dataset.write_text(dataset.read_text() + "\n")
         assert main(["tune", "--config", str(cfg)]) == 3
+
+    def test_ragged_dataset_row_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        run_pipeline(cfg, ("gen",))
+        out = tmp_path / "out"
+        dataset = out / "dataset.csv"
+        lines = dataset.read_text().splitlines()
+        lines[5] = "1,0.5"
+        dataset.write_text("\n".join(lines) + "\n")
+        # keep the edited file fresh for provenance, so only the row is bad
+        digest = hashlib.sha256(dataset.read_bytes()).hexdigest()
+        for prov in out.glob("*.prov.json"):
+            doc = json.loads(prov.read_text())
+            if "dataset.csv" in doc["inputs"]:
+                doc["inputs"]["dataset.csv"] = digest
+                prov.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["select", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 6" in err
 
     def test_config_change_detected(self, tmp_path):
         cfg = write_config(tmp_path)

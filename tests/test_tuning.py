@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import powertree as pt
+from powertree.tuning import CvResult, CvRow, _fold_pools
 from powertree.workload import Dataset
 
 
@@ -120,6 +122,99 @@ class TestGridSearch:
         res = pt.grid_search_cv(ds, grid, k=4, seed=1)
         assert res.best_params.max_depth == 2
         assert res.best_params.min_leaf_impurity == 0.05
+
+
+def naive_grid_search_cv(dataset, grid, k, seed):
+    """Reference search: one fit_tree per combination per fold."""
+    folds = pt.kfold_split(len(dataset), k, seed)
+    rows = []
+    for hp in grid.combinations():
+        scores = []
+        for fold, pool in zip(folds, _fold_pools(folds)):
+            tree = pt.fit_tree(dataset.take(pool), hp)
+            pred = pt.predict_tree_batch(tree, dataset.features[fold])
+            scores.append(pt.mae_percent(pred, dataset.powers[fold]))
+        rows.append(CvRow(hp, tuple(scores), float(np.mean(scores))))
+    best = min(rows, key=lambda r: (
+        r.mean_score, r.params.max_depth, -r.params.min_leaf_impurity,
+        r.params.min_split_sample, r.params.min_leaf_sample))
+    return CvResult(tuple(rows), best.params, best.mean_score, k, seed,
+                    pt.fit_tree(dataset, best.params))
+
+
+def assert_same_search(fast, slow):
+    assert fast.rows == slow.rows
+    # repr round-trips floats exactly, so equal text means equal bits
+    assert pt.cv_table_text(fast) == pt.cv_table_text(slow)
+    assert fast.best_params == slow.best_params
+    assert fast.best_score == slow.best_score
+    assert pt.rule_text(fast.best_model) == pt.rule_text(slow.best_model)
+
+
+def axis(values):
+    return st.lists(st.sampled_from(values), min_size=2, max_size=2,
+                    unique=True).map(tuple)
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(8, 40))
+    X = draw(arrays(np.int64, (n, draw(st.integers(1, 3))),
+                    elements=st.integers(0, 4)))
+    if draw(st.booleans()):  # a duplicated column ties every split on it
+        X = np.hstack([X, X[:, :1]])
+    if draw(st.booleans()):  # constant targets: zero root variance
+        y = np.full(n, float(draw(st.integers(1, 5))))
+    else:
+        y = draw(arrays(np.float64, n, elements=st.integers(1, 6).map(float)))
+    grid = pt.Grid(max_depth=draw(axis([1, 2, 3, 12])),
+                   min_split_sample=draw(axis([2, 3, 5, 9])),
+                   min_leaf_sample=draw(axis([1, 2, 3, 4])),
+                   min_leaf_impurity=(0.0, draw(st.sampled_from(
+                       [0.01, 0.1, 0.3]))))
+    return make_dataset(X, y), grid, draw(st.integers(2, 4)), \
+        draw(st.integers(0, 99))
+
+
+class TestGridSearchMatchesNaiveOracle:
+    @given(search_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_small_integer_datasets(self, case):
+        ds, grid, k, seed = case
+        assert_same_search(pt.grid_search_cv(ds, grid, k, seed),
+                           naive_grid_search_cv(ds, grid, k, seed))
+
+    def test_synthetic_power_dataset(self):
+        design = pt.generate_design(pt.DesignSpec(
+            n_linear_nets=12, n_nonlinear_units=2, correlation_groups=2,
+            seed=4))
+        ds = pt.simulate_dataset(design, 300, 60, seed=8)
+        grid = pt.Grid(max_depth=(2, 9), min_split_sample=(5, 20),
+                       min_leaf_sample=(1, 5, 10),
+                       min_leaf_impurity=(0.0, 0.001, 0.05))
+        fast = pt.grid_search_cv(ds, grid, k=5, seed=3)
+        assert_same_search(fast, naive_grid_search_cv(ds, grid, 5, 3))
+        assert len({r.mean_score for r in fast.rows}) > 10
+
+    def test_limits_equal_to_node_statistics(self):
+        # Limits taken from the nodes of one fold's tree sit exactly on the
+        # boundary of each stop test (depth >= d, n < s, ratio < i).
+        rng = np.random.default_rng(2)
+        ds = make_dataset(rng.integers(0, 8, (120, 3)),
+                          rng.integers(1, 20, 120).astype(float))
+        k, seed = 4, 5
+        pool = _fold_pools(pt.kfold_split(len(ds), k, seed))[0]
+        tree = pt.fit_tree(ds.take(pool), pt.HyperParams(12, 2, 2, 0.0))
+        inner = [n for n in tree.nodes_preorder()[1:] if not n.is_leaf]
+        ratios = sorted({r for r in (n.impurity / tree.root.impurity
+                                     for n in inner) if r < 1.0})
+        sizes = sorted({n.n_samples for n in inner})
+        grid = pt.Grid(max_depth=(2, 3, 12), min_split_sample=(2,) + tuple(
+            sizes[::4]), min_leaf_sample=(2, 3),
+            min_leaf_impurity=(0.0,) + tuple(ratios[::4]))
+        assert len(grid.combinations()) >= 3 * 4 * 2 * 4
+        assert_same_search(pt.grid_search_cv(ds, grid, k, seed),
+                           naive_grid_search_cv(ds, grid, k, seed))
 
 
 class TestLearningCurve:

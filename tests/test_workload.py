@@ -240,6 +240,18 @@ class TestDatasetIO:
         assert (back.features == ds.features).all()
         assert (back.powers == ds.powers).all()
 
+    @pytest.mark.parametrize("row", ["1,0.5", "1,2,3,0.5"])
+    def test_ragged_row_rejected_with_file_and_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        pt.save_dataset(Dataset(np.array([[1, 2], [3, 4]]),
+                                np.array([0.5, 0.5]), ("a", "b"), 300, 1e8),
+                        path)
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"data\.csv, line 3: "):
+            pt.load_dataset(path)
+
     def test_design_round_trip(self, tmp_path):
         d = small_design()
         path = tmp_path / "design.json"
@@ -272,3 +284,20 @@ class TestInvariants:
             Dataset(np.array([[301]]), np.array([1.0]), ("a",), 300, 1e8)
         with pytest.raises(ValueError):
             Dataset(np.array([[3]]), np.array([-1.0]), ("a",), 300, 1e8)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[3], [4]]), np.array([1.0, power]), ("a",),
+                    300, 1e8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_non_integer_features_rejected(self, dtype):
+        with pytest.raises(ValueError, match="integers"):
+            Dataset(np.array([[3], [4]], dtype=dtype), np.array([1.0, 2.0]),
+                    ("a",), 300, 1e8)
+
+    def test_unsigned_features_accepted(self):
+        ds = Dataset(np.array([[3], [4]], dtype=np.uint16),
+                     np.array([1.0, 2.0]), ("a",), 300, 1e8)
+        assert len(ds) == 2
