@@ -137,8 +137,15 @@ class EnsembleModel:
             seen |= set(ids)
 
 
-def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
+                    rows: np.ndarray | None = None,
+                    order: np.ndarray | None = None):
     """Best (feature, threshold, impurity_decrease) over all features.
+
+    The node holds the samples ``rows`` of X (n, F) and y (n,), listed in
+    ascending order (all n samples when None).  ``order`` is an (F, m)
+    array whose row f lists those samples sorted stably by feature f; it is
+    computed here when None.
 
     Scans midpoints of consecutive distinct sorted values per feature and
     maximizes the decrease of mean squared deviation:
@@ -147,50 +154,98 @@ def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int):
     feature index, then the lowest threshold.  Returns None when no candidate
     achieves a strictly positive decrease.
 
-    Per-feature candidates are ranked with sorted prefix sums; the finalists
-    are then re-scored from subset variances so that features inducing the
-    same partition get bitwise-identical scores and the feature-index tie
-    rule is honored regardless of summation order.
+    Each feature's best candidate is found from prefix sums in its sort
+    order.  Those fast scores depend on the summation order, so two
+    features inducing the same partition can score differently in the last
+    bits.  The exact score of a candidate is recomputed from the subset
+    variances of its two children in ascending row order
+    (_exact_decrease), which depends on the partition alone; the winner is
+    the feature with the highest exact score, the lowest index among equals.
+    So a feature whose partition a lower feature already had is skipped.
+
+    Only the finalists are re-scored: the features whose fast score is at
+    least top - tol, top being the best fast score.  Let S = sum(y**2) over
+    the node's m samples.  A cumulative sum of k terms errs by at most about
+    k eps / 2 times the sum of its terms' magnitudes, and sum|y| <=
+    sqrt(m S).  The largest error of a fast score is in the right child's
+    sr**2 / nr, where sr = sum(y) - sl cancels: sr errs by up to
+    m eps sqrt(m S), and |sr| / nr <= sqrt(S), so the term errs by up to
+    2 m eps sqrt(m) S, or 2 eps sqrt(m) S after the final division by m.
+    With the other terms, a fast score lies within
+    E_fast = (3 sqrt(m) + 8) eps S of the exact decrease of its candidate,
+    and the re-scored value (pairwise sums of squared deviations from a
+    rounded mean) within E_exact = (1 + 6 / m) eps S of it.  Were a feature
+    k outside the band to re-score at least as high as the fast winner f,
+    then top - E_fast - E_exact <= rescored(f) <= rescored(k)
+    <= fast(k) + E_fast + E_exact < top - tol + E_fast + E_exact, that is
+    tol < 2 (E_fast + E_exact) <= (6 sqrt(m) + 30) eps S.  So with
+    tol = 16 (sqrt(m) + 4) eps S = 16 m (sqrt(m) + 4) eps (S / m), over
+    twice that first-order bound (the margin covers the second-order terms
+    for any m up to 2**32), no feature outside the band can beat or tie the
+    winner, and the result is the one re-scoring every feature would give.
     """
-    m, n_feat = X.shape
+    if rows is None:
+        rows = np.arange(X.shape[0])
+    m, n_feat = int(rows.size), X.shape[1]
     if m < 2 or m < 2 * min_leaf:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    cy = np.cumsum(ys, axis=0)
-    cyy = np.cumsum(ys * ys, axis=0)
-    tot_y, tot_yy = cy[-1], cyy[-1]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    if order is None:
+        order = rows[np.argsort(X[rows], axis=0, kind="stable")].T
+    # gap g lies between sorted positions g and g + 1 and leaves g + 1
+    # samples on the left; only gaps lo <= g < hi leave min_leaf on each side
+    lo, hi = min_leaf - 1, m - min_leaf
+    # numpy gathers fastest with intp indices into a flat array; X.ravel
+    # order "F" is a view when X is column-major, as _grow passes it
+    idx = order.astype(np.intp)
+    xs = X.ravel(order="F")[idx + np.arange(n_feat)[:, None] * X.shape[0]]
+    ys = y[idx]
+    cy = np.cumsum(ys, axis=1)
+    cyy = np.cumsum(ys * ys, axis=1)
+    tot_y, tot_yy = cy[:, -1:], cyy[:, -1:]
+    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
     nr = m - nl
-    sl, ql = cy[:-1], cyy[:-1]
+    sl, ql = cy[:, lo:hi], cyy[:, lo:hi]
     sr, qr = tot_y - sl, tot_yy - ql
     sse_l = ql - sl * sl / nl
     sse_r = qr - sr * sr / nr
     sse_p = tot_yy - tot_y * tot_y / m
     red = (sse_p - sse_l - sse_r) / m
-    valid = xs[1:] > xs[:-1]
-    if min_leaf > 1:
-        k = np.arange(1, m)[:, None]
-        valid &= (k >= min_leaf) & (m - k >= min_leaf)
-    red = np.where(valid, red, -np.inf)
-    pos = np.argmax(red, axis=0)
-    fast = red[pos, np.arange(n_feat)]
+    red[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
+    pos = np.argmax(red, axis=1)
+    fast = red[np.arange(n_feat), pos]
+    top = fast.max(initial=-np.inf)
+    if top == -np.inf:
+        return None
+    # tot_yy.max() is S up to its own rounding, which the margin covers
+    tol = (16.0 * (np.sqrt(m) + 4.0) * np.finfo(np.float64).eps
+           * tot_yy.max())
 
-    parent_sse = np.var(y) * m
+    yy = y[rows]
+    parent_sse = np.var(yy) * m
     best = None
-    for j in range(n_feat):
-        if not fast[j] > -np.inf:
+    scored: list[np.ndarray] = []
+    for j in np.flatnonzero(fast >= top - tol):
+        r = lo + int(pos[j])
+        thr = 0.5 * (xs[j, r] + xs[j, r + 1])
+        left = X[rows, j] <= thr
+        # a partition already scored for a lower feature scores the same
+        # and cannot win
+        if any(np.array_equal(left, seen) for seen in scored):
             continue
-        r = int(pos[j])
-        thr = 0.5 * (xs[r, j] + xs[r + 1, j])
-        mask = X[:, j] <= thr
-        n_left = int(mask.sum())
-        sse = np.var(y[mask]) * n_left + np.var(y[~mask]) * (m - n_left)
-        score = (parent_sse - sse) / m
+        scored.append(left)
+        score = _exact_decrease(yy, left, parent_sse)
         if score > 0.0 and (best is None or score > best[2]):
-            best = (j, float(thr), float(score))
+            best = (int(j), float(thr), float(score))
     return best
+
+
+def _exact_decrease(y: np.ndarray, left: np.ndarray,
+                    parent_sse: float) -> float:
+    """Impurity decrease of sending y[left] left and y[~left] right, from
+    the children's variances taken in the order of y."""
+    yl, yr = y[left], y[~left]
+    sse = np.var(yl) * yl.size + np.var(yr) * yr.size
+    return (parent_sse - sse) / y.size
 
 
 def best_split(features: np.ndarray, targets: np.ndarray, feature_index: int,
@@ -241,17 +296,32 @@ class _Growth:
 
 
 def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
-    """Grow a variance-minimizing binary regression tree (see fit_tree)."""
+    """Grow a variance-minimizing binary regression tree (see fit_tree).
+
+    Every feature column is sorted once, stably, at the root.  A split hands
+    each child its parent's sorted lists filtered to the child's samples;
+    filtering keeps ties in row order, so every node sees exactly the order
+    a stable sort of its own rows would give.  The right child's lists are
+    built only after the left subtree is done.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    X = dataset.features.astype(np.float64)
+    X = np.asfortranarray(dataset.features, dtype=np.float64)
     y = dataset.powers.astype(np.float64)
     root_var = float(np.var(y))
+    # marks the samples of the child being built; only the parent's rows
+    # are read back, and those are all written first
+    member = np.zeros(len(y), dtype=bool)
     # n_samples, impurity, value, depth, feature, threshold, reduction,
     # left, right
     nodes: list[list] = []
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def child(rows: np.ndarray, order: np.ndarray, side: np.ndarray):
+        member[rows] = side
+        sub = rows[side]
+        return sub, order[member[order]].reshape(order.shape[0], sub.size)
+
+    def build(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         yy = y[rows]
         m = int(rows.size)
         var = float(np.var(yy))
@@ -263,17 +333,18 @@ def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
             return i
         if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
             return i
-        found = _best_split_all(X[rows], yy, hp.min_leaf_sample)
+        found = _best_split_all(X, y, hp.min_leaf_sample, rows, order)
         if found is None:
             return i
         j, thr, red = found
-        mask = X[rows, j] <= thr
-        left = build(rows[mask], depth + 1)
-        right = build(rows[~mask], depth + 1)
+        left_side = X[rows, j] <= thr
+        left = build(*child(rows, order, left_side), depth + 1)
+        right = build(*child(rows, order, ~left_side), depth + 1)
         nodes[i][4:] = [j, thr, red, left, right]
         return i
 
-    build(np.arange(len(dataset), dtype=np.intp), 0)
+    build(np.arange(len(dataset), dtype=np.intp),
+          np.argsort(X.T, axis=1, kind="stable").astype(np.int32), 0)
     return _Growth(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -464,25 +535,79 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
 
 
 def _tree_from_doc(doc: dict) -> DecisionTree:
-    if doc.get("format") != "powertree-tree-v1":
+    """Rebuild a tree from its document.
+
+    A malformed document raises ValueError naming the node at fault: a
+    missing or unconvertible field, an unknown kind, a child index outside
+    the node list, a node reached twice (which also rules out cycles), a
+    feature index outside [0, n_features), or a recorded depth the nodes
+    do not reach.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
         raise ValueError("not a decision-tree document")
-    raw = doc["nodes"]
+    try:
+        raw = doc["nodes"]
+        depth = int(doc["depth"])
+        n_features = int(doc["n_features"])
+        model_freq = float(doc["model_freq_hz"])
+        feature_ids = tuple(doc["feature_ids"])
+    except KeyError as e:
+        raise ValueError(f"tree document lacks {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"tree document: {e}") from None
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("tree document has no nodes")
 
-    def build(i: int) -> TreeNode:
-        d = raw[i]
-        if d["kind"] == "leaf":
-            return TreeNode(n_samples=int(d["n_samples"]),
-                            impurity=float(d["impurity"]),
-                            value=float(d["value"]))
-        return TreeNode(n_samples=int(d["n_samples"]),
-                        impurity=float(d["impurity"]),
-                        feature=int(d["feature"]),
-                        threshold=float(d["threshold"]),
-                        left=build(int(d["left"])), right=build(int(d["right"])),
-                        reduction=float(d["reduction"]))
+    visited: list[tuple[int, dict, tuple[int, ...]]] = []  # preorder
+    seen = {0}
+    stack = [(0, 0)]
+    reached = 0
+    while stack:
+        i, node_depth = stack.pop()
+        reached = max(reached, node_depth)
+        node = raw[i]
+        try:
+            kind = node["kind"]
+            fields = {"n_samples": int(node["n_samples"]),
+                      "impurity": float(node["impurity"])}
+            children: tuple[int, ...] = ()
+            if kind == "leaf":
+                fields["value"] = float(node["value"])
+            elif kind == "decision":
+                fields.update(feature=int(node["feature"]),
+                              threshold=float(node["threshold"]),
+                              reduction=float(node["reduction"]))
+                children = (int(node["left"]), int(node["right"]))
+            else:
+                raise ValueError(f"kind {kind!r} is neither 'leaf' nor "
+                                 "'decision'")
+        except KeyError as e:
+            raise ValueError(f"tree node {i} lacks {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"tree node {i}: {e}") from None
+        if children and not 0 <= fields["feature"] < n_features:
+            raise ValueError(f"tree node {i}: feature {fields['feature']} "
+                             f"outside [0, {n_features})")
+        for c in children:
+            if not 0 <= c < len(raw):
+                raise ValueError(f"tree node {i}: child index {c} outside "
+                                 f"[0, {len(raw)})")
+            if c in seen:
+                raise ValueError(f"tree node {i}: child {c} is reached twice")
+            seen.add(c)
+        stack.extend((c, node_depth + 1) for c in reversed(children))
+        visited.append((i, fields, children))
+    if reached != depth:
+        raise ValueError(f"tree document records depth {depth}, its nodes "
+                         f"reach depth {reached}")
 
-    return DecisionTree(build(0), int(doc["depth"]), int(doc["n_features"]),
-                        float(doc["model_freq_hz"]), tuple(doc["feature_ids"]))
+    built: dict[int, TreeNode] = {}
+    for i, fields, children in reversed(visited):  # children before parents
+        if children:
+            fields.update(left=built.pop(children[0]),
+                          right=built.pop(children[1]))
+        built[i] = TreeNode(**fields)
+    return DecisionTree(built[0], depth, n_features, model_freq, feature_ids)
 
 
 def save_tree(tree: DecisionTree, path: str | Path) -> None:

@@ -37,6 +37,17 @@ def write_config(base: Path, **overrides) -> Path:
     return path
 
 
+def refresh_provenance(edited: Path) -> None:
+    """Record an edited artifact's new digest wherever it is an input, so
+    that provenance passes and only its contents are at fault."""
+    digest = hashlib.sha256(edited.read_bytes()).hexdigest()
+    for prov in edited.parent.glob("*.prov.json"):
+        doc = json.loads(prov.read_text())
+        if edited.name in doc["inputs"]:
+            doc["inputs"][edited.name] = digest
+            prov.write_text(json.dumps(doc))
+
+
 def run_pipeline(cfg: Path, commands=("gen", "select", "tune", "train",
                                       "quantize", "monitor", "shed",
                                       "report")):
@@ -135,22 +146,28 @@ class TestExitCodes:
     def test_ragged_dataset_row_is_input_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         run_pipeline(cfg, ("gen",))
-        out = tmp_path / "out"
-        dataset = out / "dataset.csv"
+        dataset = tmp_path / "out" / "dataset.csv"
         lines = dataset.read_text().splitlines()
         lines[5] = "1,0.5"
         dataset.write_text("\n".join(lines) + "\n")
-        # keep the edited file fresh for provenance, so only the row is bad
-        digest = hashlib.sha256(dataset.read_bytes()).hexdigest()
-        for prov in out.glob("*.prov.json"):
-            doc = json.loads(prov.read_text())
-            if "dataset.csv" in doc["inputs"]:
-                doc["inputs"]["dataset.csv"] = digest
-                prov.write_text(json.dumps(doc))
+        refresh_provenance(dataset)
         capsys.readouterr()
         assert main(["select", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 6" in err
+
+    def test_malformed_model_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        run_pipeline(cfg, ("gen", "select", "tune", "train"))
+        model_json = tmp_path / "out" / "model.json"
+        doc = json.loads(model_json.read_text())
+        doc["nodes"][0]["left"] = 999
+        model_json.write_text(json.dumps(doc))
+        refresh_provenance(model_json)
+        capsys.readouterr()
+        assert main(["quantize", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tree node 0" in err
 
     def test_config_change_detected(self, tmp_path):
         cfg = write_config(tmp_path)

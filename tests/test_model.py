@@ -1,9 +1,14 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import powertree as pt
+from powertree import model
 from powertree.workload import Dataset
 
 
@@ -36,6 +41,93 @@ def brute_force_best_split(X, y, min_leaf=1):
             if red > 0 and (best is None or red > best[2]):
                 best = (j, thr, red)
     return best
+
+
+def oracle_best_split(X, y, min_leaf):
+    """The split search without presorting or a tolerance band: a stable
+    sort of the node's rows on every call, prefix sums to pick each
+    feature's candidate, and an np.var re-score of every feature's
+    candidate.  Same contract as model._best_split_all on (X, y)."""
+    m, n_feat = X.shape
+    if m < 2 or m < 2 * min_leaf:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    cy = np.cumsum(ys, axis=0)
+    cyy = np.cumsum(ys * ys, axis=0)
+    tot_y, tot_yy = cy[-1], cyy[-1]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    nr = m - nl
+    sl, ql = cy[:-1], cyy[:-1]
+    sr, qr = tot_y - sl, tot_yy - ql
+    sse_l = ql - sl * sl / nl
+    sse_r = qr - sr * sr / nr
+    sse_p = tot_yy - tot_y * tot_y / m
+    red = (sse_p - sse_l - sse_r) / m
+    valid = xs[1:] > xs[:-1]
+    if min_leaf > 1:
+        k = np.arange(1, m)[:, None]
+        valid &= (k >= min_leaf) & (m - k >= min_leaf)
+    red = np.where(valid, red, -np.inf)
+    pos = np.argmax(red, axis=0)
+    fast = red[pos, np.arange(n_feat)]
+
+    parent_sse = np.var(y) * m
+    best = None
+    for j in range(n_feat):
+        if not fast[j] > -np.inf:
+            continue
+        r = int(pos[j])
+        thr = 0.5 * (xs[r, j] + xs[r + 1, j])
+        mask = X[:, j] <= thr
+        n_left = int(mask.sum())
+        sse = np.var(y[mask]) * n_left + np.var(y[~mask]) * (m - n_left)
+        score = (parent_sse - sse) / m
+        if score > 0.0 and (best is None or score > best[2]):
+            best = (j, float(thr), float(score))
+    return best
+
+
+def oracle_grow(dataset, hp):
+    """model._grow driven by oracle_best_split on each node's own rows."""
+    X = dataset.features.astype(np.float64)
+    y = dataset.powers.astype(np.float64)
+    root_var = float(np.var(y))
+    nodes = []
+
+    def build(rows, depth):
+        yy = y[rows]
+        m = int(rows.size)
+        var = float(np.var(yy))
+        i = len(nodes)
+        nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0, -1, -1])
+        if depth >= hp.max_depth or m < hp.min_split_sample:
+            return i
+        if np.all(yy == yy[0]):
+            return i
+        if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
+            return i
+        found = oracle_best_split(X[rows], yy, hp.min_leaf_sample)
+        if found is None:
+            return i
+        j, thr, red = found
+        mask = X[rows, j] <= thr
+        left = build(rows[mask], depth + 1)
+        right = build(rows[~mask], depth + 1)
+        nodes[i][4:] = [j, thr, red, left, right]
+        return i
+
+    build(np.arange(len(dataset), dtype=np.intp), 0)
+    return model._Growth(*(np.array(column) for column in zip(*nodes)))
+
+
+def assert_growths_identical(got, expect):
+    for name in ("n_samples", "impurity", "value", "depth", "feature",
+                 "threshold", "reduction", "left", "right"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
 
 
 STUMP_X = np.array([[1], [2], [3], [4]])
@@ -170,6 +262,120 @@ class TestFitTree:
 
         walk(tree.root, np.arange(50))
         assert checked > 0
+
+
+@st.composite
+def tie_heavy_growths(draw):
+    """Small integer datasets full of value ties, with duplicated and
+    constant columns (or none at all), targets that may be constant or sit
+    on a large offset, and growth limits around min_leaf_sample in
+    {1, 3, 5}."""
+    m = draw(st.integers(1, 40))
+    n_feat = draw(st.integers(0, 5))
+    X = draw(arrays(np.int64, (m, n_feat),
+                    elements=st.integers(0, draw(st.integers(0, 4)))))
+    if n_feat > 1 and draw(st.booleans()):
+        X[:, draw(st.integers(1, n_feat - 1))] = X[:, 0]
+    if n_feat and draw(st.booleans()):
+        X[:, draw(st.integers(0, n_feat - 1))] = draw(st.integers(0, 4))
+    levels = draw(arrays(np.int64, m, elements=st.integers(0, 3)))
+    y = (draw(st.sampled_from([0.0, 1.0, 1e6]))
+         + draw(st.sampled_from([0.0, 1e-3, 1.0])) * levels)
+    if draw(st.booleans()):
+        y = y + draw(arrays(np.float64, m,
+                            elements=st.floats(0.0, 1e-3)))
+    hp = pt.HyperParams(draw(st.integers(1, 6)), draw(st.integers(2, 6)),
+                        draw(st.sampled_from([1, 3, 5])),
+                        draw(st.sampled_from([0.0, 0.01])))
+    return make_dataset(X, y), hp
+
+
+class TestPresortedGrowth:
+    """_grow (one stable sort at the root, stable partitions, re-scoring
+    only near-ties) against oracle_grow (a sort per node, every feature
+    re-scored): all nine node arrays must be bitwise equal."""
+
+    @given(tie_heavy_growths())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_tie_heavy_data(self, case):
+        ds, hp = case
+        assert_growths_identical(model._grow(ds, hp), oracle_grow(ds, hp))
+
+    @pytest.mark.parametrize("hp", [pt.HyperParams(8, 5, 5, 0.001),
+                                    pt.HyperParams(8, 2, 1, 0.0)])
+    def test_matches_oracle_on_power_data(self, hp):
+        d = pt.generate_design(pt.hybrid_design_spec(seed=3))
+        ds = pt.simulate_dataset(d, 400, 300, seed=4)
+        assert_growths_identical(model._grow(ds, hp), oracle_grow(ds, hp))
+
+    def test_every_node_sees_its_rows_stably_sorted(self, monkeypatch):
+        split_all = model._best_split_all
+        nodes = 0
+
+        def checking(X, y, min_leaf, rows, order):
+            nonlocal nodes
+            nodes += 1
+            assert (np.diff(rows) > 0).all()
+            expect = rows[np.argsort(X[rows], axis=0, kind="stable")].T
+            assert np.array_equal(order, expect)
+            return split_all(X, y, min_leaf, rows, order)
+
+        monkeypatch.setattr(model, "_best_split_all", checking)
+        d = pt.generate_design(pt.hybrid_design_spec(seed=3))
+        model._grow(pt.simulate_dataset(d, 400, 300, seed=4),
+                    pt.HyperParams(8, 2, 1, 0.0))
+        assert nodes > 20
+
+
+def fast_score(y, order, k):
+    """The prefix-sum score of the cut after the first k of order, with
+    the operations of _best_split_all."""
+    ys = y[order]
+    cy, cyy = np.cumsum(ys), np.cumsum(ys * ys)
+    m = len(y)
+    sl, ql = cy[k - 1], cyy[k - 1]
+    sr, qr = cy[-1] - sl, cyy[-1] - ql
+    sse_p = cyy[-1] - cy[-1] * cy[-1] / m
+    return (sse_p - (ql - sl * sl / k) - (qr - sr * sr / (m - k))) / m
+
+
+class TestSplitTies:
+    # columns 0 and 1 cut the rows into {0..3} | {4..7} through different
+    # sort orders; column 2 alternates and explains almost nothing
+    X = np.stack([np.arange(8), np.arange(8) ^ 1, np.arange(8) % 2],
+                 axis=1).astype(np.float64)
+
+    def targets(self, seed):
+        rng = np.random.default_rng(seed)
+        return 1e6 + 10.0 * (np.arange(8) >= 4) + rng.uniform(0, 1e-3, 8)
+
+    def test_lowest_feature_wins_a_tie_the_fast_scores_break(
+            self, monkeypatch):
+        rescored = []
+        exact = model._exact_decrease
+
+        def recording(y, left, parent_sse):
+            rescored.append(tuple(np.flatnonzero(left)))
+            return exact(y, left, parent_sse)
+
+        monkeypatch.setattr(model, "_exact_decrease", recording)
+        fast_prefers_1 = 0
+        for seed in range(200):
+            y = self.targets(seed)
+            fast = [fast_score(y, np.argsort(self.X[:, j], kind="stable"), 4)
+                    for j in range(2)]
+            fast_prefers_1 += fast[1] > fast[0]
+            rescored.clear()
+            got = model._best_split_all(self.X, y, 1)
+            assert got == oracle_best_split(self.X, y, 1)
+            assert got[:2] == (0, 3.5)
+            # column 2 scores far below the winner and is never re-scored;
+            # the partition columns 0 and 1 share is scored once
+            far = oracle_best_split(self.X[:, [2]], y, 1)
+            assert far is None or got[2] - far[2] > 20.0
+            assert rescored == [(0, 1, 2, 3)]
+        # the band matters: re-scoring the fast winner alone would pick 1
+        assert fast_prefers_1 > 0
 
 
 class TestPredict:
@@ -454,6 +660,41 @@ class TestSerialization:
         pt.save_tree(pt.load_tree(tmp_path / "a.json"), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() \
             == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["nodes"][0].update(left=999),
+         "tree node 0: child index 999 outside [0, 7)"),
+        (lambda doc: doc.update(nodes=[]), "tree document has no nodes"),
+        (lambda doc: doc["nodes"][1].pop("kind"), "tree node 1 lacks 'kind'"),
+        (lambda doc: doc["nodes"][2].pop("value"), "tree node 2 lacks 'value'"),
+        (lambda doc: doc["nodes"][1].update(left=0),
+         "tree node 1: child 0 is reached twice"),
+        (lambda doc: doc["nodes"][0].update(right=1),
+         "tree node 0: child 1 is reached twice"),
+        (lambda doc: doc["nodes"][1].update(feature=1),
+         "tree node 1: feature 1 outside [0, 1)"),
+        (lambda doc: doc["nodes"][0].update(threshold="high"),
+         "tree node 0: could not convert"),
+        (lambda doc: doc["nodes"][3].update(kind="branch"),
+         "tree node 3: kind 'branch' is neither"),
+        (lambda doc: doc.update(depth=3),
+         "records depth 3, its nodes reach depth 2"),
+        (lambda doc: doc.pop("n_features"), "lacks 'n_features'"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, mutate, message):
+        X = np.arange(1, 9)[:, None]
+        y = np.array([0.0, 0.0, 5.0, 5.0, 20.0, 20.0, 30.0, 30.0])
+        tree = pt.fit_tree(make_dataset(X, y), pt.HyperParams(2, 2, 1, 0.0))
+        path = tmp_path / "tree.json"
+        pt.save_tree(tree, path)
+        doc = json.loads(path.read_text())
+        assert [n["kind"] for n in doc["nodes"]] == [
+            "decision", "decision", "leaf", "leaf", "decision", "leaf",
+            "leaf"]
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pt.load_tree(path)
 
     def test_linear_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
