@@ -18,11 +18,11 @@ from .selection import RfeResult, RfeStep, rfe, rfe_history_text
 from .tuning import (CvResult, CvRow, Grid, LearningPoint, cv_table_text,
                      grid_search_cv, kfold_split, learning_curve,
                      learning_curve_text)
-from .hwsim import (CounterState, EngineState, MalformedImageError, MemNode,
-                    MonitorConfig, TreeMemoryImage, counter_step,
-                    dequantize_mw, engine_invoke, fsm_trace_text, load_image,
-                    node_decode, node_encode, period_features, quantize,
-                    run_monitor, save_image, validate_image)
+from .hwsim import (CounterState, MalformedImageError, MemNode, MonitorConfig,
+                    TreeMemoryImage, counter_step, dequantize_mw,
+                    engine_invoke, fsm_trace_text, load_image, node_decode,
+                    node_encode, period_features, quantize, run_monitor,
+                    save_image, validate_image)
 from .pdn import (PdnModel, PhaseLut, build_lut, efficiency, input_power,
                   load_lut, load_pdn_model, optimal_phases, save_lut,
                   save_pdn_model, shed, shed_rows, shed_table_text)

@@ -45,7 +45,6 @@ __all__ = [
     "CounterState",
     "MemNode",
     "TreeMemoryImage",
-    "EngineState",
     "MonitorConfig",
     "MalformedImageError",
     "node_encode",
@@ -71,6 +70,10 @@ VALUE_BITS = 16
 _FEATURE_SHIFT = 48
 _THRESHOLD_SHIFT = 28
 _LEFT_SHIFT = 14
+_FEATURE_MASK = (1 << FEATURE_BITS) - 1
+_THRESHOLD_MASK = (1 << THRESHOLD_BITS) - 1
+_CHILD_MASK = (1 << CHILD_BITS) - 1
+_VALUE_MASK = (1 << VALUE_BITS) - 1
 
 IMAGE_MAGIC = b"PTMI"
 _HEADER = struct.Struct("<4sIII")  # magic, n_nodes, max_depth, leaf_unit in uW
@@ -140,13 +143,13 @@ def node_decode(word: int) -> MemNode:
     if not (0 <= word < (1 << 64)):
         raise ValueError("word must be an unsigned 64-bit value")
     if word >> LEAF_FLAG_BIT:
-        return MemNode(True, value=word & ((1 << VALUE_BITS) - 1))
+        return MemNode(True, value=word & _VALUE_MASK)
     return MemNode(
         False,
-        feature=(word >> _FEATURE_SHIFT) & ((1 << FEATURE_BITS) - 1),
-        threshold=(word >> _THRESHOLD_SHIFT) & ((1 << THRESHOLD_BITS) - 1),
-        left=(word >> _LEFT_SHIFT) & ((1 << CHILD_BITS) - 1),
-        right=word & ((1 << CHILD_BITS) - 1),
+        feature=(word >> _FEATURE_SHIFT) & _FEATURE_MASK,
+        threshold=(word >> _THRESHOLD_SHIFT) & _THRESHOLD_MASK,
+        left=(word >> _LEFT_SHIFT) & _CHILD_MASK,
+        right=word & _CHILD_MASK,
     )
 
 
@@ -218,14 +221,6 @@ def dequantize_mw(image: TreeMemoryImage, value: int) -> float:
 
 
 @dataclass(frozen=True)
-class EngineState:
-    fsm_state: str  # one of I, N, S, R
-    current_node: int
-    cycle_count: int
-    feature_buffer: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MonitorConfig:
     n_counters: int
     estimation_period: int = 300
@@ -234,6 +229,8 @@ class MonitorConfig:
     def __post_init__(self) -> None:
         if self.n_counters < 1:
             raise ValueError("n_counters must be >= 1")
+        if not (1 <= self.counter_width <= 64):
+            raise ValueError("counter_width must lie in [1, 64]")
         if self.estimation_period < 1:
             raise ValueError("estimation_period must be >= 1")
         if self.estimation_period > (1 << self.counter_width):
@@ -251,27 +248,29 @@ def engine_invoke(image: TreeMemoryImage,
     buf = tuple(int(v) for v in features)
     if any(v < 0 for v in buf):
         raise ValueError("features must be unsigned")
-    state = EngineState("I", 0, 0, buf)
+    words, n_nodes = image.words, image.n_nodes
     trace = ["I"]
-    steps = 0
+    addr = decisions = 0
     while True:
-        node = image.node(state.current_node)
-        if node.is_leaf:
+        word = int(words[addr])
+        if not 0 <= word < 1 << 64:
+            raise ValueError("word must be an unsigned 64-bit value")
+        if word >> LEAF_FLAG_BIT:
             trace.append("R")
-            state = EngineState("R", state.current_node,
-                                state.cycle_count + 1, buf)
-            return node.value, state.cycle_count, trace
-        if node.feature >= len(buf):
-            raise ValueError(f"feature address {node.feature} not covered by "
+            return word & _VALUE_MASK, 2 * decisions + 1, trace
+        feature = (word >> _FEATURE_SHIFT) & _FEATURE_MASK
+        if feature >= len(buf):
+            raise ValueError(f"feature address {feature} not covered by "
                              f"the {len(buf)}-entry feature buffer")
-        trace.append("N")
-        trace.append("S")
-        target = node.left if buf[node.feature] <= node.threshold else node.right
-        if not (0 <= target < image.n_nodes):
-            raise MalformedImageError(f"dangling child address {target}")
-        state = EngineState("S", target, state.cycle_count + 2, buf)
-        steps += 1
-        if steps > image.n_nodes:
+        trace += ("N", "S")
+        if buf[feature] <= (word >> _THRESHOLD_SHIFT) & _THRESHOLD_MASK:
+            addr = (word >> _LEFT_SHIFT) & _CHILD_MASK
+        else:
+            addr = word & _CHILD_MASK
+        if addr >= n_nodes:
+            raise MalformedImageError(f"dangling child address {addr}")
+        decisions += 1
+        if decisions > n_nodes:
             raise MalformedImageError("cycle detected in structure memory")
 
 
@@ -281,22 +280,25 @@ def period_features(trace: ToggleTrace,
     get buffered for the engine.
 
     Counters and their edge-detector registers are both cleared at period
-    boundaries, so period measurements are mutually independent.
+    boundaries, so period measurements are mutually independent: a
+    period's count is its rising edges plus one when it opens at level 1.
+    The trailing cycles that do not fill a period are dropped.  A period of
+    P cycles holds at most ceil(P / 2) such edges, and MonitorConfig keeps
+    P <= 2**counter_width, so no counter can overflow.
     """
     if trace.n_signals != cfg.n_counters:
         raise ValueError("trace must provide one signal per counter")
-    if trace.n_cycles < cfg.estimation_period:
+    period = cfg.estimation_period
+    n_periods = trace.n_cycles // period
+    if n_periods == 0:
         raise ValueError("trace shorter than one estimation period")
-    n_periods = trace.n_cycles // cfg.estimation_period
-    out = []
-    for p in range(n_periods):
-        counters = [CounterState(cfg.counter_width) for _ in range(cfg.n_counters)]
-        base = p * cfg.estimation_period
-        for t in range(base, base + cfg.estimation_period):
-            for s in range(cfg.n_counters):
-                counters[s] = counter_step(counters[s], int(trace.levels[s, t]))
-        out.append(tuple(c.value for c in counters))
-    return out
+    used = trace.levels[:, :n_periods * period]
+    # levels can change in place after ToggleTrace checked them
+    if not ((used == 0) | (used == 1)).all():
+        raise ValueError("levels must be 0/1")
+    lv = used.astype(bool).reshape(cfg.n_counters, n_periods, period)
+    counts = (lv[..., 1:] & ~lv[..., :-1]).sum(axis=-1) + lv[..., 0]
+    return [tuple(row) for row in counts.T.tolist()]
 
 
 def run_monitor(trace: ToggleTrace, image: TreeMemoryImage,

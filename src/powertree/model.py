@@ -139,13 +139,14 @@ class EnsembleModel:
 
 def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
                     rows: np.ndarray | None = None,
-                    order: np.ndarray | None = None):
+                    order: np.ndarray | None = None,
+                    var: float | None = None):
     """Best (feature, threshold, impurity_decrease) over all features.
 
     The node holds the samples ``rows`` of X (n, F) and y (n,), listed in
     ascending order (all n samples when None).  ``order`` is an (F, m)
-    array whose row f lists those samples sorted stably by feature f; it is
-    computed here when None.
+    array whose row f lists those samples sorted stably by feature f, and
+    ``var`` is np.var(y[rows]); each is computed here when None.
 
     Scans midpoints of consecutive distinct sorted values per feature and
     maximizes the decrease of mean squared deviation:
@@ -221,7 +222,7 @@ def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
            * tot_yy.max())
 
     yy = y[rows]
-    parent_sse = np.var(yy) * m
+    parent_sse = (np.var(yy) if var is None else var) * m
     best = None
     scored: list[np.ndarray] = []
     for j in np.flatnonzero(fast >= top - tol):
@@ -333,7 +334,7 @@ def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
             return i
         if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
             return i
-        found = _best_split_all(X, y, hp.min_leaf_sample, rows, order)
+        found = _best_split_all(X, y, hp.min_leaf_sample, rows, order, var)
         if found is None:
             return i
         j, thr, red = found

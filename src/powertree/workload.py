@@ -190,7 +190,7 @@ class ToggleTrace:
     def __post_init__(self) -> None:
         if self.levels.ndim != 2 or self.levels.shape[0] != len(self.signal_ids):
             raise ValueError("levels must be (n_signals, n_cycles)")
-        if self.levels.size and not np.isin(self.levels, (0, 1)).all():
+        if not ((self.levels == 0) | (self.levels == 1)).all():
             raise ValueError("levels must be 0/1")
 
     @property

@@ -1,14 +1,70 @@
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powertree as pt
-from powertree.hwsim import (CHILD_BITS, FEATURE_BITS, THRESHOLD_BITS,
-                             VALUE_BITS, MalformedImageError, MemNode)
+from powertree.hwsim import (CHILD_BITS, FEATURE_BITS, LEAF_FLAG_BIT,
+                             THRESHOLD_BITS, VALUE_BITS, MalformedImageError,
+                             MemNode)
 from powertree.workload import Dataset, ToggleTrace
+
+
+@dataclass(frozen=True)
+class EngineState:
+    fsm_state: str  # one of I, N, S, R
+    current_node: int
+    cycle_count: int
+    feature_buffer: tuple[int, ...]
+
+
+def oracle_engine_invoke(image, features):
+    """The engine as it was before its walk decoded words inline: a MemNode
+    and an EngineState per step.  Same contract as pt.engine_invoke."""
+    buf = tuple(int(v) for v in features)
+    if any(v < 0 for v in buf):
+        raise ValueError("features must be unsigned")
+    state = EngineState("I", 0, 0, buf)
+    trace = ["I"]
+    steps = 0
+    while True:
+        node = image.node(state.current_node)
+        if node.is_leaf:
+            trace.append("R")
+            state = EngineState("R", state.current_node,
+                                state.cycle_count + 1, buf)
+            return node.value, state.cycle_count, trace
+        if node.feature >= len(buf):
+            raise ValueError(f"feature address {node.feature} not covered by "
+                             f"the {len(buf)}-entry feature buffer")
+        trace.append("N")
+        trace.append("S")
+        target = node.left if buf[node.feature] <= node.threshold else node.right
+        if not (0 <= target < image.n_nodes):
+            raise MalformedImageError(f"dangling child address {target}")
+        state = EngineState("S", target, state.cycle_count + 2, buf)
+        steps += 1
+        if steps > image.n_nodes:
+            raise MalformedImageError("cycle detected in structure memory")
+
+
+def oracle_period_features(levels, period, width):
+    """Per full period, fold counter_step over every cycle of every signal,
+    starting each period from a cleared counter and edge register."""
+    n_sig, n_cycles = levels.shape
+    out = []
+    for p in range(n_cycles // period):
+        row = []
+        for s in range(n_sig):
+            state = pt.CounterState(width)
+            for t in range(p * period, (p + 1) * period):
+                state = pt.counter_step(state, int(levels[s, t]))
+            row.append(state.value)
+        out.append(tuple(row))
+    return out
 
 
 def oracle_walk(image, features):
@@ -228,6 +284,110 @@ class TestEngine:
             pt.validate_image(image)
 
 
+def engine_outcome(engine, image, x):
+    """(value, cycles, trace), or the type and message of the error."""
+    try:
+        return engine(image, x)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def corrupt_word(rng, word, n_features):
+    """A decision word with one field redrawn over its whole range, so the
+    walk can dangle, loop or read past the feature buffer."""
+    node = pt.node_decode(word)
+    field = rng.choice(["left", "right", "feature"])
+    if field == "feature":
+        feature = int(rng.integers(0, n_features + 3))
+        return pt.node_encode(MemNode(False, feature=feature,
+                                      threshold=node.threshold,
+                                      left=node.left, right=node.right))
+    child = int(rng.integers(0, 1 << CHILD_BITS)) if rng.random() < 0.3 \
+        else int(rng.integers(0, 8))
+    left, right = (child, node.right) if field == "left" \
+        else (node.left, child)
+    return pt.node_encode(MemNode(False, feature=node.feature,
+                                  threshold=node.threshold,
+                                  left=left, right=right))
+
+
+class TestEngineMatchesOracle:
+    """engine_invoke against the walk it replaced, which built a MemNode and
+    an EngineState at every step."""
+
+    @staticmethod
+    def probes(rng, image, n_features):
+        """Random feature rows, plus rows set to stored thresholds and one
+        above them, where <= and < differ."""
+        thresholds = [pt.node_decode(int(w)).threshold for w in image.words
+                      if not int(w) >> LEAF_FLAG_BIT] or [0]
+        rows = [rng.integers(0, 1 << THRESHOLD_BITS, n_features)
+                for _ in range(20)]
+        for _ in range(20):
+            picks = rng.choice(thresholds, n_features)
+            rows.append(picks + rng.integers(0, 2, n_features))
+        return rows
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_well_formed_images(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        image = random_image(rng, depth)
+        for x in self.probes(rng, image, 6):
+            assert pt.engine_invoke(image, x) == oracle_engine_invoke(image, x)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_images_fail_alike(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        image = random_image(rng, depth)
+        words = image.words.copy()
+        decisions = [i for i, w in enumerate(words)
+                     if not int(w) >> LEAF_FLAG_BIT]
+        for i in rng.choice(decisions, int(rng.integers(1, 3))):
+            words[i] = corrupt_word(rng, int(words[i]), 6)
+        bad = pt.TreeMemoryImage(words, image.n_nodes, image.max_depth)
+        rows = self.probes(rng, bad, 6)
+        rows.append(rows[0][:2])
+        rows.append(np.where(rng.random(6) < 0.5, -1, rows[1]))
+        for x in rows:
+            assert engine_outcome(pt.engine_invoke, bad, x) \
+                == engine_outcome(oracle_engine_invoke, bad, x)
+
+    @pytest.mark.parametrize("words, x, error", [
+        # dangling right child
+        ([MemNode(False, feature=0, threshold=5, left=1, right=9),
+          MemNode(True, value=1)], [6], MalformedImageError),
+        # left child loops back to the root
+        ([MemNode(False, feature=0, threshold=5, left=0, right=1),
+          MemNode(True, value=1)], [0], MalformedImageError),
+        # node 1 is its own child
+        ([MemNode(False, feature=0, threshold=5, left=1, right=1),
+          MemNode(False, feature=0, threshold=5, left=1, right=1)], [0],
+         MalformedImageError),
+        # feature 3 is past a 2-entry buffer
+        ([MemNode(False, feature=3, threshold=5, left=1, right=2),
+          MemNode(True, value=1), MemNode(True, value=2)], [0, 0],
+         ValueError),
+        # negative feature
+        ([MemNode(True, value=1)], [0, -1], ValueError),
+    ])
+    def test_each_error_as_before(self, words, x, error):
+        image = pt.TreeMemoryImage(
+            np.array([pt.node_encode(w) for w in words], dtype=np.uint64),
+            len(words), 1)
+        got = engine_outcome(pt.engine_invoke, image, x)
+        assert got == engine_outcome(oracle_engine_invoke, image, x)
+        assert got[0] is error
+
+    def test_negative_word_rejected_as_before(self):
+        # TreeMemoryImage does not fix the dtype of its words
+        image = pt.TreeMemoryImage(np.array([-1], dtype=np.int64), 1, 0)
+        got = engine_outcome(pt.engine_invoke, image, [0])
+        assert got == engine_outcome(oracle_engine_invoke, image, [0])
+        assert got[0] is ValueError
+
+
 def pulse_trace(signal_blocks):
     """Concatenate per-period level blocks into one trace."""
     ids = tuple(signal_blocks)
@@ -303,12 +463,91 @@ class TestMonitor:
         with pytest.raises(ValueError):
             pt.run_monitor(trace, self._image_two_counters(), cfg)
 
+    def test_level_changed_in_place_rejected(self):
+        trace = ToggleTrace(("a",), np.zeros((1, 40), dtype=np.uint8))
+        trace.levels[0, 17] = 2
+        cfg = pt.MonitorConfig(n_counters=1, estimation_period=20)
+        with pytest.raises(ValueError):
+            pt.period_features(trace, cfg)
+
+    def test_signal_count_mismatch_rejected(self):
+        trace = ToggleTrace(("a", "b"), np.zeros((2, 40), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            pt.period_features(trace, pt.MonitorConfig(n_counters=3,
+                                                       estimation_period=20))
+
+
+@st.composite
+def monitor_cases(draw):
+    """(levels, period, counter_width): 1-5 signals, periods of 1-16
+    cycles, a trailing partial period, and the narrowest counter the period
+    allows or up to two bits more."""
+    n_sig = draw(st.integers(1, 5))
+    period = draw(st.integers(1, 16))
+    n_cycles = period * draw(st.integers(1, 5)) \
+        + draw(st.integers(0, period - 1))
+    narrowest = max(1, (period - 1).bit_length())
+    width = draw(st.integers(narrowest, narrowest + 2))
+    dtype = draw(st.sampled_from([np.uint8, np.bool_, np.int64]))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n_sig * n_cycles,
+                         max_size=n_sig * n_cycles))
+    return np.array(bits, dtype=dtype).reshape(n_sig, n_cycles), period, width
+
+
+class TestPeriodFeaturesMatchCounterFold:
+    """period_features against the per-cycle counter_step fold it replaced.
+
+    The largest count a period can hold is ceil(P / 2), from alternating
+    levels that start at 1, and P <= 2**width gives ceil(P / 2) < 2**width.
+    So the fold never raises OverflowError where period_features runs, and
+    the vectorised count needs no overflow check of its own.
+    """
+
+    @given(monitor_cases())
+    @example(case=(np.array([[0, 0, 0, 1, 1, 0, 0, 1]], dtype=np.uint8), 4,
+                   2))  # edges on the last cycle of each period
+    @example(case=(np.array([[0, 1, 1, 1, 1, 1, 1, 1, 1]], dtype=np.bool_),
+                   4, 2))  # periods that open high, a partial period
+    @example(case=(np.array([[1, 0, 1, 0, 1, 0, 1, 0]], dtype=np.int64), 4,
+                   2))  # the largest count a 2-bit counter meets
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fold(self, case):
+        levels, period, width = case
+        cfg = pt.MonitorConfig(n_counters=levels.shape[0],
+                               estimation_period=period, counter_width=width)
+        trace = ToggleTrace(tuple(f"s{i}" for i in range(levels.shape[0])),
+                            levels)
+        got = pt.period_features(trace, cfg)
+        assert got == oracle_period_features(levels, period, width)
+        assert all(type(v) is int for row in got for v in row)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_largest_count_fits(self, width):
+        period = 1 << width
+        levels = np.tile([1, 0], period)[None, :].astype(np.uint8)
+        cfg = pt.MonitorConfig(n_counters=1, estimation_period=period,
+                               counter_width=width)
+        got = pt.period_features(ToggleTrace(("a",), levels), cfg)
+        assert got == [(period // 2,)] * 2
+        assert got == oracle_period_features(levels, period, width)
+
 
 class TestMonitorConfig:
     def test_period_must_fit_counter_width(self):
         with pytest.raises(ValueError):
             pt.MonitorConfig(n_counters=1, estimation_period=5, counter_width=2)
         pt.MonitorConfig(n_counters=1, estimation_period=4, counter_width=2)
+
+    @pytest.mark.parametrize("width", [0, -1, 65])
+    def test_counter_width_out_of_range_rejected(self, width):
+        with pytest.raises(ValueError, match="counter_width"):
+            pt.MonitorConfig(n_counters=1, estimation_period=1,
+                             counter_width=width)
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_counter_width_limits_accepted(self, width):
+        pt.MonitorConfig(n_counters=1, estimation_period=1,
+                         counter_width=width)
 
 
 class TestImageFile:

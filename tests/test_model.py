@@ -312,13 +312,14 @@ class TestPresortedGrowth:
         split_all = model._best_split_all
         nodes = 0
 
-        def checking(X, y, min_leaf, rows, order):
+        def checking(X, y, min_leaf, rows, order, var):
             nonlocal nodes
             nodes += 1
             assert (np.diff(rows) > 0).all()
             expect = rows[np.argsort(X[rows], axis=0, kind="stable")].T
             assert np.array_equal(order, expect)
-            return split_all(X, y, min_leaf, rows, order)
+            assert var == np.var(y[rows])
+            return split_all(X, y, min_leaf, rows, order, var)
 
         monkeypatch.setattr(model, "_best_split_all", checking)
         d = pt.generate_design(pt.hybrid_design_spec(seed=3))

@@ -226,6 +226,22 @@ class TestTrace:
         assert sub.signal_ids == (d.net_ids[3], d.net_ids[0])
         assert (sub.levels[0] == tr.levels[3]).all()
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_level_outside_0_1_rejected(self, bad):
+        levels = np.zeros((2, 6), dtype=np.float64)
+        levels[1, 4] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            ToggleTrace(("a", "b"), levels)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+    def test_0_1_levels_accepted(self, dtype):
+        levels = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=dtype)
+        assert ToggleTrace(("a", "b"), levels).n_cycles == 4
+
+    def test_zero_cycle_trace_accepted(self):
+        assert ToggleTrace(("a",), np.zeros((1, 0), dtype=np.uint8)) \
+            .n_cycles == 0
+
 
 class TestDatasetIO:
     def test_round_trip_exact(self, tmp_path):
