@@ -2,18 +2,17 @@
 simulator and multi-phase regulator phase shedding."""
 
 from .workload import (DEFAULT_NONLINEAR_STRENGTH, Dataset, DesignSpec, Net,
-                       NonlinearUnit, Sample, SyntheticDesign, ToggleTrace,
-                       activity, compose_datasets, dynamic_power,
-                       generate_design, hybrid_design_spec, linear_design_spec,
-                       load_dataset, load_design, rank_signals_by_activity,
-                       save_dataset, save_design, simulate_dataset,
-                       synthesize_trace)
+                       NonlinearUnit, SyntheticDesign, ToggleTrace, activity,
+                       compose_datasets, dynamic_power, generate_design,
+                       hybrid_design_spec, linear_design_spec, load_dataset,
+                       load_design, rank_signals_by_activity, save_dataset,
+                       save_design, simulate_dataset, synthesize_trace)
 from .model import (DecisionTree, EnsembleModel, HyperParams, LinearModel,
-                    TreeNode, best_split, feature_importances, fit_linear,
-                    fit_tree, load_linear, load_tree, mae_percent,
-                    predict_ensemble, predict_linear, predict_linear_batch,
-                    predict_tree, predict_tree_batch, rule_text, save_linear,
-                    save_tree, scale_prediction)
+                    best_split, feature_importances, fit_linear, fit_tree,
+                    load_linear, load_tree, mae_percent, predict_ensemble,
+                    predict_linear, predict_linear_batch, predict_tree,
+                    predict_tree_batch, rule_text, save_linear, save_tree,
+                    scale_prediction)
 from .selection import RfeResult, RfeStep, rfe, rfe_history_text
 from .tuning import (CvResult, CvRow, Grid, LearningPoint, cv_table_text,
                      grid_search_cv, kfold_split, learning_curve,

@@ -377,7 +377,7 @@ def cmd_shed(ctx: Context) -> int:
     lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
     lut = pdn.build_lut(regulator, np.linspace(lo, hi, n))
     rows = pdn.shed_rows(regulator, lut, powers)
-    decisions, eff = pdn.shed(regulator, lut, powers)
+    decisions, eff = [r[2] for r in rows], rows[-1][3]
 
     ctx.write_artifact("shed.csv", pdn.shed_table_text(rows),
                        ["design.json", "monitor.csv"])

@@ -165,6 +165,8 @@ class TreeMemoryImage:
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.words.shape != (self.n_nodes,):
             raise ValueError("words must hold n_nodes >= 1 entries")
+        if self.words.dtype != np.uint64:
+            raise ValueError(f"words must be uint64, not {self.words.dtype}")
         if self.leaf_unit <= 0:
             raise ValueError("leaf_unit must be positive")
 
@@ -184,35 +186,34 @@ def quantize(tree: DecisionTree) -> TreeMemoryImage:
     Requires non-negative thresholds and leaf values; leaf values must fit
     the 16-bit milliwatt field, node count the 14-bit child address field.
     """
-    order: list = []
-    queue = [tree.root]
-    while queue:
-        node = queue.pop(0)
-        order.append(node)
-        if not node.is_leaf:
-            queue.append(node.left)
-            queue.append(node.right)
-    if len(order) > (1 << CHILD_BITS):
+    n = tree.left.size
+    if n > (1 << CHILD_BITS):
         raise ValueError("tree exceeds the child-address capacity")
-    index = {id(n): i for i, n in enumerate(order)}
-    words = np.zeros(len(order), dtype=np.uint64)
-    for i, node in enumerate(order):
-        if node.is_leaf:
-            if node.value < 0:
+    # breadth-first is level by level, and each level of a preorder tree
+    # is already listed left to right
+    order = np.argsort(tree.node_depth, kind="stable")
+    address = np.empty(n, dtype=np.intp)
+    address[order] = np.arange(n)
+    value, feature, threshold, left, right = (a.tolist() for a in (
+        tree.value, tree.feature, tree.threshold, tree.left, tree.right))
+    words = np.zeros(n, dtype=np.uint64)
+    for k, i in enumerate(order.tolist()):
+        if left[i] < 0:
+            if value[i] < 0:
                 raise ValueError("leaf values must be >= 0")
-            mw = int(np.floor(node.value * 1000.0 + 0.5))
+            mw = int(np.floor(value[i] * 1000.0 + 0.5))
             if mw >= (1 << VALUE_BITS):
-                raise ValueError(f"leaf value {node.value} W exceeds the "
+                raise ValueError(f"leaf value {value[i]} W exceeds the "
                                  "16-bit milliwatt range")
-            words[i] = node_encode(MemNode(True, value=mw))
+            words[k] = node_encode(MemNode(True, value=mw))
         else:
-            if node.threshold < 0:
+            if threshold[i] < 0:
                 raise ValueError("thresholds must be >= 0")
-            thr = int(np.floor(node.threshold))
-            words[i] = node_encode(MemNode(
-                False, feature=node.feature, threshold=thr,
-                left=index[id(node.left)], right=index[id(node.right)]))
-    return TreeMemoryImage(words, len(order), tree.depth)
+            thr = int(np.floor(threshold[i]))
+            words[k] = node_encode(MemNode(
+                False, feature=feature[i], threshold=thr,
+                left=int(address[left[i]]), right=int(address[right[i]])))
+    return TreeMemoryImage(words, n, tree.depth)
 
 
 def dequantize_mw(image: TreeMemoryImage, value: int) -> float:
@@ -253,8 +254,6 @@ def engine_invoke(image: TreeMemoryImage,
     addr = decisions = 0
     while True:
         word = int(words[addr])
-        if not 0 <= word < 1 << 64:
-            raise ValueError("word must be an unsigned 64-bit value")
         if word >> LEAF_FLAG_BIT:
             trace.append("R")
             return word & _VALUE_MASK, 2 * decisions + 1, trace

@@ -8,7 +8,7 @@ per-component trees, and the MAE% metric used throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from .workload import Dataset
 
 __all__ = [
     "HyperParams",
-    "TreeNode",
     "DecisionTree",
     "LinearModel",
     "EnsembleModel",
@@ -65,51 +64,39 @@ class HyperParams:
             raise ValueError("min_leaf_impurity must lie in [0, 1)")
 
 
-@dataclass
-class TreeNode:
-    """Decision node (feature, threshold, children) or leaf (value).
+@dataclass(eq=False)
+class DecisionTree:
+    """A fitted tree as one array entry per node, in preorder (a node, its
+    left subtree, then its right subtree); node 0 is the root.
 
-    n_samples and impurity (population variance of the training targets that
-    reached the node, in W^2) are kept on every node; decision nodes also
-    record the impurity decrease their split achieved.
+    n_samples, impurity (population variance of the training targets that
+    reached the node, in W^2), value (their mean) and node_depth are kept
+    on every node.  A decision node sends x[feature] <= threshold to its
+    left child and records the impurity decrease its split achieved; a leaf
+    has left == right == -1, feature 0, threshold 0.0 and reduction 0.0.
+    A tree read by load_tree has value NaN on its decision nodes, which
+    powertree-tree-v1 does not store.
     """
 
-    n_samples: int
-    impurity: float
-    value: float | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    reduction: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-
-@dataclass
-class DecisionTree:
-    root: TreeNode
-    depth: int
+    n_samples: np.ndarray
+    impurity: np.ndarray
+    value: np.ndarray
+    node_depth: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    reduction: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     n_features: int
     model_freq: float
     feature_ids: tuple[str, ...]
-    _flat: dict | None = field(default=None, repr=False, compare=False)
 
-    def nodes_preorder(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)  # type: ignore[arg-type]
-                stack.append(node.left)  # type: ignore[arg-type]
-        return out
+    @property
+    def depth(self) -> int:
+        return int(self.node_depth.max())
 
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes_preorder() if n.is_leaf)
+        return int((self.left < 0).sum())
 
 
 @dataclass(frozen=True)
@@ -271,33 +258,13 @@ def best_split(features: np.ndarray, targets: np.ndarray, feature_index: int,
     return thr, red
 
 
-@dataclass(frozen=True)
-class _Growth:
-    """Every node of one grown tree, in preorder (a node, its left subtree,
-    then its right subtree), one array entry per node.
+def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
+    """Grow a variance-minimizing binary regression tree.
 
-    value (the training-target mean), n_samples, impurity and depth are
-    recorded on decision nodes as well as on leaves.  Leaves have
-    left == right == -1, feature 0, threshold 0.0 and reduction 0.0.
-    """
-
-    n_samples: np.ndarray
-    impurity: np.ndarray
-    value: np.ndarray
-    depth: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    reduction: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def is_leaf(self) -> np.ndarray:
-        return self.left < 0
-
-
-def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
-    """Grow a variance-minimizing binary regression tree (see fit_tree).
+    A node becomes a leaf when it is at max_depth, holds fewer than
+    min_split_sample samples, is pure, falls below the min_leaf_impurity
+    variance fraction, or no candidate split reduces variance (candidates
+    that would starve a child below min_leaf_sample are skipped).
 
     Every feature column is sorted once, stably, at the root.  A split hands
     each child its parent's sorted lists filtered to the child's samples;
@@ -313,8 +280,7 @@ def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
     # marks the samples of the child being built; only the parent's rows
     # are read back, and those are all written first
     member = np.zeros(len(y), dtype=bool)
-    # n_samples, impurity, value, depth, feature, threshold, reduction,
-    # left, right
+    # one record per node in preorder, in DecisionTree's field order
     nodes: list[list] = []
 
     def child(rows: np.ndarray, order: np.ndarray, side: np.ndarray):
@@ -346,32 +312,22 @@ def _grow(dataset: Dataset, hp: HyperParams) -> _Growth:
 
     build(np.arange(len(dataset), dtype=np.intp),
           np.argsort(X.T, axis=1, kind="stable").astype(np.int32), 0)
-    return _Growth(*(np.array(column) for column in zip(*nodes)))
+    return DecisionTree(*(np.array(column) for column in zip(*nodes)),
+                        dataset.n_features, dataset.clock_freq,
+                        dataset.feature_names)
 
 
-def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
-    """Grow a variance-minimizing binary regression tree.
-
-    A node becomes a leaf when it is at max_depth, holds fewer than
-    min_split_sample samples, is pure, falls below the min_leaf_impurity
-    variance fraction, or no candidate split reduces variance (candidates
-    that would starve a child below min_leaf_sample are skipped).
-    """
-    g = _grow(dataset, hp)
-    n, imp, val, feat, thr, red, left, right = (a.tolist() for a in (
-        g.n_samples, g.impurity, g.value, g.feature, g.threshold,
-        g.reduction, g.left, g.right))
-    built: list[TreeNode | None] = [None] * len(n)
-    for i in reversed(range(len(n))):  # children follow their parent
-        if left[i] < 0:
-            built[i] = TreeNode(n_samples=n[i], impurity=imp[i], value=val[i])
-        else:
-            built[i] = TreeNode(n_samples=n[i], impurity=imp[i],
-                                feature=feat[i], threshold=thr[i],
-                                left=built[left[i]], right=built[right[i]],
-                                reduction=red[i])
-    return DecisionTree(built[0], int(g.depth.max()), dataset.n_features,
-                        dataset.clock_freq, dataset.feature_names)
+def _paths(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """(tree.depth + 1, n_rows) array: paths[d, r] is the node at depth d
+    on row r's root-to-leaf path, or its leaf if the path ends higher up."""
+    rows = np.arange(X.shape[0])
+    paths = np.zeros((tree.depth + 1, rows.size), dtype=np.intp)
+    for d in range(1, paths.shape[0]):
+        cur = paths[d - 1]
+        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+        paths[d] = np.where(tree.left[cur] < 0, cur,
+                            np.where(go_left, tree.left[cur], tree.right[cur]))
+    return paths
 
 
 def predict_tree(tree: DecisionTree, features) -> float:
@@ -379,62 +335,26 @@ def predict_tree(tree: DecisionTree, features) -> float:
     x = np.asarray(features, dtype=np.float64)
     if x.shape != (tree.n_features,):
         raise ValueError(f"expected {tree.n_features} features, got shape {x.shape}")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return float(node.value)
-
-
-def _flatten(tree: DecisionTree) -> dict:
-    if tree._flat is None:
-        nodes = tree.nodes_preorder()
-        index = {id(n): i for i, n in enumerate(nodes)}
-        n = len(nodes)
-        flat = {
-            "feature": np.zeros(n, dtype=np.intp),
-            "threshold": np.zeros(n, dtype=np.float64),
-            "left": np.zeros(n, dtype=np.intp),
-            "right": np.zeros(n, dtype=np.intp),
-            "value": np.zeros(n, dtype=np.float64),
-            "is_leaf": np.zeros(n, dtype=bool),
-        }
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                flat["is_leaf"][i] = True
-                flat["value"][i] = node.value
-            else:
-                flat["feature"][i] = node.feature
-                flat["threshold"][i] = node.threshold
-                flat["left"][i] = index[id(node.left)]
-                flat["right"][i] = index[id(node.right)]
-        tree._flat = flat
-    return tree._flat
+    return float(predict_tree_batch(tree, x[None, :])[0])
 
 
 def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected (n, {tree.n_features}) features")
-    flat = _flatten(tree)
-    idx = np.zeros(X.shape[0], dtype=np.intp)
-    for _ in range(tree.depth + 1):
-        active = ~flat["is_leaf"][idx]
-        if not active.any():
-            break
-        cur = idx[active]
-        go_left = X[active, flat["feature"][cur]] <= flat["threshold"][cur]
-        idx[active] = np.where(go_left, flat["left"][cur], flat["right"][cur])
-    return flat["value"][idx]
+    return tree.value[_paths(tree, X)[-1]]
 
 
 def feature_importances(tree: DecisionTree) -> np.ndarray:
     """Per-feature sum of (sample fraction x impurity decrease), normalized
     to unit sum.  All zeros for a single-leaf tree."""
-    imp = np.zeros(tree.n_features, dtype=np.float64)
-    n_root = tree.root.n_samples
-    for node in tree.nodes_preorder():
-        if not node.is_leaf:
-            imp[node.feature] += node.n_samples / n_root * node.reduction
+    split = tree.left >= 0
+    # bincount adds the weights in preorder; it counts in integers when
+    # there is no split
+    imp = np.bincount(tree.feature[split],
+                      tree.n_samples[split] / tree.n_samples[0]
+                      * tree.reduction[split],
+                      minlength=tree.n_features).astype(np.float64)
     total = imp.sum()
     return imp / total if total > 0 else imp
 
@@ -507,24 +427,18 @@ def mae_percent(predictions, truths) -> float:
 # Persistence: nodes listed in pre-order with explicit child indices.
 
 def _tree_to_doc(tree: DecisionTree) -> dict:
+    n, imp, val, feat, thr, red, left, right = (a.tolist() for a in (
+        tree.n_samples, tree.impurity, tree.value, tree.feature,
+        tree.threshold, tree.reduction, tree.left, tree.right))
     nodes: list[dict] = []
-
-    def emit(node: TreeNode) -> int:
-        i = len(nodes)
-        nodes.append({})
-        if node.is_leaf:
-            nodes[i] = {"kind": "leaf", "value": node.value,
-                        "n_samples": node.n_samples, "impurity": node.impurity}
+    for i in range(len(n)):
+        node = {"n_samples": n[i], "impurity": imp[i]}
+        if left[i] < 0:
+            node.update(kind="leaf", value=val[i])
         else:
-            li = emit(node.left)
-            ri = emit(node.right)
-            nodes[i] = {"kind": "decision", "feature": node.feature,
-                        "threshold": node.threshold, "left": li, "right": ri,
-                        "n_samples": node.n_samples, "impurity": node.impurity,
-                        "reduction": node.reduction}
-        return i
-
-    emit(tree.root)
+            node.update(kind="decision", feature=feat[i], threshold=thr[i],
+                        left=left[i], right=right[i], reduction=red[i])
+        nodes.append(node)
     return {
         "format": "powertree-tree-v1",
         "model_freq_hz": tree.model_freq,
@@ -536,7 +450,8 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
 
 
 def _tree_from_doc(doc: dict) -> DecisionTree:
-    """Rebuild a tree from its document.
+    """Rebuild a tree from its document, its nodes in preorder whatever
+    their order in the document.
 
     A malformed document raises ValueError naming the node at fault: a
     missing or unconvertible field, an unknown kind, a child index outside
@@ -559,7 +474,7 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     if not isinstance(raw, list) or not raw:
         raise ValueError("tree document has no nodes")
 
-    visited: list[tuple[int, dict, tuple[int, ...]]] = []  # preorder
+    visited: list[tuple[int, list, tuple[int, ...]]] = []  # preorder
     seen = {0}
     stack = [(0, 0)]
     reached = 0
@@ -569,15 +484,16 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         node = raw[i]
         try:
             kind = node["kind"]
-            fields = {"n_samples": int(node["n_samples"]),
-                      "impurity": float(node["impurity"])}
+            n_samples = int(node["n_samples"])
+            impurity = float(node["impurity"])
+            value, feature, threshold, reduction = np.nan, 0, 0.0, 0.0
             children: tuple[int, ...] = ()
             if kind == "leaf":
-                fields["value"] = float(node["value"])
+                value = float(node["value"])
             elif kind == "decision":
-                fields.update(feature=int(node["feature"]),
-                              threshold=float(node["threshold"]),
-                              reduction=float(node["reduction"]))
+                feature = int(node["feature"])
+                threshold = float(node["threshold"])
+                reduction = float(node["reduction"])
                 children = (int(node["left"]), int(node["right"]))
             else:
                 raise ValueError(f"kind {kind!r} is neither 'leaf' nor "
@@ -586,8 +502,8 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
             raise ValueError(f"tree node {i} lacks {e}") from None
         except (TypeError, ValueError) as e:
             raise ValueError(f"tree node {i}: {e}") from None
-        if children and not 0 <= fields["feature"] < n_features:
-            raise ValueError(f"tree node {i}: feature {fields['feature']} "
+        if children and not 0 <= feature < n_features:
+            raise ValueError(f"tree node {i}: feature {feature} "
                              f"outside [0, {n_features})")
         for c in children:
             if not 0 <= c < len(raw):
@@ -597,18 +513,18 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
                 raise ValueError(f"tree node {i}: child {c} is reached twice")
             seen.add(c)
         stack.extend((c, node_depth + 1) for c in reversed(children))
-        visited.append((i, fields, children))
+        visited.append((i, [n_samples, impurity, value, node_depth, feature,
+                            threshold, reduction], children))
     if reached != depth:
         raise ValueError(f"tree document records depth {depth}, its nodes "
                          f"reach depth {reached}")
 
-    built: dict[int, TreeNode] = {}
-    for i, fields, children in reversed(visited):  # children before parents
-        if children:
-            fields.update(left=built.pop(children[0]),
-                          right=built.pop(children[1]))
-        built[i] = TreeNode(**fields)
-    return DecisionTree(built[0], depth, n_features, model_freq, feature_ids)
+    # re-index the children from document order to preorder
+    position = {i: p for p, (i, _, _) in enumerate(visited)}
+    records = [record + ([position[c] for c in children] or [-1, -1])
+               for _, record, children in visited]
+    return DecisionTree(*(np.array(column) for column in zip(*records)),
+                        n_features, model_freq, feature_ids)
 
 
 def save_tree(tree: DecisionTree, path: str | Path) -> None:
@@ -643,16 +559,17 @@ def load_linear(path: str | Path) -> LinearModel:
 def rule_text(tree: DecisionTree) -> str:
     """Human-readable if/else rules equivalent to the tree."""
     lines = ["# features: " + " ".join(tree.feature_ids)]
-
-    def walk(node: TreeNode, indent: int) -> None:
-        pad = "    " * indent
-        if node.is_leaf:
-            lines.append(f"{pad}value: {node.value!r}")
+    # in preorder, a right child's subtree follows its sibling's "else:"
+    is_right = np.zeros(tree.left.size, dtype=bool)
+    is_right[tree.right[tree.right >= 0]] = True
+    val, feat, thr, left = (a.tolist() for a in (
+        tree.value, tree.feature, tree.threshold, tree.left))
+    for i, depth in enumerate(tree.node_depth.tolist()):
+        if is_right[i]:
+            lines.append("    " * (depth - 1) + "else:")
+        pad = "    " * depth
+        if left[i] < 0:
+            lines.append(f"{pad}value: {val[i]!r}")
         else:
-            lines.append(f"{pad}if x[{node.feature}] <= {node.threshold!r}:")
-            walk(node.left, indent + 1)
-            lines.append(f"{pad}else:")
-            walk(node.right, indent + 1)
-
-    walk(tree.root, 0)
+            lines.append(f"{pad}if x[{feat[i]}] <= {thr[i]!r}:")
     return "\n".join(lines) + "\n"

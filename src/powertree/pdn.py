@@ -154,22 +154,11 @@ def shed(model: PdnModel, lut: PhaseLut,
 
     where P_opt / P_max are input powers under the LUT decision and the full
     phase count, and P_loss charges transition_loss whenever the decision
-    changes between consecutive periods.
+    changes between consecutive periods.  Both are read from shed_rows:
+    its phases column and its last cumulative improvement.
     """
-    powers = [float(p) for p in powers]
-    if not powers:
-        raise ValueError("powers must be non-empty")
-    decisions = [lut.lookup(p) for p in powers]
-    opt_total = 0.0
-    max_total = 0.0
-    prev = None
-    for p, n in zip(powers, decisions):
-        opt_total += input_power(model, p, n)
-        if prev is not None and n != prev:
-            opt_total += model.transition_loss
-        max_total += input_power(model, p, model.max_phases)
-        prev = n
-    return decisions, 1.0 - opt_total / max_total
+    rows = shed_rows(model, lut, powers)
+    return [r[2] for r in rows], rows[-1][3]
 
 
 def shed_rows(model: PdnModel, lut: PhaseLut,

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (DecisionTree, HyperParams, _grow, _Growth, fit_linear,
-                    fit_tree, mae_percent, predict_linear_batch,
-                    predict_tree_batch)
+from .model import (DecisionTree, HyperParams, _paths, fit_linear, fit_tree,
+                    mae_percent, predict_linear_batch, predict_tree_batch)
 from .workload import Dataset
 
 __all__ = [
@@ -116,7 +115,7 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
         loosest = HyperParams(max(grid.max_depth), min(grid.min_split_sample),
                               leaf, min(grid.min_leaf_impurity))
         for fold, pool in zip(folds, pools):
-            grown = _grow(dataset.take(pool), loosest)
+            grown = fit_tree(dataset.take(pool), loosest)
             preds = _truncated_predict(grown, X[fold],
                                        [combos[c] for c in members])
             for c, pred in zip(members, preds):
@@ -132,7 +131,7 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
                     best_model)
 
 
-def _truncated_predict(grown: _Growth, X: np.ndarray,
+def _truncated_predict(grown: DecisionTree, X: np.ndarray,
                        hps: list[HyperParams]) -> np.ndarray:
     """Predictions of the grown tree cut back to each of hps, as an
     (len(hps), n_rows) array.
@@ -145,25 +144,16 @@ def _truncated_predict(grown: _Growth, X: np.ndarray,
     max_depth = np.array([hp.max_depth for hp in hps])[:, None]
     min_split = np.array([hp.min_split_sample for hp in hps])[:, None]
     min_impurity = np.array([hp.min_leaf_impurity for hp in hps])[:, None]
-    is_leaf = grown.is_leaf
-    rows = np.arange(X.shape[0])
-    # paths[d, r]: the node at depth d on row r's path, or its leaf if the
-    # path ends higher up
-    paths = np.zeros((int(grown.depth.max()) + 1, rows.size), dtype=np.intp)
-    for d in range(1, paths.shape[0]):
-        cur = paths[d - 1]
-        go_left = X[rows, grown.feature[cur]] <= grown.threshold[cur]
-        paths[d] = np.where(is_leaf[cur], cur,
-                            np.where(go_left, grown.left[cur], grown.right[cur]))
+    paths = _paths(grown, X)
     root_var = grown.impurity[0]
     # a zero-variance root is a leaf, which stops every combination before
     # the ratio is read
     ratio = grown.impurity / root_var if root_var > 0.0 else grown.impurity
-    stop = (is_leaf | (grown.depth >= max_depth)
+    stop = ((grown.left < 0) | (grown.node_depth >= max_depth)
             | (grown.n_samples < min_split) | (ratio < min_impurity))
     # the first stopping node on each path; a path's leaf always stops
     first = stop[:, paths].argmax(axis=1)
-    return grown.value[paths[first, rows]]
+    return grown.value[paths[first, np.arange(X.shape[0])]]
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "NonlinearUnit",
     "SyntheticDesign",
     "ToggleTrace",
-    "Sample",
     "Dataset",
     "generate_design",
     "activity",
@@ -220,15 +219,6 @@ class ToggleTrace:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One estimation period: activity counts and the power they caused."""
-
-    features: np.ndarray  # (n_features,) unsigned counts
-    true_dynamic_power: float
-    period_cycles: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, n_features) integer counts
     powers: np.ndarray  # (n_samples,) watts
@@ -260,9 +250,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i].copy(), float(self.powers[i]), self.period_cycles)
 
     def take(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=np.intp)

@@ -179,12 +179,12 @@ def test_02_cart_matches_exhaustive_split_oracle():
             ds = Dataset(X.astype(np.int64), y, names, 1000, 1e8)
             for hp in hps:
                 tree = pt.fit_tree(ds, hp)
-                root_var = tree.root.impurity
+                root_var = tree.impurity[0]
 
-                def walk(node, rows, depth):
+                def walk(i, rows, depth):
                     nonlocal nodes_checked
                     yy = y[rows]
-                    if node.is_leaf:
+                    if tree.left[i] < 0:
                         # stopping must be justified by one of the rules
                         pure = bool(np.all(yy == yy[0]))
                         impure_frac = (root_var > 0
@@ -200,14 +200,14 @@ def test_02_cart_matches_exhaustive_split_oracle():
                     expect = brute_force_best_split(X[rows], yy,
                                                     hp.min_leaf_sample)
                     assert expect is not None
-                    assert node.feature == expect[0]
-                    assert node.threshold == expect[1]
+                    assert tree.feature[i] == expect[0]
+                    assert tree.threshold[i] == expect[1]
                     nodes_checked += 1
-                    mask = X[rows, node.feature] <= node.threshold
-                    walk(node.left, rows[mask], depth + 1)
-                    walk(node.right, rows[~mask], depth + 1)
+                    mask = X[rows, tree.feature[i]] <= tree.threshold[i]
+                    walk(tree.left[i], rows[mask], depth + 1)
+                    walk(tree.right[i], rows[~mask], depth + 1)
 
-                walk(tree.root, np.arange(m), 0)
+                walk(0, np.arange(m), 0)
         elapsed = time.monotonic() - t0
         assert nodes_checked > 100
         assert elapsed < 30.0, f"oracle comparison took {elapsed:.1f}s"
@@ -305,13 +305,14 @@ def test_07_quantization_error_bound(protocol):
         pt.validate_image(image)
         # case-exhaustive per node: the two integers bracketing the stored
         # threshold route identically under the real and floored compare
-        for node in protocol.tree.nodes_preorder():
-            if node.is_leaf:
-                assert node.value >= 0
+        tree = protocol.tree
+        for i in range(tree.left.size):
+            if tree.left[i] < 0:
+                assert tree.value[i] >= 0
                 continue
-            stored = int(np.floor(node.threshold))
+            stored = int(np.floor(tree.threshold[i]))
             for x in (stored, stored + 1):
-                assert (x <= node.threshold) == (x <= stored)
+                assert (x <= tree.threshold[i]) == (x <= stored)
         rng = np.random.default_rng(17)
         X = rng.integers(0, 301, (1000, protocol.tree.n_features))
         soft = pt.predict_tree_batch(protocol.tree, X)

@@ -192,12 +192,10 @@ class TestQuantize:
     def test_floored_threshold_routes_integers_identically(self):
         # 12.7 stores as 12; integers cannot fall between 12 and 12.7
         image, tree = fitted_image(seed=0, depth=4)
-        for node in tree.nodes_preorder():
-            if node.is_leaf:
-                continue
-            stored = int(np.floor(node.threshold))
+        for threshold in tree.threshold[tree.left >= 0]:
+            stored = int(np.floor(threshold))
             for x in (stored, stored + 1):
-                assert (x <= node.threshold) == (x <= stored)
+                assert (x <= threshold) == (x <= stored)
 
     def test_leaf_rounds_to_nearest_milliwatt(self):
         ds = Dataset(np.array([[0], [1]]), np.array([0.3142, 0.3142]),
@@ -381,11 +379,10 @@ class TestEngineMatchesOracle:
         assert got[0] is error
 
     def test_negative_word_rejected_as_before(self):
-        # TreeMemoryImage does not fix the dtype of its words
-        image = pt.TreeMemoryImage(np.array([-1], dtype=np.int64), 1, 0)
-        got = engine_outcome(pt.engine_invoke, image, [0])
-        assert got == engine_outcome(oracle_engine_invoke, image, [0])
-        assert got[0] is ValueError
+        # a signed array can hold a word outside [0, 2**64); no image of
+        # one can be built, so neither engine ever reads it
+        with pytest.raises(ValueError, match="words must be uint64"):
+            pt.TreeMemoryImage(np.array([-1], dtype=np.int64), 1, 0)
 
 
 def pulse_trace(signal_blocks):
@@ -571,6 +568,16 @@ class TestImageFile:
         raw = path.read_bytes()
         assert raw[:4] == b"PTMI"
         assert len(raw) == 16 + 8 * image.n_nodes
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_image_of_other_dtype_never_saved(self, tmp_path, dtype):
+        # cast to <u8 on save, an int64 -1 would wrap to a valid leaf
+        # holding 65535
+        path = tmp_path / "tree.img"
+        with pytest.raises(ValueError, match="words must be uint64"):
+            pt.save_image(pt.TreeMemoryImage(np.array([-1], dtype=dtype), 1,
+                                             0), path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.img"

@@ -90,7 +90,7 @@ def oracle_best_split(X, y, min_leaf):
 
 
 def oracle_grow(dataset, hp):
-    """model._grow driven by oracle_best_split on each node's own rows."""
+    """fit_tree driven by oracle_best_split on each node's own rows."""
     X = dataset.features.astype(np.float64)
     y = dataset.powers.astype(np.float64)
     root_var = float(np.var(y))
@@ -119,14 +119,34 @@ def oracle_grow(dataset, hp):
         return i
 
     build(np.arange(len(dataset), dtype=np.intp), 0)
-    return model._Growth(*(np.array(column) for column in zip(*nodes)))
+    return pt.DecisionTree(*(np.array(column) for column in zip(*nodes)),
+                           dataset.n_features, dataset.clock_freq,
+                           dataset.feature_names)
+
+
+NODE_ARRAYS = ("n_samples", "impurity", "value", "node_depth", "feature",
+               "threshold", "reduction", "left", "right")
 
 
 def assert_growths_identical(got, expect):
-    for name in ("n_samples", "impurity", "value", "depth", "feature",
-                 "threshold", "reduction", "left", "right"):
+    for name in NODE_ARRAYS:
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert (got.n_features, got.model_freq, got.feature_ids) \
+        == (expect.n_features, expect.model_freq, expect.feature_ids)
+
+
+def assert_loaded_arrays_equal(back, tree):
+    """Every node array of a reloaded tree equals the fitted one's, except
+    value on decision nodes, which the document does not store."""
+    for name in NODE_ARRAYS:
+        a, b = getattr(back, name), getattr(tree, name)
+        assert a.dtype == b.dtype, name
+        if name == "value":
+            leaf = tree.left < 0
+            assert np.isnan(a[~leaf]).all()
+            a, b = a[leaf], b[leaf]
         assert np.array_equal(a, b), name
 
 
@@ -175,17 +195,17 @@ class TestFitTree:
         tree = pt.fit_tree(ds, pt.HyperParams(max_depth=4, min_split_sample=2,
                                               min_leaf_sample=1,
                                               min_leaf_impurity=0.0))
-        assert tree.root.is_leaf
-        assert tree.root.value == 5.0
+        assert tree.left[0] < 0
+        assert tree.value[0] == 5.0
         assert tree.depth == 0
 
     def test_stump_example(self):
         ds = make_dataset(STUMP_X, STUMP_Y)
         tree = pt.fit_tree(ds, pt.HyperParams(1, 2, 1, 0.0))
-        root = tree.root
-        assert not root.is_leaf
-        assert root.feature == 0 and root.threshold == 2.5
-        assert root.left.value == 0.0 and root.right.value == 10.0
+        assert tree.left[0] >= 0
+        assert tree.feature[0] == 0 and tree.threshold[0] == 2.5
+        assert tree.value[tree.left[0]] == 0.0
+        assert tree.value[tree.right[0]] == 10.0
         assert tree.depth == 1
 
     def test_empty_dataset_rejected(self):
@@ -203,21 +223,21 @@ class TestFitTree:
         ds = make_dataset(rng.integers(0, 30, (200, 4)), rng.uniform(1.0, 9.0, 200))
         tree = pt.fit_tree(ds, hp)
         assert tree.depth <= hp.max_depth
-        root_var = tree.root.impurity
+        root_var = tree.impurity[0]
 
-        def walk(node, depth):
-            if node.is_leaf:
+        def walk(i, depth):
+            if tree.left[i] < 0:
                 assert depth <= hp.max_depth
                 return
-            assert node.n_samples >= hp.min_split_sample
-            assert node.left.n_samples >= hp.min_leaf_sample
-            assert node.right.n_samples >= hp.min_leaf_sample
-            assert node.impurity / root_var >= hp.min_leaf_impurity
-            assert node.reduction > 0
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
+            assert tree.n_samples[i] >= hp.min_split_sample
+            assert tree.n_samples[tree.left[i]] >= hp.min_leaf_sample
+            assert tree.n_samples[tree.right[i]] >= hp.min_leaf_sample
+            assert tree.impurity[i] / root_var >= hp.min_leaf_impurity
+            assert tree.reduction[i] > 0
+            walk(tree.left[i], depth + 1)
+            walk(tree.right[i], depth + 1)
 
-        walk(tree.root, 0)
+        walk(0, 0)
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(1)
@@ -226,16 +246,17 @@ class TestFitTree:
         ds = make_dataset(X, y)
         tree = pt.fit_tree(ds, pt.HyperParams(4, 5, 2, 0.0))
 
-        def route(node, rows):
-            if node.is_leaf:
-                assert node.value == pytest.approx(y[rows].mean(), rel=1e-12)
-                assert node.n_samples == len(rows)
+        def route(i, rows):
+            if tree.left[i] < 0:
+                assert tree.value[i] == pytest.approx(y[rows].mean(),
+                                                      rel=1e-12)
+                assert tree.n_samples[i] == len(rows)
                 return
-            mask = X[rows, node.feature] <= node.threshold
-            route(node.left, rows[mask])
-            route(node.right, rows[~mask])
+            mask = X[rows, tree.feature[i]] <= tree.threshold[i]
+            route(tree.left[i], rows[mask])
+            route(tree.right[i], rows[~mask])
 
-        route(tree.root, np.arange(120))
+        route(0, np.arange(120))
 
     def test_every_node_split_matches_oracle(self):
         rng = np.random.default_rng(2)
@@ -246,21 +267,21 @@ class TestFitTree:
         tree = pt.fit_tree(ds, hp)
         checked = 0
 
-        def walk(node, rows):
+        def walk(i, rows):
             nonlocal checked
-            if node.is_leaf:
+            if tree.left[i] < 0:
                 return
             expect = brute_force_best_split(X[rows], y[rows],
                                             hp.min_leaf_sample)
             assert expect is not None
-            assert node.feature == expect[0]
-            assert node.threshold == expect[1]
+            assert tree.feature[i] == expect[0]
+            assert tree.threshold[i] == expect[1]
             checked += 1
-            mask = X[rows, node.feature] <= node.threshold
-            walk(node.left, rows[mask])
-            walk(node.right, rows[~mask])
+            mask = X[rows, tree.feature[i]] <= tree.threshold[i]
+            walk(tree.left[i], rows[mask])
+            walk(tree.right[i], rows[~mask])
 
-        walk(tree.root, np.arange(50))
+        walk(0, np.arange(50))
         assert checked > 0
 
 
@@ -291,22 +312,22 @@ def tie_heavy_growths(draw):
 
 
 class TestPresortedGrowth:
-    """_grow (one stable sort at the root, stable partitions, re-scoring
-    only near-ties) against oracle_grow (a sort per node, every feature
-    re-scored): all nine node arrays must be bitwise equal."""
+    """fit_tree (one stable sort at the root, stable partitions,
+    re-scoring only near-ties) against oracle_grow (a sort per node, every
+    feature re-scored): all nine node arrays must be bitwise equal."""
 
     @given(tie_heavy_growths())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle_on_tie_heavy_data(self, case):
         ds, hp = case
-        assert_growths_identical(model._grow(ds, hp), oracle_grow(ds, hp))
+        assert_growths_identical(pt.fit_tree(ds, hp), oracle_grow(ds, hp))
 
     @pytest.mark.parametrize("hp", [pt.HyperParams(8, 5, 5, 0.001),
                                     pt.HyperParams(8, 2, 1, 0.0)])
     def test_matches_oracle_on_power_data(self, hp):
         d = pt.generate_design(pt.hybrid_design_spec(seed=3))
         ds = pt.simulate_dataset(d, 400, 300, seed=4)
-        assert_growths_identical(model._grow(ds, hp), oracle_grow(ds, hp))
+        assert_growths_identical(pt.fit_tree(ds, hp), oracle_grow(ds, hp))
 
     def test_every_node_sees_its_rows_stably_sorted(self, monkeypatch):
         split_all = model._best_split_all
@@ -323,7 +344,7 @@ class TestPresortedGrowth:
 
         monkeypatch.setattr(model, "_best_split_all", checking)
         d = pt.generate_design(pt.hybrid_design_spec(seed=3))
-        model._grow(pt.simulate_dataset(d, 400, 300, seed=4),
+        pt.fit_tree(pt.simulate_dataset(d, 400, 300, seed=4),
                     pt.HyperParams(8, 2, 1, 0.0))
         assert nodes > 20
 
@@ -409,8 +430,7 @@ class TestPredict:
         rng = np.random.default_rng(4)
         ds = make_dataset(rng.integers(0, 25, (100, 3)), rng.uniform(0.0, 10.0, 100))
         tree = pt.fit_tree(ds, pt.HyperParams(5, 4, 2, 0.0))
-        thresholds = sorted({n.threshold for n in tree.nodes_preorder()
-                             if not n.is_leaf})
+        thresholds = sorted(set(tree.threshold[tree.left >= 0].tolist()))
         x = np.array([7.0, 7.0, 7.0])
         base = pt.predict_tree(tree, x)
         # nudge a coordinate without crossing any threshold
@@ -468,7 +488,8 @@ class TestImportances:
     def test_single_leaf_all_zero(self):
         tree = pt.fit_tree(make_dataset([[1], [2]], [3.0, 3.0]),
                            pt.HyperParams())
-        assert (pt.feature_importances(tree) == 0).all()
+        imp = pt.feature_importances(tree)
+        assert imp.dtype == np.float64 and (imp == 0).all()
 
     def test_stump_concentrates_on_split_feature(self):
         X = np.hstack([STUMP_X, np.zeros((4, 1), dtype=int)])
@@ -642,15 +663,37 @@ class TestSerialization:
         assert back.n_features == tree.n_features
         assert back.model_freq == tree.model_freq
         assert back.feature_ids == tree.feature_ids
-        a = [vars(n) for n in tree.nodes_preorder()]
-        b = [vars(n) for n in back.nodes_preorder()]
-        for na, nb in zip(a, b):
-            for key in ("value", "feature", "threshold", "n_samples",
-                        "impurity", "reduction"):
-                assert na[key] == nb[key]
+        assert_loaded_arrays_equal(back, tree)
         X = rng.integers(0, 300, (100, 6))
         assert (pt.predict_tree_batch(tree, X)
                 == pt.predict_tree_batch(back, X)).all()
+
+    def test_permuted_document_loads_into_preorder(self, tmp_path):
+        rng = np.random.default_rng(14)
+        ds = make_dataset(rng.integers(0, 300, (200, 4)),
+                          rng.uniform(0.5, 8.0, 200))
+        tree = pt.fit_tree(ds, pt.HyperParams(5, 5, 2, 0.001))
+        path = tmp_path / "tree.json"
+        pt.save_tree(tree, path)
+        doc = json.loads(path.read_text())
+        n = len(doc["nodes"])
+        assert n > 7
+        # the root stays first, every other node moves; children re-indexed
+        perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        new_index = {int(old): new for new, old in enumerate(perm)}
+        nodes = [dict(doc["nodes"][old]) for old in perm]
+        for node in nodes:
+            if node["kind"] == "decision":
+                node["left"] = new_index[node["left"]]
+                node["right"] = new_index[node["right"]]
+        assert nodes != doc["nodes"]
+        doc["nodes"] = nodes
+        permuted = tmp_path / "permuted.json"
+        permuted.write_text(json.dumps(doc))
+        back = pt.load_tree(permuted)
+        assert_loaded_arrays_equal(back, tree)
+        pt.save_tree(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_second_save_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(12)

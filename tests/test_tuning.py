@@ -205,10 +205,10 @@ class TestGridSearchMatchesNaiveOracle:
         k, seed = 4, 5
         pool = _fold_pools(pt.kfold_split(len(ds), k, seed))[0]
         tree = pt.fit_tree(ds.take(pool), pt.HyperParams(12, 2, 2, 0.0))
-        inner = [n for n in tree.nodes_preorder()[1:] if not n.is_leaf]
-        ratios = sorted({r for r in (n.impurity / tree.root.impurity
-                                     for n in inner) if r < 1.0})
-        sizes = sorted({n.n_samples for n in inner})
+        inner = 1 + np.flatnonzero(tree.left[1:] >= 0)  # below the root
+        ratios = sorted({r for r in (tree.impurity[inner] / tree.impurity[0])
+                         .tolist() if r < 1.0})
+        sizes = sorted(set(tree.n_samples[inner].tolist()))
         grid = pt.Grid(max_depth=(2, 3, 12), min_split_sample=(2,) + tuple(
             sizes[::4]), min_leaf_sample=(2, 3),
             min_leaf_impurity=(0.0,) + tuple(ratios[::4]))
