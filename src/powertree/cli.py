@@ -1,12 +1,17 @@
 """Pipeline driver: generate, select, tune, train, quantize, monitor,
 ensemble, shed, report.
 
-Every output file gets a ``<name>.prov.json`` sidecar recording the SHA-256
-of the files the producing command read, plus the hash of the (pre-override)
-config document.  Commands refuse to consume artifacts whose recorded inputs
-no longer match, so stale pipelines fail loudly with exit code 3; bad or
-missing configuration, and input the library rejects with ValueError, exit
-with code 2.
+``Context`` is the one door to the artifacts in the output directory: a
+command names its inputs once, to ``Context.inputs``, then parses the bytes
+that were checked, and ``Context.write_artifact``, the only writer, replaces
+each file atomically through a temp file.  Every artifact has a
+``<name>.prov.json`` sidecar recording its own SHA-256, that of each input,
+and the hash of the (pre-override) config document.  An input is stale
+(exit code 3) if its sidecar is missing, the config changed, its bytes
+differ from its recorded digest (a truncated or edited file), or a recorded
+input changed; ``dataset.csv.meta.json`` is checked wherever ``dataset.csv``
+is.  Each file is hashed at most once per command.  Bad configuration, and
+input rejected with ValueError, exit with code 2.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -19,12 +24,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
+from .workload import _field, _json_doc
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -37,46 +44,60 @@ class StaleArtifactError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "period_cycles": 300,
-    "n_samples": 2000,
-    "train_fraction": 0.8,
-    "seed": 0,
-    "top_candidates": 100,
-    "rfe_target_fraction": 0.2,
-    "cv_folds": 10,
-    "monitor_periods": 8,
-    "out_dir": "out",
-}
+_DEFAULTS = {"period_cycles": 300, "n_samples": 2000, "train_fraction": 0.8,
+             "seed": 0, "top_candidates": 100, "rfe_target_fraction": 0.2,
+             "cv_folds": 10, "monitor_periods": 8, "out_dir": "out"}
+
+# The command that writes each artifact a later command reads.
+_PRODUCERS = {name: command for command, names in (
+    ("gen", ("design.json", "dataset.csv", "dataset.csv.meta.json",
+             "split.json")),
+    ("select", ("selection.json",)), ("tune", ("best_params.json",)),
+    ("train", ("model.json", "linear.json")), ("quantize", ("image.bin",)),
+    ("monitor", ("monitor.csv",))) for name in names}
+_DATASET = ("dataset.csv", "dataset.csv.meta.json")
+_HP_FIELDS = (("max_depth", int), ("min_split_sample", int),
+              ("min_leaf_sample", int), ("min_leaf_impurity", float))
 
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
+def _read_hashed(path: Path) -> tuple[bytes, str]:
+    """A file's bytes and their SHA-256: the one place a file is hashed."""
+    data = path.read_bytes()
+    return data, _sha256_bytes(data)
+
+
+def _dump_json(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
+    return _json_doc(path.read_text(), None, f"{what} {path}")
+
+
+def _build(what: str, make):
+    """make(), with its TypeError, ValueError or AttributeError reported as
+    a ConfigError naming what was being built."""
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} is not valid JSON: {path} ({e})") from None
+        return make()
+    except (TypeError, ValueError, AttributeError) as e:
+        raise ConfigError(f"bad {what}: {e}") from None
 
 
 class Context:
-    """Resolved configuration plus provenance-checked artifact access."""
+    """Resolved configuration plus the one door to pipeline artifacts."""
 
     def __init__(self, args: argparse.Namespace):
         config_path = Path(args.config)
         doc = _load_json(config_path, "config")
         self.config_sha = _sha256_bytes(
             json.dumps(doc, sort_keys=True).encode())
-        self.cfg = dict(_DEFAULTS)
-        self.cfg.update(doc)
+        self.cfg = {**_DEFAULTS, **doc}
         self.base = config_path.parent
         if args.seed is not None:
             self.cfg["seed"] = args.seed
@@ -84,10 +105,11 @@ class Context:
             self.cfg["period_cycles"] = args.period
         if args.grid is not None:
             self.cfg["grid"] = _load_json(Path(args.grid), "grid file")
-        out = Path(args.out) if args.out is not None else \
+        self.out = Path(args.out) if args.out is not None else \
             self.base / str(self.cfg["out_dir"])
-        self.out = out
         self.out.mkdir(parents=True, exist_ok=True)
+        self._digests: dict[str, str] = {}  # artifact name -> SHA-256
+        self._checked: dict[str, bytes] = {}  # checked inputs, until read
 
     # -- config access ------------------------------------------------------
 
@@ -102,110 +124,115 @@ class Context:
             raw = _load_json(self.base / raw, "design spec")
         if not isinstance(raw, dict):
             raise ConfigError("design_spec must be a path or an object")
-        raw = dict(raw)
-        if "capacitance_range" in raw:
-            raw["capacitance_range"] = tuple(raw["capacitance_range"])
-        try:
-            return workload.DesignSpec(**raw)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad design spec: {e}") from None
+        return _build("design spec", lambda: workload.DesignSpec(**{
+            k: tuple(v) if k == "capacitance_range" else v
+            for k, v in raw.items()}))
 
     def hyper_params(self, key: str, default: model.HyperParams) -> model.HyperParams:
         raw = self.cfg.get(key)
-        if raw is None:
-            return default
-        try:
-            return model.HyperParams(**raw)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad {key}: {e}") from None
+        return default if raw is None else \
+            _build(key, lambda: model.HyperParams(**raw))
 
     def grid(self) -> tuning.Grid:
-        raw = self.cfg.get("grid")
-        if raw is None:
-            return tuning.Grid()
-        try:
-            return tuning.Grid(**{k: tuple(v) for k, v in raw.items()})
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad grid: {e}") from None
+        raw = self.cfg.get("grid") or {}
+        return _build("grid", lambda: tuning.Grid(
+            **{k: tuple(v) for k, v in raw.items()}))
 
     def pdn_model(self) -> pdn.PdnModel:
         raw = self.cfg.get("pdn") or {}
-        try:
-            return pdn.PdnModel(**raw)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad pdn block: {e}") from None
+        return _build("pdn block", lambda: pdn.PdnModel(**raw))
 
-    # -- provenance ---------------------------------------------------------
-
-    def _prov_path(self, path: Path) -> Path:
-        return path.with_name(path.name + ".prov.json")
+    # -- artifacts ----------------------------------------------------------
 
     def write_artifact(self, name: str, data: bytes | str,
                        inputs: list[str]) -> Path:
-        path = self.out / name
+        """Atomically write an artifact, then its sidecar."""
         if isinstance(data, str):
             data = data.encode()
-        path.write_bytes(data)
+        digest = _sha256_bytes(data)
         prov = {
             "config_sha256": self.config_sha,
-            "inputs": {n: _sha256_file(self.out / n) for n in sorted(inputs)},
+            "inputs": {n: self._digests[n] for n in sorted(inputs)},
+            "sha256": digest,
         }
-        self._prov_path(path).write_text(
-            json.dumps(prov, indent=1, sort_keys=True) + "\n")
-        return path
-
-    def artifact(self, name: str, producer: str) -> Path:
-        """Path of an input artifact, verified fresh."""
         path = self.out / name
-        if not path.is_file():
-            raise ConfigError(f"missing artifact {name}; run '{producer}' first")
-        prov_path = self._prov_path(path)
-        if prov_path.is_file():
-            prov = json.loads(prov_path.read_text())
-            if prov.get("config_sha256") != self.config_sha:
-                raise StaleArtifactError(
-                    f"{name} was produced under a different config; "
-                    f"rerun the pipeline from '{producer}'")
-            for dep, digest in prov.get("inputs", {}).items():
-                dep_path = self.out / dep
-                if not dep_path.is_file() or _sha256_file(dep_path) != digest:
-                    raise StaleArtifactError(
-                        f"{name} is stale: input {dep} changed since it was "
-                        f"produced; rerun '{producer}'")
+        sidecar = self.out / f"{name}.prov.json"
+        for target, payload in ((path, data),
+                                (sidecar, _dump_json(prov).encode())):
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            try:
+                tmp.write_bytes(payload)
+                os.replace(tmp, target)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+        self._digests[name] = digest
         return path
 
+    def inputs(self, *names: str) -> list[str]:
+        """Check a command's input artifacts fresh, all before any is
+        loaded, and return their names for its outputs' sidecars."""
+        for name in names:
+            path = self.out / name
+            if not path.is_file():
+                raise ConfigError(f"missing artifact {name}; "
+                                  f"run '{_PRODUCERS[name]}' first")
+            self._checked[name], self._digests[name] = _read_hashed(path)
+        for name in names:
+            reason = self._stale(name)
+            if reason:
+                raise StaleArtifactError(
+                    f"{name} is stale: {reason}; rerun the pipeline from "
+                    f"'{_PRODUCERS[name]}'")
+        return list(names)
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    def _stale(self, name: str) -> str | None:
+        """Why an input artifact is stale, or None if it is fresh."""
+        try:
+            prov = json.loads((self.out / f"{name}.prov.json").read_bytes())
+            config, own = prov["config_sha256"], prov["sha256"]
+            deps = dict(prov["inputs"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return "its provenance sidecar is missing or unreadable"
+        if config != self.config_sha:
+            return "it was produced under a different config"
+        if own != self._digests[name]:
+            return "its bytes differ from the digest its sidecar records"
+        for dep, digest in sorted(deps.items()):
+            if dep not in self._digests and (self.out / dep).is_file():
+                _, self._digests[dep] = _read_hashed(self.out / dep)
+            if self._digests.get(dep) != digest:
+                return f"input {dep} changed since it was produced"
+        return None
+
+    def read(self, name: str) -> bytes:
+        """The checked bytes of an input named to ``inputs``, once."""
+        return self._checked.pop(name)
 
 
-def _preflight(ctx: Context, *inputs: tuple[str, str]) -> None:
-    """Verify freshness of every input artifact before loading any."""
-    for name, producer in inputs:
-        ctx.artifact(name, producer)
-
-
-def _load_split(ctx: Context) -> tuple[np.ndarray, np.ndarray]:
-    doc = _load_json(ctx.artifact("split.json", "gen"), "split")
-    return (np.array(doc["train"], dtype=np.intp),
-            np.array(doc["test"], dtype=np.intp))
+def _split_dataset(ctx: Context) -> tuple[workload.Dataset, workload.Dataset]:
+    """The dataset's train and test rows, as split.json lists them."""
+    ds = workload.parse_dataset(ctx.read("dataset.csv").decode(),
+                                ctx.read("dataset.csv.meta.json"),
+                                "dataset.csv")
+    doc = _json_doc(ctx.read("split.json"), None, "split.json")
+    return (_field(doc, "train", ds.take, "split.json"),
+            _field(doc, "test", ds.take, "split.json"))
 
 
 def _load_selection(ctx: Context) -> list[str]:
-    doc = _load_json(ctx.artifact("selection.json", "select"), "selection")
-    return list(doc["retained"])
+    doc = _json_doc(ctx.read("selection.json"), None, "selection.json")
+    names = _field(doc, "retained", list, "selection.json")
+    if not all(isinstance(n, str) for n in names):
+        raise ValueError("selection.json: field 'retained' must list names")
+    return names
 
 
 def _load_best_params(ctx: Context) -> model.HyperParams:
-    doc = _load_json(ctx.artifact("best_params.json", "tune"), "best params")
-    return model.HyperParams(doc["max_depth"], doc["min_split_sample"],
-                             doc["min_leaf_sample"], doc["min_leaf_impurity"])
-
-
-def _train_dataset(ctx: Context) -> workload.Dataset:
-    ds = workload.load_dataset(ctx.artifact("dataset.csv", "gen"))
-    train, _ = _load_split(ctx)
-    return ds.take(train)
+    doc = _json_doc(ctx.read("best_params.json"), None, "best_params.json")
+    values = [_field(doc, k, convert, "best_params.json")
+              for k, convert in _HP_FIELDS]
+    return _build("best_params.json", lambda: model.HyperParams(*values))
 
 
 # ---------------------------------------------------------------------------
@@ -221,59 +248,51 @@ def cmd_gen(ctx: Context) -> int:
         raise ConfigError("train_fraction must lie in (0, 1)")
 
     design = workload.generate_design(spec)
-    tmp = ctx.out / "design.json"
-    workload.save_design(design, tmp)
-    ctx.write_artifact("design.json", tmp.read_bytes(), [])
-
+    ctx.write_artifact("design.json", workload.design_text(design), [])
     dataset = workload.simulate_dataset(design, n_samples, period, seed)
-    csv_path = ctx.out / "dataset.csv"
-    workload.save_dataset(dataset, csv_path, vdd=design.vdd)
-    ctx.write_artifact("dataset.csv", csv_path.read_bytes(), ["design.json"])
+    ctx.write_artifact("dataset.csv", workload.dataset_csv_text(dataset),
+                       ["design.json"])
+    ctx.write_artifact("dataset.csv.meta.json",
+                       workload.dataset_meta_text(dataset, design.vdd),
+                       ["design.json"])
 
     perm = np.random.default_rng(seed + 1).permutation(n_samples)
     n_train = int(round(frac * n_samples))
     split = {"seed": seed + 1, "train": sorted(int(i) for i in perm[:n_train]),
              "test": sorted(int(i) for i in perm[n_train:])}
-    ctx.write_artifact("split.json", _dump_json(split), ["dataset.csv"])
+    ctx.write_artifact("split.json", _dump_json(split), list(_DATASET))
     print(f"gen: {n_samples} samples x {dataset.n_features} signals, "
           f"period {period} cycles -> {ctx.out}")
     return 0
 
 
 def cmd_select(ctx: Context) -> int:
-    _preflight(ctx, ("dataset.csv", "gen"), ("split.json", "gen"))
-    train_ds = _train_dataset(ctx)
+    inputs = ctx.inputs(*_DATASET, "split.json")
+    train_ds = _split_dataset(ctx)[0]
     top = min(int(ctx.value("top_candidates")), train_ds.n_features)
     candidates = workload.rank_signals_by_activity(train_ds, top)
     hp = ctx.hyper_params("rfe_params", model.HyperParams())
     result = selection.rfe(train_ds.select_features(candidates), hp,
                            float(ctx.value("rfe_target_fraction")))
     doc = {"candidates": candidates, "retained": list(result.retained)}
-    ctx.write_artifact("selection.json", _dump_json(doc),
-                       ["dataset.csv", "split.json"])
+    ctx.write_artifact("selection.json", _dump_json(doc), inputs)
     ctx.write_artifact("rfe_history.csv", selection.rfe_history_text(result),
-                       ["dataset.csv", "split.json"])
+                       inputs)
     print(f"select: {top} candidates -> {len(result.retained)} retained "
           f"in {len(result.history)} iterations")
     return 0
 
 
 def cmd_tune(ctx: Context) -> int:
-    _preflight(ctx, ("selection.json", "select"), ("dataset.csv", "gen"),
-               ("split.json", "gen"))
-    train_ds = _train_dataset(ctx)
-    retained = _load_selection(ctx)
-    ds = train_ds.select_features(retained)
+    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json")
+    ds = _split_dataset(ctx)[0].select_features(_load_selection(ctx))
     k = int(ctx.value("cv_folds"))
     seed = int(ctx.value("seed")) + 2
     result = tuning.grid_search_cv(ds, ctx.grid(), k, seed)
-    inputs = ["dataset.csv", "split.json", "selection.json"]
     ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result), inputs)
     hp = result.best_params
-    doc = {"max_depth": hp.max_depth, "min_split_sample": hp.min_split_sample,
-           "min_leaf_sample": hp.min_leaf_sample,
-           "min_leaf_impurity": hp.min_leaf_impurity,
-           "mean_score": result.best_score, "k": k, "seed": seed}
+    doc = {name: getattr(hp, name) for name, _ in _HP_FIELDS}
+    doc.update(mean_score=result.best_score, k=k, seed=seed)
     ctx.write_artifact("best_params.json", _dump_json(doc), inputs)
     print(f"tune: {len(result.rows)} combinations, best {hp} "
           f"(mean validation MAE {result.best_score:.2f}%)")
@@ -281,21 +300,14 @@ def cmd_tune(ctx: Context) -> int:
 
 
 def cmd_train(ctx: Context) -> int:
-    _preflight(ctx, ("best_params.json", "tune"), ("selection.json", "select"),
-               ("dataset.csv", "gen"), ("split.json", "gen"))
-    train_ds = _train_dataset(ctx)
+    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
+                        "best_params.json")
     retained = _load_selection(ctx)
-    hp = _load_best_params(ctx)
-    ds = train_ds.select_features(retained)
-    tree = model.fit_tree(ds, hp)
-    linear = model.fit_linear(ds)
-    inputs = ["dataset.csv", "split.json", "selection.json", "best_params.json"]
-    tmp = ctx.out / "model.json"
-    model.save_tree(tree, tmp)
-    ctx.write_artifact("model.json", tmp.read_bytes(), inputs)
-    tmp = ctx.out / "linear.json"
-    model.save_linear(linear, tmp)
-    ctx.write_artifact("linear.json", tmp.read_bytes(), inputs)
+    ds = _split_dataset(ctx)[0].select_features(retained)
+    tree = model.fit_tree(ds, _load_best_params(ctx))
+    ctx.write_artifact("model.json", model.tree_text(tree), inputs)
+    ctx.write_artifact("linear.json", model.linear_text(model.fit_linear(ds)),
+                       inputs)
     ctx.write_artifact("model_rules.txt", model.rule_text(tree), inputs)
     print(f"train: tree depth {tree.depth}, {tree.n_leaves()} leaves, "
           f"{len(retained)} features")
@@ -303,37 +315,32 @@ def cmd_train(ctx: Context) -> int:
 
 
 def cmd_quantize(ctx: Context) -> int:
-    tree = model.load_tree(ctx.artifact("model.json", "train"))
-    image = hwsim.quantize(tree)
-    tmp = ctx.out / "image.bin"
-    hwsim.save_image(image, tmp)
-    ctx.write_artifact("image.bin", tmp.read_bytes(), ["model.json"])
+    inputs = ctx.inputs("model.json")
+    image = hwsim.quantize(model.parse_tree(ctx.read("model.json"),
+                                            "model.json"))
+    ctx.write_artifact("image.bin", hwsim.image_bytes(image), inputs)
     print(f"quantize: {image.n_nodes} node words, max depth {image.max_depth}, "
           f"{image.leaf_unit} mW/LSB")
     return 0
 
 
 def cmd_monitor(ctx: Context) -> int:
-    _preflight(ctx, ("image.bin", "quantize"), ("selection.json", "select"),
-               ("design.json", "gen"))
-    design = workload.load_design(ctx.artifact("design.json", "gen"))
+    inputs = ctx.inputs("design.json", "selection.json", "image.bin")
+    design = workload.parse_design(ctx.read("design.json"), "design.json")
     retained = _load_selection(ctx)
-    image = hwsim.load_image(ctx.artifact("image.bin", "quantize"))
+    image = hwsim.parse_image(ctx.read("image.bin"), "image.bin")
     period = int(ctx.value("period_cycles"))
     seed = int(ctx.value("seed")) + 3
     n_periods = int(ctx.value("monitor_periods"))
     trace = workload.synthesize_trace(design, n_periods, period, seed)
-    trace = trace.select_signals(retained)
-    mon = hwsim.MonitorConfig(n_counters=len(retained),
-                              estimation_period=period)
-    feats = hwsim.period_features(trace, mon)
+    feats = hwsim.period_features(trace.select_signals(retained),
+                                  hwsim.MonitorConfig(len(retained), period))
     lines = ["period,cycles,estimate_mw," + ",".join(retained)]
     for p, f in enumerate(feats):
         value, cycles, _ = hwsim.engine_invoke(image, f)
         mw = hwsim.dequantize_mw(image, value)
         lines.append(f"{p},{cycles},{mw!r}," + ",".join(str(v) for v in f))
-    ctx.write_artifact("monitor.csv", "\n".join(lines) + "\n",
-                       ["design.json", "selection.json", "image.bin"])
+    ctx.write_artifact("monitor.csv", "\n".join(lines) + "\n", inputs)
     print(f"monitor: {len(feats)} periods of {period} cycles, "
           f"{len(retained)} counters")
     return 0
@@ -348,10 +355,9 @@ def cmd_ensemble(ctx: Context) -> int:
     trees = [model.load_tree(ctx.base / p) for p in block["components"]]
     em = model.EnsembleModel(tuple((t, t.feature_ids) for t in trees))
     composite = workload.load_dataset(ctx.base / block["dataset"])
-    preds = np.zeros(len(composite))
-    for tree, ids in em.components:
-        sub = composite.select_features(ids)
-        preds += model.predict_tree_batch(tree, sub.features)
+    preds = sum((model.predict_tree_batch(
+        tree, composite.select_features(ids).features)
+        for tree, ids in em.components), np.zeros(len(composite)))
     mae = model.mae_percent(preds, composite.powers)
     lines = ["sample,prediction_w,truth_w"]
     for i, (p, t) in enumerate(zip(preds, composite.powers)):
@@ -364,12 +370,17 @@ def cmd_ensemble(ctx: Context) -> int:
 
 
 def cmd_shed(ctx: Context) -> int:
-    _preflight(ctx, ("monitor.csv", "monitor"), ("design.json", "gen"))
-    design = workload.load_design(ctx.artifact("design.json", "gen"))
-    monitor_path = ctx.artifact("monitor.csv", "monitor")
-    lines = monitor_path.read_text().splitlines()
-    mw = [float(line.split(",")[2]) for line in lines[1:]]
-    powers = [design.static_power + v / 1000.0 for v in mw]
+    inputs = ctx.inputs("design.json", "monitor.csv")
+    design = workload.parse_design(ctx.read("design.json"), "design.json")
+    powers = []
+    lines = ctx.read("monitor.csv").decode().splitlines()
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            mw = float(line.split(",")[2])
+        except (IndexError, ValueError):
+            raise ValueError(f"monitor.csv, line {lineno}: no estimate_mw "
+                             f"in {line!r}") from None
+        powers.append(design.static_power + mw / 1000.0)
 
     regulator = ctx.pdn_model()
     grid_spec = ctx.cfg.get("lut_grid_watts",
@@ -379,46 +390,38 @@ def cmd_shed(ctx: Context) -> int:
     rows = pdn.shed_rows(regulator, lut, powers)
     decisions, eff = [r[2] for r in rows], rows[-1][3]
 
-    ctx.write_artifact("shed.csv", pdn.shed_table_text(rows),
-                       ["design.json", "monitor.csv"])
-    tmp = ctx.out / "phase_lut.json"
-    pdn.save_lut(lut, tmp)
-    ctx.write_artifact("phase_lut.json", tmp.read_bytes(),
-                       ["design.json", "monitor.csv"])
+    ctx.write_artifact("shed.csv", pdn.shed_table_text(rows), inputs)
+    ctx.write_artifact("phase_lut.json", pdn.lut_text(lut), inputs)
     hist = {str(n): decisions.count(n)
             for n in range(1, regulator.max_phases + 1)}
     ctx.write_artifact("shed_summary.json", _dump_json(
-        {"eff_impv": eff, "n_periods": len(powers), "phases": hist}),
-        ["design.json", "monitor.csv"])
+        {"eff_impv": eff, "n_periods": len(powers), "phases": hist}), inputs)
     print(f"shed: {len(powers)} periods, efficiency improvement {eff:.4f}")
     return 0
 
 
 def cmd_report(ctx: Context) -> int:
-    _preflight(ctx, ("model.json", "train"), ("linear.json", "train"),
-               ("best_params.json", "tune"), ("selection.json", "select"),
-               ("dataset.csv", "gen"), ("split.json", "gen"))
-    ds = workload.load_dataset(ctx.artifact("dataset.csv", "gen"))
-    train, test = _load_split(ctx)
+    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
+                        "model.json", "linear.json", "best_params.json")
+    train_ds, test_ds = _split_dataset(ctx)
     retained = _load_selection(ctx)
-    tree = model.load_tree(ctx.artifact("model.json", "train"))
-    linear = model.load_linear(ctx.artifact("linear.json", "train"))
+    tree = model.parse_tree(ctx.read("model.json"), "model.json")
+    linear = model.parse_linear(ctx.read("linear.json"), "linear.json")
     hp = _load_best_params(ctx)
 
-    test_ds = ds.take(test).select_features(retained)
+    test_ds = test_ds.select_features(retained)
     tree_mae = model.mae_percent(
         model.predict_tree_batch(tree, test_ds.features), test_ds.powers)
     lin_mae = model.mae_percent(
         model.predict_linear_batch(linear, test_ds.features), test_ds.powers)
-    inputs = ["dataset.csv", "split.json", "selection.json", "model.json",
-              "linear.json", "best_params.json"]
     report = ["dataset,n_train,n_test,tree_mae_percent,linear_mae_percent",
-              f"dataset,{len(train)},{len(test)},{tree_mae!r},{lin_mae!r}"]
+              f"dataset,{len(train_ds)},{len(test_ds)},{tree_mae!r},"
+              f"{lin_mae!r}"]
     ctx.write_artifact("report.csv", "\n".join(report) + "\n", inputs)
 
-    train_ds = ds.take(train).select_features(retained)
+    train_ds = train_ds.select_features(retained)
     k = int(ctx.value("cv_folds"))
-    pool = len(train) - (len(train) + k - 1) // k
+    pool = len(train_ds) - (len(train_ds) + k - 1) // k
     sizes = ctx.cfg.get("learning_curve_sizes") or \
         [pool // 8, pool // 4, pool // 2, pool]
     sizes = sorted({int(s) for s in sizes})
@@ -427,23 +430,16 @@ def cmd_report(ctx: Context) -> int:
     ctx.write_artifact("learning_curve.csv",
                        tuning.learning_curve_text(points), inputs)
     print(f"report: test MAE tree {tree_mae:.2f}% vs linear {lin_mae:.2f}% "
-          f"({len(test)} held-out samples)")
+          f"({len(test_ds)} held-out samples)")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "select": cmd_select,
-    "tune": cmd_tune,
-    "train": cmd_train,
-    "quantize": cmd_quantize,
-    "monitor": cmd_monitor,
-    "ensemble": cmd_ensemble,
-    "shed": cmd_shed,
-    "report": cmd_report,
-}
+_COMMANDS = {"gen": cmd_gen, "select": cmd_select, "tune": cmd_tune,
+             "train": cmd_train, "quantize": cmd_quantize,
+             "monitor": cmd_monitor, "ensemble": cmd_ensemble,
+             "shed": cmd_shed, "report": cmd_report}
 
 
 def build_parser() -> argparse.ArgumentParser:

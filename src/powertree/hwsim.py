@@ -56,6 +56,8 @@ __all__ = [
     "period_features",
     "run_monitor",
     "validate_image",
+    "image_bytes",
+    "parse_image",
     "save_image",
     "load_image",
     "fsm_trace_text",
@@ -327,26 +329,32 @@ def validate_image(image: TreeMemoryImage) -> None:
             queue.append(node.right)
 
 
-def save_image(image: TreeMemoryImage, path: str | Path) -> None:
+def image_bytes(image: TreeMemoryImage) -> bytes:
     unit_uw = int(round(image.leaf_unit * 1000.0))
     header = _HEADER.pack(IMAGE_MAGIC, image.n_nodes, image.max_depth, unit_uw)
-    body = image.words.astype("<u8").tobytes()
-    Path(path).write_bytes(header + body)
+    return header + image.words.astype("<u8").tobytes()
 
 
-def load_image(path: str | Path) -> TreeMemoryImage:
-    raw = Path(path).read_bytes()
+def parse_image(raw: bytes, source="image") -> TreeMemoryImage:
     if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated image file")
+        raise ValueError(f"{source}: truncated image file")
     magic, n_nodes, max_depth, unit_uw = _HEADER.unpack_from(raw)
     if magic != IMAGE_MAGIC:
-        raise ValueError(f"{path}: not a tree memory image")
+        raise ValueError(f"{source}: not a tree memory image")
     words = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size).copy()
     if words.shape[0] != n_nodes:
-        raise ValueError(f"{path}: body holds {words.shape[0]} words, "
+        raise ValueError(f"{source}: body holds {words.shape[0]} words, "
                          f"header says {n_nodes}")
     return TreeMemoryImage(words.astype(np.uint64), n_nodes, max_depth,
                            unit_uw / 1000.0)
+
+
+def save_image(image: TreeMemoryImage, path: str | Path) -> None:
+    Path(path).write_bytes(image_bytes(image))
+
+
+def load_image(path: str | Path) -> TreeMemoryImage:
+    return parse_image(Path(path).read_bytes(), path)
 
 
 def fsm_trace_text(trace: list[str]) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset
+from .workload import Dataset, _field, _json_doc
 
 __all__ = [
     "HyperParams",
@@ -31,8 +31,12 @@ __all__ = [
     "scale_prediction",
     "predict_ensemble",
     "mae_percent",
+    "tree_text",
+    "parse_tree",
     "save_tree",
     "load_tree",
+    "linear_text",
+    "parse_linear",
     "save_linear",
     "load_linear",
     "rule_text",
@@ -453,11 +457,13 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     """Rebuild a tree from its document, its nodes in preorder whatever
     their order in the document.
 
-    A malformed document raises ValueError naming the node at fault: a
-    missing or unconvertible field, an unknown kind, a child index outside
-    the node list, a node reached twice (which also rules out cycles), a
-    feature index outside [0, n_features), or a recorded depth the nodes
-    do not reach.
+    A malformed document raises ValueError naming the node or field at
+    fault: a missing or unconvertible field, feature_ids of a length other
+    than n_features, an unknown kind, a negative n_samples, a leaf value
+    that is not finite, a child index outside the node list, a node
+    reached twice (which also rules out cycles) or never reached, a feature
+    index outside [0, n_features), or a recorded depth the nodes do not
+    reach.
     """
     if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
         raise ValueError("not a decision-tree document")
@@ -471,6 +477,9 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         raise ValueError(f"tree document lacks {e}") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"tree document: {e}") from None
+    if len(feature_ids) != n_features:
+        raise ValueError(f"tree document: {len(feature_ids)} feature_ids "
+                         f"for n_features {n_features}")
     if not isinstance(raw, list) or not raw:
         raise ValueError("tree document has no nodes")
 
@@ -502,6 +511,10 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
             raise ValueError(f"tree node {i} lacks {e}") from None
         except (TypeError, ValueError) as e:
             raise ValueError(f"tree node {i}: {e}") from None
+        if n_samples < 0:
+            raise ValueError(f"tree node {i}: n_samples {n_samples} is negative")
+        if not (children or np.isfinite(value)):
+            raise ValueError(f"tree node {i}: leaf value {value} is not finite")
         if children and not 0 <= feature < n_features:
             raise ValueError(f"tree node {i}: feature {feature} "
                              f"outside [0, {n_features})")
@@ -515,6 +528,9 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         stack.extend((c, node_depth + 1) for c in reversed(children))
         visited.append((i, [n_samples, impurity, value, node_depth, feature,
                             threshold, reduction], children))
+    if len(visited) < len(raw):
+        lost = min(set(range(len(raw))) - seen)
+        raise ValueError(f"tree node {lost} is not reached from the root")
     if reached != depth:
         raise ValueError(f"tree document records depth {depth}, its nodes "
                          f"reach depth {reached}")
@@ -527,16 +543,26 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
                         n_features, model_freq, feature_ids)
 
 
+def tree_text(tree: DecisionTree) -> str:
+    return json.dumps(_tree_to_doc(tree), indent=1, sort_keys=True) + "\n"
+
+
+def parse_tree(text: str | bytes, source="tree") -> DecisionTree:
+    try:
+        return _tree_from_doc(json.loads(text))
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
+
+
 def save_tree(tree: DecisionTree, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_tree_to_doc(tree), indent=1,
-                                     sort_keys=True) + "\n")
+    Path(path).write_text(tree_text(tree))
 
 
 def load_tree(path: str | Path) -> DecisionTree:
-    return _tree_from_doc(json.loads(Path(path).read_text()))
+    return parse_tree(Path(path).read_text(), path)
 
 
-def save_linear(model: LinearModel, path: str | Path) -> None:
+def linear_text(model: LinearModel) -> str:
     doc = {
         "format": "powertree-linear-v1",
         "model_freq_hz": model.model_freq,
@@ -544,16 +570,24 @@ def save_linear(model: LinearModel, path: str | Path) -> None:
         "weights": [float(w) for w in model.weights],
         "intercept": model.intercept,
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def parse_linear(text: str | bytes, source="linear model") -> LinearModel:
+    doc = _json_doc(text, "powertree-linear-v1", source)
+    return LinearModel(
+        _field(doc, "weights", lambda v: np.array(v, dtype=np.float64), source),
+        _field(doc, "intercept", float, source),
+        _field(doc, "model_freq_hz", float, source),
+        _field(doc, "feature_ids", tuple, source))
+
+
+def save_linear(model: LinearModel, path: str | Path) -> None:
+    Path(path).write_text(linear_text(model))
 
 
 def load_linear(path: str | Path) -> LinearModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "powertree-linear-v1":
-        raise ValueError("not a linear-model document")
-    return LinearModel(np.array(doc["weights"], dtype=np.float64),
-                       float(doc["intercept"]), float(doc["model_freq_hz"]),
-                       tuple(doc["feature_ids"]))
+    return parse_linear(Path(path).read_text(), path)
 
 
 def rule_text(tree: DecisionTree) -> str:

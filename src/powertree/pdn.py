@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .workload import _field, _json_doc
+
 __all__ = [
     "PdnModel",
     "PhaseLut",
@@ -32,6 +34,7 @@ __all__ = [
     "shed_rows",
     "save_pdn_model",
     "load_pdn_model",
+    "lut_text",
     "save_lut",
     "load_lut",
     "shed_table_text",
@@ -203,29 +206,29 @@ def save_pdn_model(model: PdnModel, path: str | Path) -> None:
 
 
 def load_pdn_model(path: str | Path) -> PdnModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "powertree-pdn-v1":
-        raise ValueError("not a regulator-model document")
-    return PdnModel(int(doc["max_phases"]),
-                    float(doc["per_phase_fixed_loss_w"]),
-                    float(doc["conduction_resistance_ohm"]),
-                    float(doc["output_voltage_v"]),
-                    float(doc["transition_loss_w"]),
-                    float(doc["nominal_power_w"]))
+    doc = _json_doc(Path(path).read_text(), "powertree-pdn-v1", path)
+    return PdnModel(_field(doc, "max_phases", int, path),
+                    *(_field(doc, k, float, path) for k in (
+                        "per_phase_fixed_loss_w", "conduction_resistance_ohm",
+                        "output_voltage_v", "transition_loss_w",
+                        "nominal_power_w")))
 
 
-def save_lut(lut: PhaseLut, path: str | Path) -> None:
+def lut_text(lut: PhaseLut) -> str:
     doc = {
         "format": "powertree-lut-v1",
         "breakpoints_w": list(lut.breakpoints),
         "phases": list(lut.phases),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def save_lut(lut: PhaseLut, path: str | Path) -> None:
+    Path(path).write_text(lut_text(lut))
 
 
 def load_lut(path: str | Path) -> PhaseLut:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "powertree-lut-v1":
-        raise ValueError("not a phase-lut document")
-    return PhaseLut(tuple(float(b) for b in doc["breakpoints_w"]),
-                    tuple(int(n) for n in doc["phases"]))
+    doc = _json_doc(Path(path).read_text(), "powertree-lut-v1", path)
+    return PhaseLut(
+        _field(doc, "breakpoints_w", lambda v: tuple(float(b) for b in v), path),
+        _field(doc, "phases", lambda v: tuple(int(n) for n in v), path))

@@ -58,8 +58,13 @@ __all__ = [
     "compose_datasets",
     "hybrid_design_spec",
     "linear_design_spec",
+    "design_text",
+    "parse_design",
     "save_design",
     "load_design",
+    "dataset_csv_text",
+    "dataset_meta_text",
+    "parse_dataset",
     "save_dataset",
     "load_dataset",
 ]
@@ -253,6 +258,10 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or rows.size and not (
+                rows.min() >= 0 and rows.max() < len(self)):
+            raise ValueError(f"rows must be a list of indices in "
+                             f"[0, {len(self)})")
         return Dataset(self.features[rows], self.powers[rows],
                        self.feature_names, self.period_cycles, self.clock_freq)
 
@@ -431,8 +440,34 @@ def linear_design_spec(seed: int = 2) -> DesignSpec:
 
 # ---------------------------------------------------------------------------
 # Persistence: designs as JSON, datasets as delimited text plus a JSON sidecar.
+# Each format has a pure serialiser and parser; save_*/load_* wrap them.
 
-def save_design(design: SyntheticDesign, path: str | Path) -> None:
+def _json_doc(text: str | bytes, fmt: str | None, source) -> dict:
+    """The JSON object in ``text``, whose "format" must be ``fmt`` unless
+    that is None; anything else raises ValueError naming ``source``."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:
+        raise ValueError(f"{source}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: not a JSON object")
+    if fmt is not None and doc.get("format") != fmt:
+        raise ValueError(f"{source}: not a {fmt} document")
+    return doc
+
+
+def _field(doc: dict, key: str, convert, source):
+    """``convert(doc[key])``; a missing or unconvertible field raises
+    ValueError naming ``source`` and the field."""
+    if key not in doc:
+        raise ValueError(f"{source}: missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{source}: field {key!r}: {e}") from None
+
+
+def design_text(design: SyntheticDesign) -> str:
     doc = {
         "format": "powertree-design-v1",
         "vdd_v": design.vdd,
@@ -442,38 +477,84 @@ def save_design(design: SyntheticDesign, path: str | Path) -> None:
         "nonlinear_units": [[list(u.inputs), u.coefficient]
                             for u in design.nonlinear_units],
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
+    doc = _json_doc(text, "powertree-design-v1", source)
+    nets = _field(doc, "nets", lambda v: tuple(
+        Net(i, float(c), int(g)) for i, c, g in v), source)
+    units = _field(doc, "nonlinear_units", lambda v: tuple(
+        NonlinearUnit(tuple(ins), float(c)) for ins, c in v), source)
+    scalars = [_field(doc, k, float, source)
+               for k in ("vdd_v", "clock_freq_hz", "static_power_w")]
+    try:
+        return SyntheticDesign(nets, units, *scalars)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
+
+
+def save_design(design: SyntheticDesign, path: str | Path) -> None:
+    Path(path).write_text(design_text(design))
 
 
 def load_design(path: str | Path) -> SyntheticDesign:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "powertree-design-v1":
-        raise ValueError(f"{path}: not a design file")
-    nets = tuple(Net(i, float(c), int(g)) for i, c, g in doc["nets"])
-    units = tuple(NonlinearUnit(tuple(ins), float(c))
-                  for ins, c in doc["nonlinear_units"])
-    return SyntheticDesign(nets, units, float(doc["vdd_v"]),
-                           float(doc["clock_freq_hz"]),
-                           float(doc["static_power_w"]))
+    return parse_design(Path(path).read_text(), path)
 
 
-def save_dataset(dataset: Dataset, csv_path: str | Path,
-                 meta_path: str | Path | None = None,
-                 vdd: float | None = None) -> None:
-    csv_path = Path(csv_path)
+def dataset_csv_text(dataset: Dataset) -> str:
     lines = [",".join(list(dataset.feature_names) + ["power_w"])]
     for row, p in zip(dataset.features, dataset.powers):
         lines.append(",".join(str(int(v)) for v in row) + "," + repr(float(p)))
-    csv_path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def dataset_meta_text(dataset: Dataset, vdd: float | None = None) -> str:
     meta = {
         "period_cycles": dataset.period_cycles,
         "clock_freq_hz": dataset.clock_freq,
     }
     if vdd is not None:
         meta["vdd_v"] = vdd
+    return json.dumps(meta, indent=1, sort_keys=True) + "\n"
+
+
+def parse_dataset(csv_text: str, meta_text: str | bytes,
+                  source="dataset") -> Dataset:
+    meta = _json_doc(meta_text, None, f"{source} meta")
+    period = _field(meta, "period_cycles", int, f"{source} meta")
+    freq = _field(meta, "clock_freq_hz", float, f"{source} meta")
+    # (line number, text) of the non-empty lines
+    lines = [(i, l) for i, l in enumerate(csv_text.splitlines(), 1) if l]
+    if not lines:
+        raise ValueError(f"{source}: empty file")
+    header = lines[0][1].split(",")
+    if header[-1] != "power_w":
+        raise ValueError(f"{source}: last column must be power_w")
+    names = tuple(header[:-1])
+    features = np.zeros((len(lines) - 1, len(names)), dtype=np.int64)
+    powers = np.zeros(len(lines) - 1, dtype=np.float64)
+    for i, (lineno, line) in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{source}, line {lineno}: {len(cells)} cells, "
+                             f"header has {len(header)}")
+        try:
+            features[i] = [int(c) for c in cells[:-1]]
+            powers[i] = float(cells[-1])
+        except ValueError as e:
+            raise ValueError(f"{source}, line {lineno}: {e}") from None
+    return Dataset(features, powers, names, period, freq)
+
+
+def save_dataset(dataset: Dataset, csv_path: str | Path,
+                 meta_path: str | Path | None = None,
+                 vdd: float | None = None) -> None:
+    csv_path = Path(csv_path)
+    csv_path.write_text(dataset_csv_text(dataset))
     if meta_path is None:
         meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    Path(meta_path).write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+    Path(meta_path).write_text(dataset_meta_text(dataset, vdd))
 
 
 def load_dataset(csv_path: str | Path,
@@ -481,27 +562,5 @@ def load_dataset(csv_path: str | Path,
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    meta = json.loads(Path(meta_path).read_text())
-    # (line number, text) of the non-empty lines
-    lines = [(i, l) for i, l in enumerate(csv_path.read_text().splitlines(), 1)
-             if l]
-    if not lines:
-        raise ValueError(f"{csv_path}: empty file")
-    header = lines[0][1].split(",")
-    if header[-1] != "power_w":
-        raise ValueError(f"{csv_path}: last column must be power_w")
-    names = tuple(header[:-1])
-    features = np.zeros((len(lines) - 1, len(names)), dtype=np.int64)
-    powers = np.zeros(len(lines) - 1, dtype=np.float64)
-    for i, (lineno, line) in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{csv_path}, line {lineno}: {len(cells)} cells, "
-                             f"header has {len(header)}")
-        try:
-            features[i] = [int(c) for c in cells[:-1]]
-            powers[i] = float(cells[-1])
-        except ValueError as e:
-            raise ValueError(f"{csv_path}, line {lineno}: {e}") from None
-    return Dataset(features, powers, names,
-                   int(meta["period_cycles"]), float(meta["clock_freq_hz"]))
+    return parse_dataset(csv_path.read_text(), Path(meta_path).read_text(),
+                         csv_path)

@@ -1,10 +1,16 @@
+import ast
 import hashlib
 import json
+import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import powertree as pt
+from powertree import cli
 from powertree.cli import main
 
 SPEC = {
@@ -38,22 +44,82 @@ def write_config(base: Path, **overrides) -> Path:
 
 
 def refresh_provenance(edited: Path) -> None:
-    """Record an edited artifact's new digest wherever it is an input, so
-    that provenance passes and only its contents are at fault."""
+    """Record an edited artifact's new digest in its own sidecar and
+    wherever it is an input, so that provenance passes and only its
+    contents are at fault."""
     digest = hashlib.sha256(edited.read_bytes()).hexdigest()
     for prov in edited.parent.glob("*.prov.json"):
         doc = json.loads(prov.read_text())
+        if prov.name == edited.name + ".prov.json":
+            doc["sha256"] = digest
         if edited.name in doc["inputs"]:
             doc["inputs"][edited.name] = digest
-            prov.write_text(json.dumps(doc))
+        prov.write_text(json.dumps(doc))
 
 
-def run_pipeline(cfg: Path, commands=("gen", "select", "tune", "train",
-                                      "quantize", "monitor", "shed",
-                                      "report")):
+COMMANDS = ("gen", "select", "tune", "train", "quantize", "monitor", "shed",
+            "report")
+
+
+def run_pipeline(cfg: Path, commands=COMMANDS):
     for command in commands:
         code = main([command, "--config", str(cfg)])
         assert code == 0, f"{command} failed"
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A directory holding a config and every artifact of its pipeline."""
+    base = tmp_path_factory.mktemp("finished")
+    run_pipeline(write_config(base))
+    return base
+
+
+@pytest.fixture
+def pipeline(finished, tmp_path):
+    """The config of a private copy of the finished pipeline."""
+    shutil.copytree(finished, tmp_path / "copy")
+    return tmp_path / "copy" / "config.json"
+
+
+def json_edit(mutate):
+    """A text edit that applies mutate to the parsed JSON document."""
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        mutate(doc)
+        return json.dumps(doc)
+    return edit
+
+
+# (artifact, edit of its text, command that reads it, expected message)
+BAD_INPUTS = [
+    ("linear.json", json_edit(lambda d: d.pop("intercept")), "report",
+     "linear.json: missing field 'intercept'"),
+    ("monitor.csv", lambda t: t.splitlines()[0] + "\n1\n", "shed",
+     "monitor.csv, line 2: no estimate_mw"),
+    ("design.json", json_edit(lambda d: d.pop("vdd_v")), "monitor",
+     "design.json: missing field 'vdd_v'"),
+    ("split.json", json_edit(lambda d: d["train"].append(10 ** 6)), "select",
+     "split.json: field 'train': rows must be a list of indices in [0, 240)"),
+    ("selection.json", json_edit(lambda d: d.pop("retained")), "tune",
+     "selection.json: missing field 'retained'"),
+    ("best_params.json", json_edit(lambda d: d.update(max_depth="deep")),
+     "train", "best_params.json: field 'max_depth'"),
+    ("best_params.json", json_edit(lambda d: d.update(max_depth=0)),
+     "report", "best_params.json: max_depth must be >= 1"),
+    ("dataset.csv.meta.json", json_edit(lambda d: d.pop("clock_freq_hz")),
+     "select", "dataset.csv meta: missing field 'clock_freq_hz'"),
+    ("model.json", json_edit(
+        lambda d: d["nodes"][-1].update(value=float("nan"))), "quantize",
+     "leaf value nan is not finite"),
+]
+
+# Every artifact a later command reads, with one command that reads it.
+CONSUMED = [("design.json", "monitor"), ("dataset.csv", "select"),
+            ("dataset.csv.meta.json", "select"), ("split.json", "select"),
+            ("selection.json", "tune"), ("best_params.json", "train"),
+            ("model.json", "quantize"), ("linear.json", "report"),
+            ("image.bin", "monitor"), ("monitor.csv", "shed")]
 
 
 class TestPipeline:
@@ -174,6 +240,144 @@ class TestExitCodes:
         run_pipeline(cfg, ("gen",))
         write_config(tmp_path, seed=4)
         assert main(["select", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("name, edit, command, message", BAD_INPUTS,
+                             ids=[f"{n}-{c}" for n, _, c, _ in BAD_INPUTS])
+    def test_bad_input_names_file_and_field(self, pipeline, capsys, name,
+                                            edit, command, message):
+        path = pipeline.parent / "out" / name
+        path.write_text(edit(path.read_text()))
+        refresh_provenance(path)
+        capsys.readouterr()
+        assert main([command, "--config", str(pipeline)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["select", "train", "report"])
+    def test_edited_dataset_meta_is_stale(self, pipeline, command):
+        meta = pipeline.parent / "out" / "dataset.csv.meta.json"
+        meta.write_text(json_edit(lambda d: d.update(clock_freq_hz=5e7))(
+            meta.read_text()))
+        assert main([command, "--config", str(pipeline)]) == 3
+
+    @pytest.mark.parametrize("name, command", CONSUMED)
+    def test_missing_sidecar_is_stale(self, pipeline, name, command):
+        (pipeline.parent / "out" / f"{name}.prov.json").unlink()
+        assert main([command, "--config", str(pipeline)]) == 3
+
+    def test_truncated_model_is_stale(self, pipeline, capsys):
+        model_json = pipeline.parent / "out" / "model.json"
+        model_json.write_bytes(model_json.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["quantize", "--config", str(pipeline)]) == 3
+        assert "model.json is stale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("save, load, obj, field", [
+    (pt.save_linear, pt.load_linear,
+     pt.LinearModel(np.array([1e-3]), 0.5, 1e8, ("n0",)), "intercept"),
+    (pt.save_design, pt.load_design,
+     pt.generate_design(pt.DesignSpec(**SPEC)), "vdd_v"),
+    (pt.save_lut, pt.load_lut, pt.PhaseLut((0.5, 2.0), (1, 2)), "phases"),
+    (pt.save_pdn_model, pt.load_pdn_model, pt.PdnModel(), "max_phases"),
+])
+def test_loader_names_file_and_missing_field(tmp_path, save, load, obj,
+                                             field):
+    path = tmp_path / "doc.json"
+    save(obj, path)
+    path.write_text(json_edit(lambda d: d.pop(field))(path.read_text()))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: missing field '{field}'")):
+        load(path)
+
+
+class TestArtifactDoor:
+    def test_interrupted_write_keeps_previous_files(self, tmp_path,
+                                                    monkeypatch):
+        ctx = cli.Context(cli.build_parser().parse_args(
+            ["gen", "--config", str(write_config(tmp_path))]))
+        ctx.write_artifact("design.json", "old\n", [])
+        before = {p.name: p.read_bytes() for p in ctx.out.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            ctx.write_artifact("design.json", "new\n", [])
+        assert {p.name: p.read_bytes() for p in ctx.out.iterdir()} == before
+
+    def test_interrupted_sidecar_write_leaves_artifact_stale(
+            self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        run_pipeline(cfg, ("gen",))
+        ctx = cli.Context(cli.build_parser().parse_args(
+            ["gen", "--config", str(cfg)]))
+        real_replace = os.replace
+
+        def fail_sidecar(src, dst):
+            if str(dst).endswith(".prov.json"):
+                raise OSError("disk full")
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", fail_sidecar)
+        with pytest.raises(OSError):
+            ctx.write_artifact("split.json", '{"train": [], "test": []}\n',
+                               [])
+        monkeypatch.undo()
+        assert sorted(p.name for p in ctx.out.iterdir()
+                      if p.name.endswith(".tmp")) == []
+        assert main(["select", "--config", str(cfg)]) == 3
+
+    def test_cli_writes_only_through_write_artifact(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        context = next(n for n in tree.body
+                       if isinstance(n, ast.ClassDef) and n.name == "Context")
+        writer = next(n for n in context.body if isinstance(n, ast.FunctionDef)
+                      and n.name == "write_artifact")
+        inside = {id(n) for n in ast.walk(writer)}
+
+        def callee(call: ast.Call) -> str:
+            f = call.func
+            return f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", "")
+        writes = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+            callee(n) in ("write_text", "write_bytes", "open")
+            or callee(n).startswith("save_"))]
+        assert writes, "write_artifact no longer writes"
+        assert [n.lineno for n in writes if id(n) not in inside] == []
+
+    def test_each_command_hashes_and_writes_each_file_once(self, tmp_path,
+                                                          monkeypatch):
+        cfg = write_config(tmp_path)
+        real_read, real_replace = cli._read_hashed, os.replace
+        real_write = Path.write_bytes
+        hashed, replaced, written = [], [], []
+
+        def read(path):
+            hashed.append(path.name)
+            return real_read(path)
+
+        def replace(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        def write(path, data):
+            written.append(path.name)
+            return real_write(path, data)
+        monkeypatch.setattr(cli, "_read_hashed", read)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(Path, "write_bytes", write)
+        for command in COMMANDS:
+            hashed.clear()
+            replaced.clear()
+            written.clear()
+            assert main([command, "--config", str(cfg)]) == 0
+            assert sorted(hashed) == sorted(set(hashed)), command
+            assert sorted(replaced) == sorted(set(replaced)), command
+            assert len(written) == len(replaced), command
+            if command == "gen":
+                assert replaced.count("dataset.csv") == 1
+            if command == "report":
+                assert len(hashed) <= 8, hashed
 
 
 class TestDeterminism:

@@ -724,6 +724,16 @@ class TestSerialization:
         (lambda doc: doc.update(depth=3),
          "records depth 3, its nodes reach depth 2"),
         (lambda doc: doc.pop("n_features"), "lacks 'n_features'"),
+        (lambda doc: doc.update(feature_ids=["f0", "f1"]),
+         "2 feature_ids for n_features 1"),
+        (lambda doc: doc["nodes"].append(dict(doc["nodes"][2])),
+         "tree node 7 is not reached from the root"),
+        (lambda doc: doc["nodes"][5].update(n_samples=-1),
+         "tree node 5: n_samples -1 is negative"),
+        (lambda doc: doc["nodes"][2].update(value=float("nan")),
+         "tree node 2: leaf value nan is not finite"),
+        (lambda doc: doc["nodes"][6].update(value=float("-inf")),
+         "tree node 6: leaf value -inf is not finite"),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         X = np.arange(1, 9)[:, None]
