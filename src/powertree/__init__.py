@@ -10,12 +10,12 @@ from .workload import (DEFAULT_NONLINEAR_STRENGTH, Dataset, DesignSpec, Net,
                        rank_signals_by_activity, save_dataset, save_design,
                        simulate_dataset, synthesize_trace)
 from .model import (DecisionTree, EnsembleModel, HyperParams, LinearModel,
-                    best_split, feature_importances, fit_linear, fit_tree,
-                    linear_text, load_linear, load_tree, mae_percent,
-                    parse_linear, parse_tree, predict_ensemble,
-                    predict_linear, predict_linear_batch, predict_tree,
-                    predict_tree_batch, rule_text, save_linear, save_tree,
-                    scale_prediction, tree_text)
+                    feature_importances, fit_linear, fit_tree, linear_text,
+                    load_linear, load_tree, mae_percent, parse_linear,
+                    parse_tree, predict_ensemble, predict_linear,
+                    predict_linear_batch, predict_tree, predict_tree_batch,
+                    rule_text, save_linear, save_tree, scale_prediction,
+                    tree_text)
 from .selection import RfeResult, RfeStep, rfe, rfe_history_text
 from .tuning import (CvResult, CvRow, Grid, LearningPoint, cv_table_text,
                      grid_search_cv, kfold_split, learning_curve,

@@ -6,12 +6,13 @@ command names its inputs once, to ``Context.inputs``, then parses the bytes
 that were checked, and ``Context.write_artifact``, the only writer, replaces
 each file atomically through a temp file.  Every artifact has a
 ``<name>.prov.json`` sidecar recording its own SHA-256, that of each input,
-and the hash of the (pre-override) config document.  An input is stale
-(exit code 3) if its sidecar is missing, the config changed, its bytes
-differ from its recorded digest (a truncated or edited file), or a recorded
-input changed; ``dataset.csv.meta.json`` is checked wherever ``dataset.csv``
-is.  Each file is hashed at most once per command.  Bad configuration, and
-input rejected with ValueError, exit with code 2.
+and the hash of the config document with the ``--seed``, ``--period`` and
+``--grid`` overrides applied.  An input is stale (exit code 3) if its
+sidecar is missing, the config changed, its bytes differ from its recorded
+digest (a truncated or edited file), or a recorded input changed;
+``dataset.csv.meta.json`` is checked wherever ``dataset.csv`` is.  Each
+file is hashed at most once per command.  Bad configuration, and input
+rejected with ValueError, exit with code 2.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -56,8 +58,9 @@ _PRODUCERS = {name: command for command, names in (
     ("train", ("model.json", "linear.json")), ("quantize", ("image.bin",)),
     ("monitor", ("monitor.csv",))) for name in names}
 _DATASET = ("dataset.csv", "dataset.csv.meta.json")
-_HP_FIELDS = (("max_depth", int), ("min_split_sample", int),
-              ("min_leaf_sample", int), ("min_leaf_impurity", float))
+_HP_FIELDS = (("max_depth", operator.index),
+              ("min_split_sample", operator.index),
+              ("min_leaf_sample", operator.index), ("min_leaf_impurity", float))
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -95,16 +98,16 @@ class Context:
     def __init__(self, args: argparse.Namespace):
         config_path = Path(args.config)
         doc = _load_json(config_path, "config")
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if args.period is not None:
+            doc["period_cycles"] = args.period
+        if args.grid is not None:
+            doc["grid"] = _load_json(Path(args.grid), "grid file")
         self.config_sha = _sha256_bytes(
             json.dumps(doc, sort_keys=True).encode())
         self.cfg = {**_DEFAULTS, **doc}
         self.base = config_path.parent
-        if args.seed is not None:
-            self.cfg["seed"] = args.seed
-        if args.period is not None:
-            self.cfg["period_cycles"] = args.period
-        if args.grid is not None:
-            self.cfg["grid"] = _load_json(Path(args.grid), "grid file")
         self.out = Path(args.out) if args.out is not None else \
             self.base / str(self.cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
@@ -239,6 +242,7 @@ def _load_best_params(ctx: Context) -> model.HyperParams:
 # Commands.
 
 def cmd_gen(ctx: Context) -> int:
+    """Generate the design, simulate its dataset and split the rows."""
     spec = ctx.design_spec()
     seed = int(ctx.value("seed"))
     period = int(ctx.value("period_cycles"))
@@ -267,6 +271,7 @@ def cmd_gen(ctx: Context) -> int:
 
 
 def cmd_select(ctx: Context) -> int:
+    """Keep the signals recursive feature elimination retains."""
     inputs = ctx.inputs(*_DATASET, "split.json")
     train_ds = _split_dataset(ctx)[0]
     top = min(int(ctx.value("top_candidates")), train_ds.n_features)
@@ -284,6 +289,7 @@ def cmd_select(ctx: Context) -> int:
 
 
 def cmd_tune(ctx: Context) -> int:
+    """Grid-search the tree hyper-parameters by cross-validation."""
     inputs = ctx.inputs(*_DATASET, "split.json", "selection.json")
     ds = _split_dataset(ctx)[0].select_features(_load_selection(ctx))
     k = int(ctx.value("cv_folds"))
@@ -300,6 +306,7 @@ def cmd_tune(ctx: Context) -> int:
 
 
 def cmd_train(ctx: Context) -> int:
+    """Fit the power-model tree and the linear baseline."""
     inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
                         "best_params.json")
     retained = _load_selection(ctx)
@@ -315,6 +322,7 @@ def cmd_train(ctx: Context) -> int:
 
 
 def cmd_quantize(ctx: Context) -> int:
+    """Quantize the tree into the monitor's memory image."""
     inputs = ctx.inputs("model.json")
     image = hwsim.quantize(model.parse_tree(ctx.read("model.json"),
                                             "model.json"))
@@ -325,6 +333,7 @@ def cmd_quantize(ctx: Context) -> int:
 
 
 def cmd_monitor(ctx: Context) -> int:
+    """Run the hardware monitor and log its period estimates."""
     inputs = ctx.inputs("design.json", "selection.json", "image.bin")
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     retained = _load_selection(ctx)
@@ -347,6 +356,7 @@ def cmd_monitor(ctx: Context) -> int:
 
 
 def cmd_ensemble(ctx: Context) -> int:
+    """Score an additive ensemble of trees on a composite dataset."""
     block = ctx.cfg.get("ensemble")
     if not isinstance(block, dict) or "components" not in block \
             or "dataset" not in block:
@@ -370,6 +380,7 @@ def cmd_ensemble(ctx: Context) -> int:
 
 
 def cmd_shed(ctx: Context) -> int:
+    """Choose regulator phases per period from the monitor estimates."""
     inputs = ctx.inputs("design.json", "monitor.csv")
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     powers = []
@@ -401,6 +412,7 @@ def cmd_shed(ctx: Context) -> int:
 
 
 def cmd_report(ctx: Context) -> int:
+    """Compare tree and linear test error; write the learning curve."""
     inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
                         "model.json", "linear.json", "best_params.json")
     train_ds, test_ds = _split_dataset(ctx)

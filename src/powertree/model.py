@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _field, _json_doc
+from .workload import Dataset, _field, _is_integer, _json_doc
 
 __all__ = [
     "HyperParams",
@@ -21,7 +21,6 @@ __all__ = [
     "LinearModel",
     "EnsembleModel",
     "fit_tree",
-    "best_split",
     "predict_tree",
     "predict_tree_batch",
     "feature_importances",
@@ -58,6 +57,10 @@ class HyperParams:
     min_leaf_impurity: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("max_depth", "min_split_sample", "min_leaf_sample"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not "
+                                 f"{getattr(self, name)!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_split_sample < 2:
@@ -129,65 +132,55 @@ class EnsembleModel:
 
 
 def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
-                    rows: np.ndarray | None = None,
-                    order: np.ndarray | None = None,
-                    var: float | None = None):
+                    rows: np.ndarray, order: np.ndarray, var: float):
     """Best (feature, threshold, impurity_decrease) over all features.
 
     The node holds the samples ``rows`` of X (n, F) and y (n,), listed in
-    ascending order (all n samples when None).  ``order`` is an (F, m)
-    array whose row f lists those samples sorted stably by feature f, and
-    ``var`` is np.var(y[rows]); each is computed here when None.
+    ascending order.  ``order`` is an (F, m) array whose row f lists those
+    samples sorted stably by feature f, and ``var`` is np.var(y[rows]).
 
-    Scans midpoints of consecutive distinct sorted values per feature and
-    maximizes the decrease of mean squared deviation:
-    var(parent) - weighted var(children).  Candidates leaving a child with
-    fewer than min_leaf samples are skipped.  Ties resolve to the lowest
-    feature index, then the lowest threshold.  Returns None when no candidate
-    achieves a strictly positive decrease.
+    A candidate is a midpoint of consecutive distinct sorted values of one
+    feature that leaves at least min_leaf samples on each side.  Its score
+    is the decrease of mean squared deviation, var(parent) - weighted
+    var(children), taken from the two children's variances in ascending
+    row order (_exact_decrease), which depends on the partition alone.  The
+    highest score wins; among equal scores the lowest feature, then the
+    lowest threshold.  Returns None when no candidate scores strictly above
+    zero.  That is the rule an exhaustive scan applies.
 
-    Each feature's best candidate is found from prefix sums in its sort
-    order.  Those fast scores depend on the summation order, so two
-    features inducing the same partition can score differently in the last
-    bits.  The exact score of a candidate is recomputed from the subset
-    variances of its two children in ascending row order
-    (_exact_decrease), which depends on the partition alone; the winner is
-    the feature with the highest exact score, the lowest index among equals.
-    So a feature whose partition a lower feature already had is skipped.
-
-    Only the finalists are re-scored: the features whose fast score is at
-    least top - tol, top being the best fast score.  Let S = sum(y**2) over
-    the node's m samples.  A cumulative sum of k terms errs by at most about
-    k eps / 2 times the sum of its terms' magnitudes, and sum|y| <=
-    sqrt(m S).  The largest error of a fast score is in the right child's
-    sr**2 / nr, where sr = sum(y) - sl cancels: sr errs by up to
-    m eps sqrt(m S), and |sr| / nr <= sqrt(S), so the term errs by up to
-    2 m eps sqrt(m) S, or 2 eps sqrt(m) S after the final division by m.
-    With the other terms, a fast score lies within
-    E_fast = (3 sqrt(m) + 8) eps S of the exact decrease of its candidate,
-    and the re-scored value (pairwise sums of squared deviations from a
-    rounded mean) within E_exact = (1 + 6 / m) eps S of it.  Were a feature
-    k outside the band to re-score at least as high as the fast winner f,
-    then top - E_fast - E_exact <= rescored(f) <= rescored(k)
+    Every candidate first gets a fast score from prefix sums in its
+    feature's sort order, and only the candidates whose fast score is at
+    least top - tol are scored exactly, top being the best fast score.  A
+    candidate whose partition a lower one already had scores the same and
+    is not scored again.  Let S = sum(y**2) over the node's m samples.  A
+    cumulative sum of k terms errs by at most about k eps / 2 times the sum
+    of its terms' magnitudes, and sum|y| <= sqrt(m S).  The largest error
+    of a fast score is in the right child's sr**2 / nr, where
+    sr = sum(y) - sl cancels: sr errs by up to m eps sqrt(m S), and
+    |sr| / nr <= sqrt(S), so the term errs by up to 2 m eps sqrt(m) S, or
+    2 eps sqrt(m) S after the final division by m.  With the other terms, a
+    fast score lies within E_fast = (3 sqrt(m) + 8) eps S of the exact
+    decrease of its candidate, and the exact score (pairwise sums of
+    squared deviations from a rounded mean) within E_exact = (1 + 6 / m)
+    eps S of it.  Were a candidate k outside the band to score at least as
+    high as the fast winner f, then
+    top - E_fast - E_exact <= score(f) <= score(k)
     <= fast(k) + E_fast + E_exact < top - tol + E_fast + E_exact, that is
     tol < 2 (E_fast + E_exact) <= (6 sqrt(m) + 30) eps S.  So with
     tol = 16 (sqrt(m) + 4) eps S = 16 m (sqrt(m) + 4) eps (S / m), over
     twice that first-order bound (the margin covers the second-order terms
-    for any m up to 2**32), no feature outside the band can beat or tie the
-    winner, and the result is the one re-scoring every feature would give.
+    for any m up to 2**32), no candidate outside the band can beat or tie
+    the winner, and the result is the one scoring every candidate exactly
+    would give, whatever order the fast sums took.
     """
-    if rows is None:
-        rows = np.arange(X.shape[0])
     m, n_feat = int(rows.size), X.shape[1]
     if m < 2 or m < 2 * min_leaf:
         return None
-    if order is None:
-        order = rows[np.argsort(X[rows], axis=0, kind="stable")].T
     # gap g lies between sorted positions g and g + 1 and leaves g + 1
     # samples on the left; only gaps lo <= g < hi leave min_leaf on each side
     lo, hi = min_leaf - 1, m - min_leaf
     # numpy gathers fastest with intp indices into a flat array; X.ravel
-    # order "F" is a view when X is column-major, as _grow passes it
+    # order "F" is a view when X is column-major, as fit_tree passes it
     idx = order.astype(np.intp)
     xs = X.ravel(order="F")[idx + np.arange(n_feat)[:, None] * X.shape[0]]
     ys = y[idx]
@@ -203,9 +196,7 @@ def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
     sse_p = tot_yy - tot_y * tot_y / m
     red = (sse_p - sse_l - sse_r) / m
     red[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
-    pos = np.argmax(red, axis=1)
-    fast = red[np.arange(n_feat), pos]
-    top = fast.max(initial=-np.inf)
+    top = red.max(initial=-np.inf)
     if top == -np.inf:
         return None
     # tot_yy.max() is S up to its own rounding, which the margin covers
@@ -213,18 +204,21 @@ def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
            * tot_yy.max())
 
     yy = y[rows]
-    parent_sse = (np.var(yy) if var is None else var) * m
+    parent_sse = var * m
     best = None
-    scored: list[np.ndarray] = []
-    for j in np.flatnonzero(fast >= top - tol):
-        r = lo + int(pos[j])
+    scored: set[bytes] = set()
+    # candidates in (feature, threshold) order, so the first of equal
+    # scores is the lowest
+    for j, g in zip(*np.nonzero(red >= top - tol)):
+        r = lo + int(g)
         thr = 0.5 * (xs[j, r] + xs[j, r + 1])
         left = X[rows, j] <= thr
-        # a partition already scored for a lower feature scores the same
+        # a partition already scored for a lower candidate scores the same
         # and cannot win
-        if any(np.array_equal(left, seen) for seen in scored):
+        key = left.tobytes()
+        if key in scored:
             continue
-        scored.append(left)
+        scored.add(key)
         score = _exact_decrease(yy, left, parent_sse)
         if score > 0.0 and (best is None or score > best[2]):
             best = (int(j), float(thr), float(score))
@@ -238,28 +232,6 @@ def _exact_decrease(y: np.ndarray, left: np.ndarray,
     yl, yr = y[left], y[~left]
     sse = np.var(yl) * yl.size + np.var(yr) * yr.size
     return (parent_sse - sse) / y.size
-
-
-def best_split(features: np.ndarray, targets: np.ndarray, feature_index: int,
-               min_leaf_sample: int = 1):
-    """Best threshold for one feature, or None if nothing reduces variance.
-
-    Returns (threshold, impurity_decrease); samples with
-    feature <= threshold go left.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("features must be (n, F) with targets (n,)")
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    if not (0 <= feature_index < X.shape[1]):
-        raise ValueError("feature_index out of range")
-    res = _best_split_all(X[:, [feature_index]], y, min_leaf_sample)
-    if res is None:
-        return None
-    _, thr, red = res
-    return thr, red
 
 
 def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:

@@ -36,6 +36,7 @@ represent but a tree resolves with a handful of splits.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -223,6 +224,11 @@ class ToggleTrace:
         return ToggleTrace(tuple(ids), self.levels[rows])
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, n_features) integer counts
@@ -237,8 +243,12 @@ class Dataset:
             raise ValueError("features must be (n, F) with matching powers (n,)")
         if f.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
-        if self.period_cycles < 1:
-            raise ValueError("period_cycles must be >= 1")
+        if not _is_integer(self.period_cycles) or self.period_cycles < 1:
+            raise ValueError(f"period_cycles must be an integer >= 1, not "
+                             f"{self.period_cycles!r}")
+        if not (self.clock_freq > 0 and np.isfinite(self.clock_freq)):
+            raise ValueError(f"clock_freq must be finite and > 0, not "
+                             f"{self.clock_freq!r}")
         if not np.issubdtype(f.dtype, np.integer):
             raise ValueError(f"activity counts must be integers, not {f.dtype}")
         if not np.isfinite(p).all():
@@ -522,7 +532,7 @@ def dataset_meta_text(dataset: Dataset, vdd: float | None = None) -> str:
 def parse_dataset(csv_text: str, meta_text: str | bytes,
                   source="dataset") -> Dataset:
     meta = _json_doc(meta_text, None, f"{source} meta")
-    period = _field(meta, "period_cycles", int, f"{source} meta")
+    period = _field(meta, "period_cycles", operator.index, f"{source} meta")
     freq = _field(meta, "clock_freq_hz", float, f"{source} meta")
     # (line number, text) of the non-empty lines
     lines = [(i, l) for i, l in enumerate(csv_text.splitlines(), 1) if l]
@@ -544,7 +554,10 @@ def parse_dataset(csv_text: str, meta_text: str | bytes,
             powers[i] = float(cells[-1])
         except ValueError as e:
             raise ValueError(f"{source}, line {lineno}: {e}") from None
-    return Dataset(features, powers, names, period, freq)
+    try:
+        return Dataset(features, powers, names, period, freq)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
 
 
 def save_dataset(dataset: Dataset, csv_path: str | Path,

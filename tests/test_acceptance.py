@@ -170,11 +170,13 @@ def test_02_cart_matches_exhaustive_split_oracle():
         hps = [pt.HyperParams(4, 4, 2, 0.0), pt.HyperParams(6, 2, 1, 0.0),
                pt.HyperParams(3, 8, 3, 0.01)]
         nodes_checked = 0
-        for trial in range(30):
+        # targets spread over [0, 10), then over [1e6, 1e6 + 1e-3), where
+        # prefix-sum scores cancel badly and only exact scores rank cuts
+        for offset, spread in [(0.0, 10.0)] * 30 + [(1e6, 1e-3)] * 30:
             m = int(rng.integers(10, 51))
             n_feat = int(rng.integers(1, 6))
             X = rng.integers(0, 20, (m, n_feat))
-            y = rng.uniform(0.0, 10.0, m)
+            y = offset + rng.uniform(0.0, spread, m)
             names = tuple(f"f{j}" for j in range(n_feat))
             ds = Dataset(X.astype(np.int64), y, names, 1000, 1e8)
             for hp in hps:

@@ -114,6 +114,14 @@ BAD_INPUTS = [
      "leaf value nan is not finite"),
 ]
 
+# Values of the right JSON type outside their field's domain, as above.
+BAD_VALUES = [
+    ("dataset.csv.meta.json", json_edit(lambda d: d.update(clock_freq_hz=0)),
+     "select", "dataset.csv: clock_freq must be finite and > 0"),
+    ("best_params.json", json_edit(lambda d: d.update(max_depth=2.5)),
+     "train", "best_params.json: field 'max_depth'"),
+]
+
 # Every artifact a later command reads, with one command that reads it.
 CONSUMED = [("design.json", "monitor"), ("dataset.csv", "select"),
             ("dataset.csv.meta.json", "select"), ("split.json", "select"),
@@ -241,8 +249,26 @@ class TestExitCodes:
         write_config(tmp_path, seed=4)
         assert main(["select", "--config", str(cfg)]) == 3
 
-    @pytest.mark.parametrize("name, edit, command, message", BAD_INPUTS,
-                             ids=[f"{n}-{c}" for n, _, c, _ in BAD_INPUTS])
+    @pytest.mark.parametrize("gen_flags, select_flags, code", [
+        (["--period", "40"], [], 3), (["--seed", "99"], [], 3),
+        (["--seed", "99"], ["--seed", "99"], 0)])
+    def test_overrides_enter_provenance(self, tmp_path, gen_flags,
+                                        select_flags, code):
+        cfg = str(write_config(tmp_path))
+        assert main(["gen", "--config", cfg, *gen_flags]) == 0
+        assert main(["select", "--config", cfg, *select_flags]) == code
+
+    def test_non_integer_rfe_limit_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rfe_params={"min_leaf_sample": 2.5})
+        run_pipeline(cfg, ("gen",))
+        capsys.readouterr()
+        assert main(["select", "--config", str(cfg)]) == 2
+        assert "min_leaf_sample must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, command, message", BAD_INPUTS + BAD_VALUES,
+        ids=[f"{n}-{c}" for n, _, c, _ in BAD_INPUTS]
+        + [f"{n}-{c}-value" for n, _, c, _ in BAD_VALUES])
     def test_bad_input_names_file_and_field(self, pipeline, capsys, name,
                                             edit, command, message):
         path = pipeline.parent / "out" / name
@@ -289,6 +315,13 @@ def test_loader_names_file_and_missing_field(tmp_path, save, load, obj,
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: missing field '{field}'")):
         load(path)
+
+
+def test_help_describes_every_subcommand():
+    lines = cli.build_parser().format_help().splitlines()
+    for name in cli._COMMANDS:
+        line = next(l for l in lines if l.split()[:1] == [name])
+        assert len(line.split()) > 1, name
 
 
 class TestArtifactDoor:

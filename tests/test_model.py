@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -43,54 +43,8 @@ def brute_force_best_split(X, y, min_leaf=1):
     return best
 
 
-def oracle_best_split(X, y, min_leaf):
-    """The split search without presorting or a tolerance band: a stable
-    sort of the node's rows on every call, prefix sums to pick each
-    feature's candidate, and an np.var re-score of every feature's
-    candidate.  Same contract as model._best_split_all on (X, y)."""
-    m, n_feat = X.shape
-    if m < 2 or m < 2 * min_leaf:
-        return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    cy = np.cumsum(ys, axis=0)
-    cyy = np.cumsum(ys * ys, axis=0)
-    tot_y, tot_yy = cy[-1], cyy[-1]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = m - nl
-    sl, ql = cy[:-1], cyy[:-1]
-    sr, qr = tot_y - sl, tot_yy - ql
-    sse_l = ql - sl * sl / nl
-    sse_r = qr - sr * sr / nr
-    sse_p = tot_yy - tot_y * tot_y / m
-    red = (sse_p - sse_l - sse_r) / m
-    valid = xs[1:] > xs[:-1]
-    if min_leaf > 1:
-        k = np.arange(1, m)[:, None]
-        valid &= (k >= min_leaf) & (m - k >= min_leaf)
-    red = np.where(valid, red, -np.inf)
-    pos = np.argmax(red, axis=0)
-    fast = red[pos, np.arange(n_feat)]
-
-    parent_sse = np.var(y) * m
-    best = None
-    for j in range(n_feat):
-        if not fast[j] > -np.inf:
-            continue
-        r = int(pos[j])
-        thr = 0.5 * (xs[r, j] + xs[r + 1, j])
-        mask = X[:, j] <= thr
-        n_left = int(mask.sum())
-        sse = np.var(y[mask]) * n_left + np.var(y[~mask]) * (m - n_left)
-        score = (parent_sse - sse) / m
-        if score > 0.0 and (best is None or score > best[2]):
-            best = (j, float(thr), float(score))
-    return best
-
-
 def oracle_grow(dataset, hp):
-    """fit_tree driven by oracle_best_split on each node's own rows."""
+    """fit_tree driven by brute_force_best_split on each node's own rows."""
     X = dataset.features.astype(np.float64)
     y = dataset.powers.astype(np.float64)
     root_var = float(np.var(y))
@@ -108,7 +62,9 @@ def oracle_grow(dataset, hp):
             return i
         if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
             return i
-        found = oracle_best_split(X[rows], yy, hp.min_leaf_sample)
+        if m < 2 * hp.min_leaf_sample:  # no cut leaves min_leaf each side
+            return i
+        found = brute_force_best_split(X[rows], yy, hp.min_leaf_sample)
         if found is None:
             return i
         j, thr, red = found
@@ -154,13 +110,23 @@ STUMP_X = np.array([[1], [2], [3], [4]])
 STUMP_Y = np.array([0.0, 0.0, 10.0, 10.0])
 
 
+def stump(X, y, min_leaf_sample=1):
+    """(threshold, impurity decrease) of the root split of a depth-1
+    fit_tree, or None when the root stays a leaf."""
+    tree = pt.fit_tree(make_dataset(X, y),
+                       pt.HyperParams(1, 2, min_leaf_sample, 0.0))
+    if tree.left[0] < 0:
+        return None
+    return tree.threshold[0], tree.reduction[0]
+
+
 class TestBestSplit:
     def test_constant_targets_no_split(self):
-        assert pt.best_split(STUMP_X, np.ones(4), 0) is None
+        assert stump(STUMP_X, np.ones(4)) is None
 
     def test_hand_computed_stump(self):
         # variance 25 -> 0, threshold between 2 and 3
-        thr, red = pt.best_split(STUMP_X, STUMP_Y, 0)
+        thr, red = stump(STUMP_X, STUMP_Y)
         assert thr == 2.5
         assert red == pytest.approx(25.0, rel=1e-12)
 
@@ -168,9 +134,9 @@ class TestBestSplit:
     def test_matches_brute_force_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 15, size=(20, 3))
-        y = rng.normal(size=20)
+        y = 5.0 + rng.normal(size=20)  # powers are non-negative
         for j in range(3):
-            got = pt.best_split(X, y, j)
+            got = stump(X[:, [j]], y)
             expect = brute_force_best_split(X[:, [j]], y)
             if expect is None:
                 assert got is None
@@ -181,12 +147,32 @@ class TestBestSplit:
     def test_min_leaf_skips_starving_splits(self):
         x = np.array([[1], [2], [3], [4], [5], [6]])
         y = np.array([0.0, 0, 0, 0, 0, 100.0])
-        thr, _ = pt.best_split(x, y, 0, min_leaf_sample=2)
+        thr, _ = stump(x, y, min_leaf_sample=2)
         assert thr == 4.5  # the 5/1 cut at 5.5 is forbidden
 
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            pt.best_split(np.array([[1]]), np.array([1.0]), 0)
+    def test_offset_targets_keep_the_best_threshold(self):
+        # the prefix-sum scores of this column cancel on the 1e6 offset and
+        # rank the cut at 0.5 (decrease 2.67e-8) above the one at 3.5
+        # (7.11e-8); only the exact score orders them right
+        x = np.array([[3], [2], [1], [1], [0], [0], [0], [0], [4], [3]])
+        y = 1e6 + 1e-3 * np.array([3.0, 2, 2, 3, 2, 2, 2, 2, 3, 1])
+        thr, red = stump(x, y)
+        assert thr == 3.5
+        assert (thr, red) == brute_force_best_split(x, y)[1:]
+
+
+class TestHyperParams:
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 2.5), ("max_depth", 3.0), ("min_split_sample", True),
+        ("min_leaf_sample", 2.5), ("min_leaf_sample", "2")])
+    def test_non_integer_limit_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pt.HyperParams(**{field: value})
+
+    def test_numpy_integer_limits_accepted(self):
+        hp = pt.HyperParams(np.int64(3), np.int32(4), np.uint8(2), 0.0)
+        assert (hp.max_depth, hp.min_split_sample, hp.min_leaf_sample) \
+            == (3, 4, 2)
 
 
 class TestFitTree:
@@ -311,12 +297,16 @@ def tie_heavy_growths(draw):
     return make_dataset(X, y), hp
 
 
-class TestPresortedGrowth:
-    """fit_tree (one stable sort at the root, stable partitions,
-    re-scoring only near-ties) against oracle_grow (a sort per node, every
-    feature re-scored): all nine node arrays must be bitwise equal."""
+class TestGrowthMatchesBruteForce:
+    """fit_tree (one stable sort at the root, stable partitions, exact
+    scores only for near-top candidates) against oracle_grow (every
+    candidate of every node scored exactly): all nine node arrays must be
+    bitwise equal."""
 
     @given(tie_heavy_growths())
+    # the prefix-sum score ranks the cut at 0.5 above the one at 1.5
+    @example((make_dataset([1, 0, 2, 2], 1e6 + 1e-3 * np.array([1, 0, 0, 0])),
+              pt.HyperParams(1, 2, 1, 0.0)))
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle_on_tie_heavy_data(self, case):
         ds, hp = case
@@ -325,10 +315,14 @@ class TestPresortedGrowth:
     @pytest.mark.parametrize("hp", [pt.HyperParams(8, 5, 5, 0.001),
                                     pt.HyperParams(8, 2, 1, 0.0)])
     def test_matches_oracle_on_power_data(self, hp):
+        # the 20 most active nets: the width the protocol fits after RFE
         d = pt.generate_design(pt.hybrid_design_spec(seed=3))
         ds = pt.simulate_dataset(d, 400, 300, seed=4)
+        ds = ds.select_features(pt.rank_signals_by_activity(ds, 20))
         assert_growths_identical(pt.fit_tree(ds, hp), oracle_grow(ds, hp))
 
+
+class TestPresortedGrowth:
     def test_every_node_sees_its_rows_stably_sorted(self, monkeypatch):
         split_all = model._best_split_all
         nodes = 0
@@ -381,6 +375,8 @@ class TestSplitTies:
             return exact(y, left, parent_sse)
 
         monkeypatch.setattr(model, "_exact_decrease", recording)
+        rows = np.arange(8)
+        order = np.argsort(self.X, axis=0, kind="stable").T
         fast_prefers_1 = 0
         for seed in range(200):
             y = self.targets(seed)
@@ -388,12 +384,13 @@ class TestSplitTies:
                     for j in range(2)]
             fast_prefers_1 += fast[1] > fast[0]
             rescored.clear()
-            got = model._best_split_all(self.X, y, 1)
-            assert got == oracle_best_split(self.X, y, 1)
+            got = model._best_split_all(self.X, y, 1, rows, order,
+                                        float(np.var(y)))
+            assert got == brute_force_best_split(self.X, y, 1)
             assert got[:2] == (0, 3.5)
             # column 2 scores far below the winner and is never re-scored;
             # the partition columns 0 and 1 share is scored once
-            far = oracle_best_split(self.X[:, [2]], y, 1)
+            far = brute_force_best_split(self.X[:, [2]], y, 1)
             assert far is None or got[2] - far[2] > 20.0
             assert rescored == [(0, 1, 2, 3)]
         # the band matters: re-scoring the fast winner alone would pick 1

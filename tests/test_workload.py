@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +303,26 @@ class TestInvariants:
             Dataset(np.array([[301]]), np.array([1.0]), ("a",), 300, 1e8)
         with pytest.raises(ValueError):
             Dataset(np.array([[3]]), np.array([-1.0]), ("a",), 300, 1e8)
+
+    @pytest.mark.parametrize("period, freq, message", [
+        (300, 0.0, "clock_freq"), (300, -1e8, "clock_freq"),
+        (300, np.nan, "clock_freq"), (300, np.inf, "clock_freq"),
+        (60.5, 1e8, "period_cycles"), (300.0, 1e8, "period_cycles"),
+        (True, 1e8, "period_cycles"), (0, 1e8, "period_cycles")])
+    def test_bad_clock_or_period_rejected(self, period, freq, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.array([[1]]), np.array([1.0]), ("a",), period, freq)
+
+    def test_numpy_integer_period_accepted(self):
+        ds = Dataset(np.array([[1]]), np.array([1.0]), ("a",), np.int64(300),
+                     1e8)
+        assert ds.period_cycles == 300
+
+    def test_fractional_meta_period_rejected(self):
+        meta = json.dumps({"period_cycles": 60.5, "clock_freq_hz": 1e8})
+        with pytest.raises(ValueError, match=re.escape(
+                "data.csv meta: field 'period_cycles'")):
+            pt.parse_dataset("a,power_w\n1,1.0\n", meta, "data.csv")
 
     @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
     def test_non_finite_power_rejected(self, power):
