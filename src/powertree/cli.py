@@ -83,6 +83,16 @@ def _load_json(path: Path, what: str) -> dict:
     return _json_doc(path.read_text(), None, f"{what} {path}")
 
 
+def _integer(key: str, value) -> int:
+    """A config value that must be an integer; a fraction, a string or a
+    list raises ConfigError naming the key."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"config key {key} must be an integer, not "
+                          f"{value!r}") from None
+
+
 def _build(what: str, make):
     """make(), with its TypeError, ValueError or AttributeError reported as
     a ConfigError naming what was being built."""
@@ -120,6 +130,9 @@ class Context:
         if key not in self.cfg:
             raise ConfigError(f"config key missing: {key}")
         return self.cfg[key]
+
+    def integer(self, key: str) -> int:
+        return _integer(key, self.value(key))
 
     def design_spec(self) -> workload.DesignSpec:
         raw = self.value("design_spec")
@@ -215,7 +228,7 @@ class Context:
 
 def _split_dataset(ctx: Context) -> tuple[workload.Dataset, workload.Dataset]:
     """The dataset's train and test rows, as split.json lists them."""
-    ds = workload.parse_dataset(ctx.read("dataset.csv").decode(),
+    ds = workload.parse_dataset(ctx.read("dataset.csv"),
                                 ctx.read("dataset.csv.meta.json"),
                                 "dataset.csv")
     doc = _json_doc(ctx.read("split.json"), None, "split.json")
@@ -244,9 +257,9 @@ def _load_best_params(ctx: Context) -> model.HyperParams:
 def cmd_gen(ctx: Context) -> int:
     """Generate the design, simulate its dataset and split the rows."""
     spec = ctx.design_spec()
-    seed = int(ctx.value("seed"))
-    period = int(ctx.value("period_cycles"))
-    n_samples = int(ctx.value("n_samples"))
+    seed = ctx.integer("seed")
+    period = ctx.integer("period_cycles")
+    n_samples = ctx.integer("n_samples")
     frac = float(ctx.value("train_fraction"))
     if not (0.0 < frac < 1.0):
         raise ConfigError("train_fraction must lie in (0, 1)")
@@ -274,7 +287,7 @@ def cmd_select(ctx: Context) -> int:
     """Keep the signals recursive feature elimination retains."""
     inputs = ctx.inputs(*_DATASET, "split.json")
     train_ds = _split_dataset(ctx)[0]
-    top = min(int(ctx.value("top_candidates")), train_ds.n_features)
+    top = min(ctx.integer("top_candidates"), train_ds.n_features)
     candidates = workload.rank_signals_by_activity(train_ds, top)
     hp = ctx.hyper_params("rfe_params", model.HyperParams())
     result = selection.rfe(train_ds.select_features(candidates), hp,
@@ -292,8 +305,8 @@ def cmd_tune(ctx: Context) -> int:
     """Grid-search the tree hyper-parameters by cross-validation."""
     inputs = ctx.inputs(*_DATASET, "split.json", "selection.json")
     ds = _split_dataset(ctx)[0].select_features(_load_selection(ctx))
-    k = int(ctx.value("cv_folds"))
-    seed = int(ctx.value("seed")) + 2
+    k = ctx.integer("cv_folds")
+    seed = ctx.integer("seed") + 2
     result = tuning.grid_search_cv(ds, ctx.grid(), k, seed)
     ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result), inputs)
     hp = result.best_params
@@ -338,9 +351,9 @@ def cmd_monitor(ctx: Context) -> int:
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     retained = _load_selection(ctx)
     image = hwsim.parse_image(ctx.read("image.bin"), "image.bin")
-    period = int(ctx.value("period_cycles"))
-    seed = int(ctx.value("seed")) + 3
-    n_periods = int(ctx.value("monitor_periods"))
+    period = ctx.integer("period_cycles")
+    seed = ctx.integer("seed") + 3
+    n_periods = ctx.integer("monitor_periods")
     trace = workload.synthesize_trace(design, n_periods, period, seed)
     feats = hwsim.period_features(trace.select_signals(retained),
                                   hwsim.MonitorConfig(len(retained), period))
@@ -396,7 +409,8 @@ def cmd_shed(ctx: Context) -> int:
     regulator = ctx.pdn_model()
     grid_spec = ctx.cfg.get("lut_grid_watts",
                             [0.25, 2.0 * regulator.nominal_power, 128])
-    lo, hi, n = float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2])
+    lo, hi = float(grid_spec[0]), float(grid_spec[1])
+    n = _integer("lut_grid_watts[2]", grid_spec[2])
     lut = pdn.build_lut(regulator, np.linspace(lo, hi, n))
     rows = pdn.shed_rows(regulator, lut, powers)
     decisions, eff = [r[2] for r in rows], rows[-1][3]
@@ -432,13 +446,13 @@ def cmd_report(ctx: Context) -> int:
     ctx.write_artifact("report.csv", "\n".join(report) + "\n", inputs)
 
     train_ds = train_ds.select_features(retained)
-    k = int(ctx.value("cv_folds"))
+    k = ctx.integer("cv_folds")
     pool = len(train_ds) - (len(train_ds) + k - 1) // k
     sizes = ctx.cfg.get("learning_curve_sizes") or \
         [pool // 8, pool // 4, pool // 2, pool]
-    sizes = sorted({int(s) for s in sizes})
+    sizes = sorted({_integer("learning_curve_sizes", s) for s in sizes})
     points = tuning.learning_curve(train_ds, hp, sizes, k,
-                                   int(ctx.value("seed")) + 2)
+                                   ctx.integer("seed") + 2)
     ctx.write_artifact("learning_curve.csv",
                        tuning.learning_curve_text(points), inputs)
     print(f"report: test MAE tree {tree_mae:.2f}% vs linear {lin_mae:.2f}% "

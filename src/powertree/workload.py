@@ -512,11 +512,60 @@ def load_design(path: str | Path) -> SyntheticDesign:
     return parse_design(Path(path).read_text(), path)
 
 
+# The dataset text is written and parsed in blocks of about this many cells:
+# enough to amortise each numpy call, few enough to keep each block's
+# temporaries near a megabyte.
+_BLOCK_CELLS = 1 << 16
+# The widest feature cell the reader accepts; 18 digits always fit in int64.
+_MAX_DIGITS = 18
+
+
+def _row_blocks(n_rows: int, cells_per_row: int) -> list[range]:
+    step = max(1, _BLOCK_CELLS // cells_per_row)
+    return [range(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
 def dataset_csv_text(dataset: Dataset) -> str:
-    lines = [",".join(list(dataset.feature_names) + ["power_w"])]
-    for row, p in zip(dataset.features, dataset.powers):
-        lines.append(",".join(str(int(v)) for v in row) + "," + repr(float(p)))
-    return "\n".join(lines) + "\n"
+    """The header line, then per sample its counts in decimal and its power
+    as ``repr(float)``, comma-separated; every line ends in a newline.
+
+    Each block of rows is laid out in one byte buffer: a cell's digit count
+    comes from comparisons with powers of ten, and the k-th digit from the
+    right of every cell is scattered in one step, cells with fewer digits
+    sending theirs to a dump byte past the end."""
+    n_features = dataset.n_features
+    pieces = [",".join(list(dataset.feature_names) + ["power_w"]) + "\n"]
+    top = int(dataset.features.max()) if dataset.features.size else 0
+    tens = [10 ** k for k in range(1, len(str(top)))]
+    # A row without features still has the comma before its power.
+    lead = "" if n_features else ","
+    for rows in _row_blocks(len(dataset), n_features + 1):
+        values = dataset.features[rows.start:rows.stop] \
+            .astype(np.uint64).ravel()
+        digits = np.ones(values.shape, np.int64)
+        for ten in tens:
+            digits += values >= ten
+        powers = [f"{lead}{float(p)!r}\n"
+                  for p in dataset.powers[rows.start:rows.stop].tolist()]
+        width = np.empty((len(rows), n_features + 1), np.int64)
+        width[:, :n_features] = (digits + 1).reshape(len(rows), n_features)
+        width[:, n_features] = [len(p) for p in powers]
+        start = (np.cumsum(width) - width.ravel()).reshape(width.shape)
+        total = int(start[-1, -1] + width[-1, -1])
+        buf = np.empty(total + 1, np.uint8)  # buf[total] is the dump byte
+        last = start[:, :n_features].ravel() + digits - 1
+        buf[last + 1] = ord(",")
+        for k in range(len(tens) + 1):
+            buf[np.where(k < digits, last - k, total)] = \
+                values % 10 + ord("0")
+            values //= 10
+        text = "".join(powers).encode()
+        prior = np.cumsum(width[:, -1]) - width[:, -1]  # offsets in text
+        buf[np.arange(len(text)) + np.repeat(start[:, -1] - prior,
+                                             width[:, -1])] = \
+            np.frombuffer(text, np.uint8)
+        pieces.append(buf[:total].tobytes().decode("ascii"))
+    return "".join(pieces)
 
 
 def dataset_meta_text(dataset: Dataset, vdd: float | None = None) -> str:
@@ -529,33 +578,110 @@ def dataset_meta_text(dataset: Dataset, vdd: float | None = None) -> str:
     return json.dumps(meta, indent=1, sort_keys=True) + "\n"
 
 
-def parse_dataset(csv_text: str, meta_text: str | bytes,
+def _line_fault(line: bytes, n_cells: int) -> str | None:
+    """How one data line breaks the dataset grammar, or None if it keeps it."""
+    if not line:
+        return "blank line"
+    if b"\r" in line:
+        return "carriage return in the line"
+    cells = line.split(b",")
+    if len(cells) != n_cells:
+        return f"{len(cells)} cells, header has {n_cells}"
+    for j, cell in enumerate(cells[:-1], 1):
+        if not (cell.isdigit() and len(cell) <= _MAX_DIGITS):
+            return (f"cell {j} is not 1 to {_MAX_DIGITS} ASCII digits: "
+                    f"{cell.decode(errors='replace')!r}")
+    try:
+        float(cells[-1])
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _parse_rows(data: bytes, buf: np.ndarray, starts: np.ndarray,
+                stops: np.ndarray, n_features: int):
+    """(counts, powers) of the rows spanning [starts[i], stops[i]) of data,
+    or None if one of them breaks the grammar.
+
+    Comma positions give each row's cell count and each cell's bounds; the
+    counts are built from one digit gather per digit place."""
+    first, end = int(starts[0]), int(stops[-1])
+    commas = np.flatnonzero(buf[first:end] == ord(",")) + first
+    per_row = np.diff(np.searchsorted(commas, stops), prepend=0)
+    if (per_row != n_features).any() or data.find(b"\r", first, end) >= 0:
+        return None
+    # cell j of a row lies between separators j and j + 1
+    sep = np.empty((len(starts), n_features + 2), np.int64)
+    sep[:, 0] = starts - 1
+    sep[:, 1:-1] = commas.reshape(len(starts), n_features)
+    sep[:, -1] = stops
+    lo, hi = sep[:, :-2] + 1, sep[:, 1:-1]
+    width = hi - lo
+    if ((width < 1) | (width > _MAX_DIGITS)).any():
+        return None
+    counts = np.zeros(width.shape, np.int64)
+    for k in range(int(width.max(initial=0))):
+        # digit k from the left; a shorter cell re-reads its last digit
+        digit = buf[np.minimum(lo + k, hi - 1)] - np.uint8(ord("0"))
+        if (digit > 9).any():
+            return None
+        counts = np.where(k < width, counts * 10 + digit, counts)
+    try:
+        powers = [float(data[a:b]) for a, b in zip((sep[:, -2] + 1).tolist(),
+                                                   stops.tolist())]
+    except ValueError:
+        return None
+    return counts, powers
+
+
+def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
                   source="dataset") -> Dataset:
+    """Parse the text ``dataset_csv_text`` writes.
+
+    The grammar: a header line of names ending in ``power_w``, then per row
+    one cell of 1 to 18 ASCII digits per name and a power cell ``float()``
+    reads.  Every line ends in ``\\n`` (the last one's is optional); a blank
+    line or a ``\\r`` is an error.  Rows are checked and converted in
+    blocks; a block that fails is walked line by line only to name its
+    first bad line.
+    """
     meta = _json_doc(meta_text, None, f"{source} meta")
     period = _field(meta, "period_cycles", operator.index, f"{source} meta")
     freq = _field(meta, "clock_freq_hz", float, f"{source} meta")
-    # (line number, text) of the non-empty lines
-    lines = [(i, l) for i, l in enumerate(csv_text.splitlines(), 1) if l]
-    if not lines:
+    data = csv_text.encode() if isinstance(csv_text, str) else csv_text
+    if not data:
         raise ValueError(f"{source}: empty file")
-    header = lines[0][1].split(",")
-    if header[-1] != "power_w":
-        raise ValueError(f"{source}: last column must be power_w")
-    names = tuple(header[:-1])
-    features = np.zeros((len(lines) - 1, len(names)), dtype=np.int64)
-    powers = np.zeros(len(lines) - 1, dtype=np.float64)
-    for i, (lineno, line) in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{source}, line {lineno}: {len(cells)} cells, "
-                             f"header has {len(header)}")
-        try:
-            features[i] = [int(c) for c in cells[:-1]]
-            powers[i] = float(cells[-1])
-        except ValueError as e:
-            raise ValueError(f"{source}, line {lineno}: {e}") from None
+    buf = np.frombuffer(data, np.uint8)
+    # Line i spans [starts[i], stops[i]); line 0 is the header.
+    stops = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        stops = np.append(stops, len(data))
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    header = data[:stops[0]]
+    if b"\r" in header:
+        raise ValueError(f"{source}, line 1: carriage return in the line")
     try:
-        return Dataset(features, powers, names, period, freq)
+        names = header.decode().split(",")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{source}, line 1: {e}") from None
+    if names[-1] != "power_w":
+        raise ValueError(f"{source}: last column must be power_w")
+    n_features = len(names) - 1
+    starts, stops = starts[1:], stops[1:]
+    features = np.empty((len(stops), n_features), dtype=np.int64)
+    powers = np.empty(len(stops), dtype=np.float64)
+    for rows in _row_blocks(len(stops), n_features + 1):
+        block = slice(rows.start, rows.stop)
+        parsed = _parse_rows(data, buf, starts[block], stops[block],
+                             n_features)
+        if parsed is None:
+            for r in rows:
+                fault = _line_fault(data[starts[r]:stops[r]], len(names))
+                if fault:
+                    raise ValueError(f"{source}, line {r + 2}: {fault}")
+        features[block], powers[block] = parsed
+    try:
+        return Dataset(features, powers, tuple(names[:-1]), period, freq)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
 
@@ -575,5 +701,5 @@ def load_dataset(csv_path: str | Path,
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
-    return parse_dataset(csv_path.read_text(), Path(meta_path).read_text(),
+    return parse_dataset(csv_path.read_bytes(), Path(meta_path).read_text(),
                          csv_path)

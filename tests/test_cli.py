@@ -57,6 +57,17 @@ def refresh_provenance(edited: Path) -> None:
         prov.write_text(json.dumps(doc))
 
 
+def adopt_config(cfg: Path) -> None:
+    """Record an edited config's hash in every sidecar of its output
+    directory, so that provenance passes and only the config is at fault."""
+    args = cli.build_parser().parse_args(["gen", "--config", str(cfg)])
+    sha = cli.Context(args).config_sha
+    for prov in (cfg.parent / "out").glob("*.prov.json"):
+        doc = json.loads(prov.read_text())
+        doc["config_sha256"] = sha
+        prov.write_text(json.dumps(doc))
+
+
 COMMANDS = ("gen", "select", "tune", "train", "quantize", "monitor", "shed",
             "report")
 
@@ -112,6 +123,9 @@ BAD_INPUTS = [
     ("model.json", json_edit(
         lambda d: d["nodes"][-1].update(value=float("nan"))), "quantize",
      "leaf value nan is not finite"),
+    ("dataset.csv", lambda t: re.sub(r"\n\d+,", "\n" + "9" * 20 + ",", t,
+                                     count=1), "select",
+     "dataset.csv, line 2: cell 1 is not 1 to 18 ASCII digits"),
 ]
 
 # Values of the right JSON type outside their field's domain, as above.
@@ -120,6 +134,16 @@ BAD_VALUES = [
      "select", "dataset.csv: clock_freq must be finite and > 0"),
     ("best_params.json", json_edit(lambda d: d.update(max_depth=2.5)),
      "train", "best_params.json: field 'max_depth'"),
+]
+
+# Integer config keys, each with a fractional value, and the first command
+# that reads it.
+FRACTIONAL_KEYS = [
+    ("seed", 3.5, "gen"), ("period_cycles", 60.5, "gen"),
+    ("n_samples", 240.5, "gen"), ("top_candidates", 100.5, "select"),
+    ("cv_folds", 4.5, "tune"), ("monitor_periods", 4.5, "monitor"),
+    ("lut_grid_watts", [0.25, 2.0, 128.5], "shed"),
+    ("learning_curve_sizes", [40.5, 80], "report"),
 ]
 
 # Every artifact a later command reads, with one command that reads it.
@@ -278,6 +302,18 @@ class TestExitCodes:
         assert main([command, "--config", str(pipeline)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("key, value, command", FRACTIONAL_KEYS,
+                             ids=[k for k, _, _ in FRACTIONAL_KEYS])
+    def test_fractional_integer_key_is_config_error(self, pipeline, capsys,
+                                                    key, value, command):
+        write_config(pipeline.parent, **{key: value})
+        adopt_config(pipeline)
+        capsys.readouterr()
+        assert main([command, "--config", str(pipeline)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}") \
+            and "must be an integer" in err
 
     @pytest.mark.parametrize("command", ["select", "train", "report"])
     def test_edited_dataset_meta_is_stale(self, pipeline, command):

@@ -1,9 +1,11 @@
-"""Byte-identity of everything derived from a fitted tree.
+"""Byte-identity of everything derived from a fitted tree, and of the
+dataset text.
 
-The SHA-256 digests below were recorded from the linked-node tree
-representation that preceded the preorder arrays; any change in how a tree
-is stored, walked, saved, printed or quantized that alters one byte of these
-outputs fails here.
+The SHA-256 digests of tree outputs below were recorded from the
+linked-node tree representation that preceded the preorder arrays; any
+change in how a tree is stored, walked, saved, printed or quantized that
+alters one byte of these outputs fails here.  The dataset digest was
+recorded from the per-cell writer that preceded the row-block codec.
 """
 
 import hashlib
@@ -104,3 +106,13 @@ def digests(name, tmp_path):
 @pytest.mark.parametrize("name", list(FITS))
 def test_tree_outputs_byte_identical(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
+
+
+DATASET_CSV_SHA256 = \
+    "a6719c846bdeb6c002eaa290857d7d8089b82f063f609a753fb829a84a6f17b7"
+
+
+def test_dataset_text_byte_identical():
+    ds = _depth_8()[0]
+    text = pt.dataset_csv_text(ds)
+    assert hashlib.sha256(text.encode()).hexdigest() == DATASET_CSV_SHA256

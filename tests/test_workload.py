@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 
@@ -276,6 +277,162 @@ class TestDatasetIO:
         path = tmp_path / "design.json"
         pt.save_design(d, path)
         assert pt.load_design(path) == d
+
+
+# ---------------------------------------------------------------------------
+# The dataset codec against the per-cell writer and reader it replaced.
+
+def oracle_csv_text(dataset: Dataset) -> str:
+    lines = [",".join(list(dataset.feature_names) + ["power_w"])]
+    for row, p in zip(dataset.features, dataset.powers):
+        lines.append(",".join(str(int(v)) for v in row) + "," + repr(float(p)))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_parse_dataset(csv_text: str, meta_text: str,
+                         source="dataset") -> Dataset:
+    meta = json.loads(meta_text)
+    lines = [(i, l) for i, l in enumerate(csv_text.splitlines(), 1) if l]
+    if not lines:
+        raise ValueError(f"{source}: empty file")
+    header = lines[0][1].split(",")
+    if header[-1] != "power_w":
+        raise ValueError(f"{source}: last column must be power_w")
+    names = tuple(header[:-1])
+    features = np.zeros((len(lines) - 1, len(names)), dtype=np.int64)
+    powers = np.zeros(len(lines) - 1, dtype=np.float64)
+    for i, (lineno, line) in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{source}, line {lineno}: {len(cells)} cells, "
+                             f"header has {len(header)}")
+        try:
+            features[i] = [int(c) for c in cells[:-1]]
+            powers[i] = float(cells[-1])
+        except ValueError as e:
+            raise ValueError(f"{source}, line {lineno}: {e}") from None
+    return Dataset(features, powers, names, meta["period_cycles"],
+                   meta["clock_freq_hz"])
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+# 0.0, subnormals, extremes and reprs in exponent form
+SPECIAL_POWERS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+                  1.5e300, 1e300, 1.7976931348623157e308)
+META = json.dumps({"period_cycles": 300, "clock_freq_hz": 1e8})
+NAME = st.text(st.characters(codec="utf-8", categories=("L", "N"))
+               | st.sampled_from("_.-"), max_size=4)
+
+
+@st.composite
+def datasets(draw, min_features=0, max_value=None):
+    """A small Dataset of any integer dtype, its cells biased towards 0 and
+    period_cycles."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    top = int(np.iinfo(dtype).max)
+    if max_value is not None:
+        top = min(top, max_value)
+    period = draw(st.integers(1, top) | st.just(top))
+    n_rows = draw(st.integers(0, 5))
+    n_features = draw(st.integers(min_features, 4))
+    cell = st.sampled_from([0, period]) | st.integers(0, period)
+    features = np.array(
+        draw(st.lists(st.lists(cell, min_size=n_features,
+                               max_size=n_features),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=dtype).reshape(n_rows, n_features)
+    power = st.sampled_from(SPECIAL_POWERS) | st.floats(
+        0.0, allow_nan=False, allow_infinity=False)
+    powers = np.array(draw(st.lists(power, min_size=n_rows,
+                                    max_size=n_rows)), dtype=np.float64)
+    names = tuple(draw(st.lists(NAME, min_size=n_features,
+                                max_size=n_features)))
+    return Dataset(features, powers, names, period, 1e8)
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    return (a.feature_names == b.feature_names
+            and a.features.shape == b.features.shape
+            and np.array_equal(a.features, b.features)
+            and a.powers.tobytes() == b.powers.tobytes()
+            and a.period_cycles == b.period_cycles)
+
+
+@contextlib.contextmanager
+def small_blocks(cells: int):
+    """A context in which the codec works on blocks of ``cells`` cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pt.workload, "_BLOCK_CELLS", cells)
+        yield
+
+
+class TestDatasetCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(), st.sampled_from([1, 3, 7, 1 << 16]))
+    def test_writer_matches_oracle(self, ds, cells):
+        with small_blocks(cells):
+            assert pt.dataset_csv_text(ds) == oracle_csv_text(ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(min_features=1, max_value=10 ** 18 - 1), st.booleans(),
+           st.booleans(), st.sampled_from([1, 3, 7, 1 << 16]))
+    def test_reader_matches_oracle(self, ds, final_newline, as_bytes, cells):
+        text = pt.dataset_csv_text(ds)
+        if not final_newline:
+            text = text[:-1]
+        meta = pt.dataset_meta_text(ds)
+        with small_blocks(cells):
+            back = pt.parse_dataset(text.encode() if as_bytes else text,
+                                    meta)
+        assert same_dataset(back, oracle_parse_dataset(text, meta))
+        assert same_dataset(back, ds)
+
+    # Spellings the per-cell reader accepted that the grammar rejects.
+    @pytest.mark.parametrize("text, line", [
+        ("a,b,power_w\n1,2,0.5\n 5,4,0.25\n", 3),
+        ("a,b,power_w\n1,2,0.5\n+5,4,0.25\n", 3),
+        ("a,b,power_w\n1,2,0.5\n1_0,4,0.25\n", 3),
+        ("a,b,power_w\n1,2,0.5\n٣,4,0.25\n", 3),
+        ("a,b,power_w\n1,2,0.5\n0000000000000000005,4,0.25\n", 3),
+        ("a,b,power_w\r\n1,2,0.5\r\n3,4,0.25\r\n", 1),
+        ("a,b,power_w\n1,2,0.5\n\n3,4,0.25\n", 3),
+        ("a,b,power_w\n1,2,0.5\n3,4,0.25\n\n", 4),
+    ], ids=["space", "plus", "underscore", "arabic-indic", "19-digits",
+            "crlf", "blank-row", "trailing-blank-row"])
+    def test_grammar_rejects_lenient_spellings(self, text, line):
+        oracle_parse_dataset(text, META)
+        with pytest.raises(ValueError, match=rf"^data\.csv, line {line}: "):
+            pt.parse_dataset(text, META, "data.csv")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2", "2 cells, header has 3"),
+        ("99999999999999999999,2,0.5", "cell 1 is not 1 to 18 ASCII digits"),
+        ("1,,0.5", "cell 2 is not 1 to 18 ASCII digits: ''"),
+        ("1,x,0.5", "cell 2 is not 1 to 18 ASCII digits: 'x'"),
+        ("1,2,watts", "could not convert string to float"),
+        ("1,2,0.5\r", "carriage return"),
+        ("", "blank line")])
+    @pytest.mark.parametrize("cells", [3, 9, 1 << 16])
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_error_names_first_bad_line(self, bad, message, cells, row):
+        lines = ["a,b,power_w"] + [f"{i},7,0.5" for i in range(10)]
+        lines[1 + row] = bad
+        # a later fault of another kind in the same block is not reported
+        lines.insert(2 + row, "1,2,3,0.5")
+        text = "\n".join(lines) + "\n"
+        with small_blocks(cells):
+            with pytest.raises(ValueError) as err:
+                pt.parse_dataset(text.encode(), META, "data.csv")
+        assert str(err.value).startswith(f"data.csv, line {row + 2}: ")
+        assert message in str(err.value)
+
+    def test_empty_and_header_only(self):
+        with pytest.raises(ValueError, match="data.csv: empty file"):
+            pt.parse_dataset(b"", META, "data.csv")
+        for text in ("a,power_w", "a,power_w\n"):
+            ds = pt.parse_dataset(text, META)
+            assert ds.features.shape == (0, 1) and ds.feature_names == ("a",)
 
 
 class TestCompose:
