@@ -6,16 +6,14 @@ from .workload import (DEFAULT_NONLINEAR_STRENGTH, Dataset, DesignSpec, Net,
                        compose_datasets, dataset_csv_text, dataset_meta_text,
                        design_text, dynamic_power, generate_design,
                        hybrid_design_spec, linear_design_spec, load_dataset,
-                       load_design, parse_dataset, parse_design,
-                       rank_signals_by_activity, save_dataset, save_design,
-                       simulate_dataset, synthesize_trace)
+                       parse_dataset, parse_design, rank_signals_by_activity,
+                       save_dataset, simulate_dataset, synthesize_trace)
 from .model import (DecisionTree, EnsembleModel, HyperParams, LinearModel,
                     feature_importances, fit_linear, fit_tree, linear_text,
-                    load_linear, load_tree, mae_percent, parse_linear,
-                    parse_tree, predict_ensemble, predict_linear,
-                    predict_linear_batch, predict_tree, predict_tree_batch,
-                    rule_text, save_linear, save_tree, scale_prediction,
-                    tree_text)
+                    load_tree, mae_percent, parse_linear, parse_tree,
+                    predict_ensemble, predict_linear, predict_linear_batch,
+                    predict_tree, predict_tree_batch, rule_text, save_tree,
+                    scale_prediction, tree_text)
 from .selection import RfeResult, RfeStep, rfe, rfe_history_text
 from .tuning import (CvResult, CvRow, Grid, LearningPoint, cv_table_text,
                      grid_search_cv, kfold_split, learning_curve,
@@ -26,7 +24,6 @@ from .hwsim import (CounterState, MalformedImageError, MemNode, MonitorConfig,
                     node_decode, node_encode, parse_image, period_features,
                     quantize, run_monitor, save_image, validate_image)
 from .pdn import (PdnModel, PhaseLut, build_lut, efficiency, input_power,
-                  load_lut, load_pdn_model, lut_text, optimal_phases,
-                  save_lut, save_pdn_model, shed, shed_rows, shed_table_text)
+                  lut_text, optimal_phases, shed, shed_rows, shed_table_text)
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import _field, _json_doc
+from .workload import _field, _is_integer, _json_doc, _json_text
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -73,10 +73,6 @@ def _read_hashed(path: Path) -> tuple[bytes, str]:
     return data, _sha256_bytes(data)
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
 def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
@@ -84,13 +80,22 @@ def _load_json(path: Path, what: str) -> dict:
 
 
 def _integer(key: str, value) -> int:
-    """A config value that must be an integer; a fraction, a string or a
-    list raises ConfigError naming the key."""
-    try:
-        return operator.index(value)
-    except TypeError:
+    """A config value that must be an integer, by the rule ``Dataset``
+    applies: a bool, a fraction, a string or a list raises ConfigError
+    naming the key."""
+    if not _is_integer(value):
         raise ConfigError(f"config key {key} must be an integer, not "
-                          f"{value!r}") from None
+                          f"{value!r}")
+    return int(value)
+
+
+def _list(key: str, value, length: int | None = None) -> list:
+    """A config value that must be a list, of ``length`` entries if that is
+    given; anything else raises ConfigError naming the key."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        what = "a list" if length is None else f"a list of {length} entries"
+        raise ConfigError(f"config key {key} must be {what}, not {value!r}")
+    return value
 
 
 def _build(what: str, make):
@@ -174,7 +179,7 @@ class Context:
         path = self.out / name
         sidecar = self.out / f"{name}.prov.json"
         for target, payload in ((path, data),
-                                (sidecar, _dump_json(prov).encode())):
+                                (sidecar, _json_text(prov).encode())):
             tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             try:
                 tmp.write_bytes(payload)
@@ -277,7 +282,7 @@ def cmd_gen(ctx: Context) -> int:
     n_train = int(round(frac * n_samples))
     split = {"seed": seed + 1, "train": sorted(int(i) for i in perm[:n_train]),
              "test": sorted(int(i) for i in perm[n_train:])}
-    ctx.write_artifact("split.json", _dump_json(split), list(_DATASET))
+    ctx.write_artifact("split.json", _json_text(split), list(_DATASET))
     print(f"gen: {n_samples} samples x {dataset.n_features} signals, "
           f"period {period} cycles -> {ctx.out}")
     return 0
@@ -293,7 +298,7 @@ def cmd_select(ctx: Context) -> int:
     result = selection.rfe(train_ds.select_features(candidates), hp,
                            float(ctx.value("rfe_target_fraction")))
     doc = {"candidates": candidates, "retained": list(result.retained)}
-    ctx.write_artifact("selection.json", _dump_json(doc), inputs)
+    ctx.write_artifact("selection.json", _json_text(doc), inputs)
     ctx.write_artifact("rfe_history.csv", selection.rfe_history_text(result),
                        inputs)
     print(f"select: {top} candidates -> {len(result.retained)} retained "
@@ -312,7 +317,7 @@ def cmd_tune(ctx: Context) -> int:
     hp = result.best_params
     doc = {name: getattr(hp, name) for name, _ in _HP_FIELDS}
     doc.update(mean_score=result.best_score, k=k, seed=seed)
-    ctx.write_artifact("best_params.json", _dump_json(doc), inputs)
+    ctx.write_artifact("best_params.json", _json_text(doc), inputs)
     print(f"tune: {len(result.rows)} combinations, best {hp} "
           f"(mean validation MAE {result.best_score:.2f}%)")
     return 0
@@ -386,7 +391,7 @@ def cmd_ensemble(ctx: Context) -> int:
     for i, (p, t) in enumerate(zip(preds, composite.powers)):
         lines.append(f"{i},{float(p)!r},{float(t)!r}")
     ctx.write_artifact("ensemble_predictions.csv", "\n".join(lines) + "\n", [])
-    ctx.write_artifact("ensemble.json", _dump_json(
+    ctx.write_artifact("ensemble.json", _json_text(
         {"mae_percent": mae, "n_components": len(trees)}), [])
     print(f"ensemble: {len(trees)} components, MAE {mae:.2f}%")
     return 0
@@ -407,9 +412,9 @@ def cmd_shed(ctx: Context) -> int:
         powers.append(design.static_power + mw / 1000.0)
 
     regulator = ctx.pdn_model()
-    grid_spec = ctx.cfg.get("lut_grid_watts",
-                            [0.25, 2.0 * regulator.nominal_power, 128])
-    lo, hi = float(grid_spec[0]), float(grid_spec[1])
+    grid_spec = _list("lut_grid_watts", ctx.cfg.get(
+        "lut_grid_watts", [0.25, 2.0 * regulator.nominal_power, 128]), 3)
+    lo, hi = _build("lut_grid_watts", lambda: tuple(map(float, grid_spec[:2])))
     n = _integer("lut_grid_watts[2]", grid_spec[2])
     lut = pdn.build_lut(regulator, np.linspace(lo, hi, n))
     rows = pdn.shed_rows(regulator, lut, powers)
@@ -419,7 +424,7 @@ def cmd_shed(ctx: Context) -> int:
     ctx.write_artifact("phase_lut.json", pdn.lut_text(lut), inputs)
     hist = {str(n): decisions.count(n)
             for n in range(1, regulator.max_phases + 1)}
-    ctx.write_artifact("shed_summary.json", _dump_json(
+    ctx.write_artifact("shed_summary.json", _json_text(
         {"eff_impv": eff, "n_periods": len(powers), "phases": hist}), inputs)
     print(f"shed: {len(powers)} periods, efficiency improvement {eff:.4f}")
     return 0
@@ -448,8 +453,9 @@ def cmd_report(ctx: Context) -> int:
     train_ds = train_ds.select_features(retained)
     k = ctx.integer("cv_folds")
     pool = len(train_ds) - (len(train_ds) + k - 1) // k
-    sizes = ctx.cfg.get("learning_curve_sizes") or \
-        [pool // 8, pool // 4, pool // 2, pool]
+    sizes = ctx.cfg.get("learning_curve_sizes")
+    sizes = [pool // 8, pool // 4, pool // 2, pool] if sizes is None else \
+        _list("learning_curve_sizes", sizes)
     sizes = sorted({_integer("learning_curve_sizes", s) for s in sizes})
     points = tuning.learning_curve(train_ds, hp, sizes, k,
                                    ctx.integer("seed") + 2)

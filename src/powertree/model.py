@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _field, _is_integer, _json_doc
+from .workload import Dataset, _field, _is_integer, _json_doc, _json_text
 
 __all__ = [
     "HyperParams",
@@ -36,8 +36,6 @@ __all__ = [
     "load_tree",
     "linear_text",
     "parse_linear",
-    "save_linear",
-    "load_linear",
     "rule_text",
 ]
 
@@ -516,7 +514,7 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
 
 
 def tree_text(tree: DecisionTree) -> str:
-    return json.dumps(_tree_to_doc(tree), indent=1, sort_keys=True) + "\n"
+    return _json_text(_tree_to_doc(tree))
 
 
 def parse_tree(text: str | bytes, source="tree") -> DecisionTree:
@@ -542,7 +540,7 @@ def linear_text(model: LinearModel) -> str:
         "weights": [float(w) for w in model.weights],
         "intercept": model.intercept,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def parse_linear(text: str | bytes, source="linear model") -> LinearModel:
@@ -552,14 +550,6 @@ def parse_linear(text: str | bytes, source="linear model") -> LinearModel:
         _field(doc, "intercept", float, source),
         _field(doc, "model_freq_hz", float, source),
         _field(doc, "feature_ids", tuple, source))
-
-
-def save_linear(model: LinearModel, path: str | Path) -> None:
-    Path(path).write_text(linear_text(model))
-
-
-def load_linear(path: str | Path) -> LinearModel:
-    return parse_linear(Path(path).read_text(), path)
 
 
 def rule_text(tree: DecisionTree) -> str:

@@ -16,12 +16,10 @@ configurable transition loss whenever the phase count changes.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
-from .workload import _field, _json_doc
+from .workload import _json_text
 
 __all__ = [
     "PdnModel",
@@ -32,11 +30,7 @@ __all__ = [
     "build_lut",
     "shed",
     "shed_rows",
-    "save_pdn_model",
-    "load_pdn_model",
     "lut_text",
-    "save_lut",
-    "load_lut",
     "shed_table_text",
 ]
 
@@ -192,43 +186,11 @@ def shed_table_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_pdn_model(model: PdnModel, path: str | Path) -> None:
-    doc = {
-        "format": "powertree-pdn-v1",
-        "max_phases": model.max_phases,
-        "per_phase_fixed_loss_w": model.per_phase_fixed_loss,
-        "conduction_resistance_ohm": model.conduction_resistance,
-        "output_voltage_v": model.output_voltage,
-        "transition_loss_w": model.transition_loss,
-        "nominal_power_w": model.nominal_power,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_pdn_model(path: str | Path) -> PdnModel:
-    doc = _json_doc(Path(path).read_text(), "powertree-pdn-v1", path)
-    return PdnModel(_field(doc, "max_phases", int, path),
-                    *(_field(doc, k, float, path) for k in (
-                        "per_phase_fixed_loss_w", "conduction_resistance_ohm",
-                        "output_voltage_v", "transition_loss_w",
-                        "nominal_power_w")))
-
-
 def lut_text(lut: PhaseLut) -> str:
     doc = {
         "format": "powertree-lut-v1",
         "breakpoints_w": list(lut.breakpoints),
         "phases": list(lut.phases),
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _json_text(doc)
 
-
-def save_lut(lut: PhaseLut, path: str | Path) -> None:
-    Path(path).write_text(lut_text(lut))
-
-
-def load_lut(path: str | Path) -> PhaseLut:
-    doc = _json_doc(Path(path).read_text(), "powertree-lut-v1", path)
-    return PhaseLut(
-        _field(doc, "breakpoints_w", lambda v: tuple(float(b) for b in v), path),
-        _field(doc, "phases", lambda v: tuple(int(n) for n in v), path))

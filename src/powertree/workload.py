@@ -61,8 +61,6 @@ __all__ = [
     "linear_design_spec",
     "design_text",
     "parse_design",
-    "save_design",
-    "load_design",
     "dataset_csv_text",
     "dataset_meta_text",
     "parse_dataset",
@@ -450,7 +448,8 @@ def linear_design_spec(seed: int = 2) -> DesignSpec:
 
 # ---------------------------------------------------------------------------
 # Persistence: designs as JSON, datasets as delimited text plus a JSON sidecar.
-# Each format has a pure serialiser and parser; save_*/load_* wrap them.
+# Each format has a pure serialiser and parser; save_*/load_* file wrappers
+# exist only for the formats that callers read or write as plain files.
 
 def _json_doc(text: str | bytes, fmt: str | None, source) -> dict:
     """The JSON object in ``text``, whose "format" must be ``fmt`` unless
@@ -464,6 +463,11 @@ def _json_doc(text: str | bytes, fmt: str | None, source) -> dict:
     if fmt is not None and doc.get("format") != fmt:
         raise ValueError(f"{source}: not a {fmt} document")
     return doc
+
+
+def _json_text(doc: dict) -> str:
+    """The one layout of every JSON artifact."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _field(doc: dict, key: str, convert, source):
@@ -487,7 +491,7 @@ def design_text(design: SyntheticDesign) -> str:
         "nonlinear_units": [[list(u.inputs), u.coefficient]
                             for u in design.nonlinear_units],
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
@@ -504,14 +508,6 @@ def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
         raise ValueError(f"{source}: {e}") from None
 
 
-def save_design(design: SyntheticDesign, path: str | Path) -> None:
-    Path(path).write_text(design_text(design))
-
-
-def load_design(path: str | Path) -> SyntheticDesign:
-    return parse_design(Path(path).read_text(), path)
-
-
 # The dataset text is written and parsed in blocks of about this many cells:
 # enough to amortise each numpy call, few enough to keep each block's
 # temporaries near a megabyte.
@@ -525,46 +521,28 @@ def _row_blocks(n_rows: int, cells_per_row: int) -> list[range]:
     return [range(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
+class _Cells(dict):
+    """Count -> its cell text ``"{count},"``, made on first use."""
+
+    def __missing__(self, count: int) -> str:
+        cell = self[count] = f"{count},"
+        return cell
+
+
 def dataset_csv_text(dataset: Dataset) -> str:
     """The header line, then per sample its counts in decimal and its power
-    as ``repr(float)``, comma-separated; every line ends in a newline.
-
-    Each block of rows is laid out in one byte buffer: a cell's digit count
-    comes from comparisons with powers of ten, and the k-th digit from the
-    right of every cell is scattered in one step, cells with fewer digits
-    sending theirs to a dump byte past the end."""
-    n_features = dataset.n_features
+    as ``repr(float)``, comma-separated; every line ends in a newline, and a
+    sample without features is its power cell alone.  A row joins cached
+    cells, so ``str`` runs once per distinct count."""
+    cells = _Cells()
     pieces = [",".join(list(dataset.feature_names) + ["power_w"]) + "\n"]
-    top = int(dataset.features.max()) if dataset.features.size else 0
-    tens = [10 ** k for k in range(1, len(str(top)))]
-    # A row without features still has the comma before its power.
-    lead = "" if n_features else ","
-    for rows in _row_blocks(len(dataset), n_features + 1):
-        values = dataset.features[rows.start:rows.stop] \
-            .astype(np.uint64).ravel()
-        digits = np.ones(values.shape, np.int64)
-        for ten in tens:
-            digits += values >= ten
-        powers = [f"{lead}{float(p)!r}\n"
-                  for p in dataset.powers[rows.start:rows.stop].tolist()]
-        width = np.empty((len(rows), n_features + 1), np.int64)
-        width[:, :n_features] = (digits + 1).reshape(len(rows), n_features)
-        width[:, n_features] = [len(p) for p in powers]
-        start = (np.cumsum(width) - width.ravel()).reshape(width.shape)
-        total = int(start[-1, -1] + width[-1, -1])
-        buf = np.empty(total + 1, np.uint8)  # buf[total] is the dump byte
-        last = start[:, :n_features].ravel() + digits - 1
-        buf[last + 1] = ord(",")
-        for k in range(len(tens) + 1):
-            buf[np.where(k < digits, last - k, total)] = \
-                values % 10 + ord("0")
-            values //= 10
-        text = "".join(powers).encode()
-        prior = np.cumsum(width[:, -1]) - width[:, -1]  # offsets in text
-        buf[np.arange(len(text)) + np.repeat(start[:, -1] - prior,
-                                             width[:, -1])] = \
-            np.frombuffer(text, np.uint8)
-        pieces.append(buf[:total].tobytes().decode("ascii"))
+    for rows in _row_blocks(len(dataset), dataset.n_features + 1):
+        block = slice(rows.start, rows.stop)
+        pieces.extend(
+            "".join(map(cells.__getitem__, counts)) + f"{power!r}\n"
+            for counts, power in zip(
+                dataset.features[block].tolist(),
+                dataset.powers[block].astype(np.float64).tolist()))
     return "".join(pieces)
 
 
@@ -575,7 +553,7 @@ def dataset_meta_text(dataset: Dataset, vdd: float | None = None) -> str:
     }
     if vdd is not None:
         meta["vdd_v"] = vdd
-    return json.dumps(meta, indent=1, sort_keys=True) + "\n"
+    return _json_text(meta)
 
 
 def _line_fault(line: bytes, n_cells: int) -> str | None:

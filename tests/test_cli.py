@@ -57,6 +57,16 @@ def refresh_provenance(edited: Path) -> None:
         prov.write_text(json.dumps(doc))
 
 
+def config_error(cfg: Path, capsys, command: str, **overrides) -> str:
+    """The stderr of ``command`` run on the finished pipeline of ``cfg``
+    with ``overrides`` in its config, once it has exited 2."""
+    write_config(cfg.parent, **overrides)
+    adopt_config(cfg)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    return capsys.readouterr().err
+
+
 def adopt_config(cfg: Path) -> None:
     """Record an edited config's hash in every sidecar of its output
     directory, so that provenance passes and only the config is at fault."""
@@ -144,6 +154,28 @@ FRACTIONAL_KEYS = [
     ("cv_folds", 4.5, "tune"), ("monitor_periods", 4.5, "monitor"),
     ("lut_grid_watts", [0.25, 2.0, 128.5], "shed"),
     ("learning_curve_sizes", [40.5, 80], "report"),
+]
+
+# The same keys, each with a JSON true where the integer belongs: a bool is
+# not an integer, as in Dataset.
+BOOLEAN_KEYS = [
+    ("seed", True, "gen"), ("period_cycles", True, "gen"),
+    ("n_samples", True, "gen"), ("top_candidates", True, "select"),
+    ("cv_folds", True, "tune"), ("monitor_periods", True, "monitor"),
+    ("lut_grid_watts", [0.25, 2.0, True], "shed"),
+    ("learning_curve_sizes", [True, 80], "report"),
+]
+
+# List config keys with a value of the wrong shape or entry type, the
+# command that reads each, and the start of its error message.
+BAD_LISTS = [
+    ("lut_grid_watts", 5, "shed", "config key lut_grid_watts must be a list"),
+    ("lut_grid_watts", [0.25, 40], "shed",
+     "config key lut_grid_watts must be a list of 3 entries"),
+    ("lut_grid_watts", None, "shed", "config key lut_grid_watts must be"),
+    ("lut_grid_watts", [None, 40, 128], "shed", "bad lut_grid_watts: "),
+    ("learning_curve_sizes", 5, "report",
+     "config key learning_curve_sizes must be a list"),
 ]
 
 # Every artifact a later command reads, with one command that reads it.
@@ -303,17 +335,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("key, value, command", FRACTIONAL_KEYS,
-                             ids=[k for k, _, _ in FRACTIONAL_KEYS])
+    @pytest.mark.parametrize(
+        "key, value, command", FRACTIONAL_KEYS + BOOLEAN_KEYS,
+        ids=[k for k, _, _ in FRACTIONAL_KEYS]
+        + [f"{k}-true" for k, _, _ in BOOLEAN_KEYS])
     def test_fractional_integer_key_is_config_error(self, pipeline, capsys,
                                                     key, value, command):
-        write_config(pipeline.parent, **{key: value})
-        adopt_config(pipeline)
-        capsys.readouterr()
-        assert main([command, "--config", str(pipeline)]) == 2
-        err = capsys.readouterr().err
+        err = config_error(pipeline, capsys, command, **{key: value})
         assert err.startswith(f"error: config key {key}") \
             and "must be an integer" in err
+
+    @pytest.mark.parametrize("key, value, command, message", BAD_LISTS,
+                             ids=["lut_grid_watts-int", "lut_grid_watts-2",
+                                  "lut_grid_watts-null",
+                                  "lut_grid_watts-null-entry",
+                                  "learning_curve_sizes-int"])
+    def test_bad_list_key_is_config_error(self, pipeline, capsys, key, value,
+                                          command, message):
+        err = config_error(pipeline, capsys, command, **{key: value})
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("command", ["select", "train", "report"])
     def test_edited_dataset_meta_is_stale(self, pipeline, command):
@@ -335,22 +375,17 @@ class TestExitCodes:
         assert "model.json is stale" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("save, load, obj, field", [
-    (pt.save_linear, pt.load_linear,
-     pt.LinearModel(np.array([1e-3]), 0.5, 1e8, ("n0",)), "intercept"),
-    (pt.save_design, pt.load_design,
-     pt.generate_design(pt.DesignSpec(**SPEC)), "vdd_v"),
-    (pt.save_lut, pt.load_lut, pt.PhaseLut((0.5, 2.0), (1, 2)), "phases"),
-    (pt.save_pdn_model, pt.load_pdn_model, pt.PdnModel(), "max_phases"),
-])
-def test_loader_names_file_and_missing_field(tmp_path, save, load, obj,
-                                             field):
+@pytest.mark.parametrize("parse, text, field", [
+    (pt.parse_linear, pt.linear_text(
+        pt.LinearModel(np.array([1e-3]), 0.5, 1e8, ("n0",))), "intercept"),
+    (pt.parse_design, pt.design_text(
+        pt.generate_design(pt.DesignSpec(**SPEC))), "vdd_v"),
+], ids=["parse_linear-intercept", "parse_design-vdd_v"])
+def test_loader_names_file_and_missing_field(tmp_path, parse, text, field):
     path = tmp_path / "doc.json"
-    save(obj, path)
-    path.write_text(json_edit(lambda d: d.pop(field))(path.read_text()))
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: missing field '{field}'")):
-        load(path)
+        parse(json_edit(lambda d: d.pop(field))(text), source=path)
 
 
 def test_help_describes_every_subcommand():
