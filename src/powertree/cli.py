@@ -1,18 +1,17 @@
 """Pipeline driver: generate, select, tune, train, quantize, monitor,
 ensemble, shed, report.
 
-``Context`` is the one door to the artifacts in the output directory: a
-command names its inputs once, to ``Context.inputs``, then parses the bytes
-that were checked, and ``Context.write_artifact``, the only writer, replaces
-each file atomically through a temp file.  Every artifact has a
-``<name>.prov.json`` sidecar recording its own SHA-256, that of each input,
-and the hash of the config document with the ``--seed``, ``--period`` and
-``--grid`` overrides applied.  An input is stale (exit code 3) if its
-sidecar is missing, the config changed, its bytes differ from its recorded
-digest (a truncated or edited file), or a recorded input changed;
-``dataset.csv.meta.json`` is checked wherever ``dataset.csv`` is.  Each
-file is hashed at most once per command.  Bad configuration, and input
-rejected with ValueError, exit with code 2.
+``_KEYS`` is the config's one table.  ``Context`` applies the command-line
+overrides and checks every key by the rule of its kind before any command
+runs (an unknown key or a bad value exits 2, naming the key).  It is also
+the one door to the artifacts in the output directory: a command names its
+inputs once, parses the bytes that were checked, and writes each file
+atomically.  Every artifact has a ``<name>.prov.json`` sidecar recording the
+SHA-256 of the artifact, of each input and, under ``config``, of each key
+its command reads (of a file's bytes for a file path).  An input is stale,
+exit 3, if its sidecar is missing, its producer's keys changed (the message
+names the first such key), its bytes differ from its sidecar or one of its
+recorded inputs changed.  Each artifact is hashed at most once per command.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -23,9 +22,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import operator
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import _field, _is_integer, _json_doc, _json_text
+from .workload import _field, _integer, _is_integer, _json_doc, _json_text
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -46,9 +46,33 @@ class StaleArtifactError(Exception):
     pass
 
 
-_DEFAULTS = {"period_cycles": 300, "n_samples": 2000, "train_fraction": 0.8,
-             "seed": 0, "top_candidates": 100, "rfe_target_fraction": 0.2,
-             "cv_folds": 10, "monitor_periods": 8, "out_dir": "out"}
+_REQUIRED = object()  # the default of a key that has none
+
+# Each config key: its kind (a dataclass: an object of its fields), its
+# default as JSON (None: the command derives it) and the commands reading it.
+_KEYS = {
+    "design_spec": (workload.DesignSpec, _REQUIRED, ("gen",)),
+    "seed": ("integer", 0, ("gen", "tune", "monitor", "report")),
+    "period_cycles": ("integer", 300, ("gen", "monitor")),
+    "n_samples": ("integer", 2000, ("gen",)),
+    "train_fraction": ("fraction", 0.8, ("gen",)),
+    "top_candidates": ("integer", 100, ("select",)),
+    "rfe_params": (model.HyperParams, {}, ("select",)),
+    "rfe_target_fraction": ("fraction", 0.2, ("select",)),
+    "grid": (tuning.Grid, {}, ("tune",)),
+    "cv_folds": ("integer", 10, ("tune", "report")),
+    "monitor_periods": ("integer", 8, ("monitor",)),
+    "pdn": (pdn.PdnModel, {}, ("shed",)),
+    "lut_grid_watts": ("range", None, ("shed",)),
+    "learning_curve_sizes": ("integers", None, ("report",)),
+    "ensemble": ("ensemble", _REQUIRED, ("ensemble",)),
+    "out_dir": ("string", "out", ()),
+}
+_WANT = {"integer": "an integer", "number": "a finite number",
+         "fraction": "a fraction in (0, 1)", "string": "a string",
+         "integers": "a list of integers", "file": "the path of a file",
+         "range": "a list of 3 entries [lo, hi, n]",
+         "ensemble": "an object of 'components' and 'dataset' paths"}
 
 # The command that writes each artifact a later command reads.
 _PRODUCERS = {name: command for command, names in (
@@ -58,44 +82,30 @@ _PRODUCERS = {name: command for command, names in (
     ("train", ("model.json", "linear.json")), ("quantize", ("image.bin",)),
     ("monitor", ("monitor.csv",))) for name in names}
 _DATASET = ("dataset.csv", "dataset.csv.meta.json")
-_HP_FIELDS = (("max_depth", operator.index),
-              ("min_split_sample", operator.index),
-              ("min_leaf_sample", operator.index), ("min_leaf_impurity", float))
+_HP_FIELDS = (("max_depth", _integer), ("min_split_sample", _integer),
+              ("min_leaf_sample", _integer), ("min_leaf_impurity", float))
 
 
-def _sha256_bytes(data: bytes) -> str:
+def _sha256(data) -> str:
+    """SHA-256 of bytes, or of a checked config value's canonical JSON (a
+    file's bytes in it as their digest, a dataclass as its fields)."""
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True, default=lambda v: (
+            _sha256(v) if isinstance(v, bytes) else dataclasses.asdict(v))
+        ).encode()
     return hashlib.sha256(data).hexdigest()
 
 
 def _read_hashed(path: Path) -> tuple[bytes, str]:
-    """A file's bytes and their SHA-256: the one place a file is hashed."""
+    """An artifact's bytes and their SHA-256."""
     data = path.read_bytes()
-    return data, _sha256_bytes(data)
+    return data, _sha256(data)
 
 
 def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
     return _json_doc(path.read_text(), None, f"{what} {path}")
-
-
-def _integer(key: str, value) -> int:
-    """A config value that must be an integer, by the rule ``Dataset``
-    applies: a bool, a fraction, a string or a list raises ConfigError
-    naming the key."""
-    if not _is_integer(value):
-        raise ConfigError(f"config key {key} must be an integer, not "
-                          f"{value!r}")
-    return int(value)
-
-
-def _list(key: str, value, length: int | None = None) -> list:
-    """A config value that must be a list, of ``length`` entries if that is
-    given; anything else raises ConfigError naming the key."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        what = "a list" if length is None else f"a list of {length} entries"
-        raise ConfigError(f"config key {key} must be {what}, not {value!r}")
-    return value
 
 
 def _build(what: str, make):
@@ -108,76 +118,86 @@ def _build(what: str, make):
 
 
 class Context:
-    """Resolved configuration plus the one door to pipeline artifacts."""
+    """The checked configuration plus the one door to pipeline artifacts."""
 
     def __init__(self, args: argparse.Namespace):
         config_path = Path(args.config)
         doc = _load_json(config_path, "config")
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.period is not None:
-            doc["period_cycles"] = args.period
-        if args.grid is not None:
-            doc["grid"] = _load_json(Path(args.grid), "grid file")
-        self.config_sha = _sha256_bytes(
-            json.dumps(doc, sort_keys=True).encode())
-        self.cfg = {**_DEFAULTS, **doc}
-        self.base = config_path.parent
-        self.out = Path(args.out) if args.out is not None else \
-            self.base / str(self.cfg["out_dir"])
+        grid = args.grid and _load_json(Path(args.grid), "grid file")
+        doc.update((k, v) for k, v in (("seed", args.seed), ("grid", grid),
+                                       ("period_cycles", args.period))
+                   if v is not None)
+        unknown = sorted(set(doc) - set(_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]}")
+        self.base, self.command = config_path.parent, args.command
+        self.cfg = {}  # config key -> checked value
+        for key, (kind, default, readers) in _KEYS.items():
+            if key in doc:
+                self.cfg[key] = self._check(key, doc[key], kind)
+            elif default is _REQUIRED and self.command in readers:
+                raise ConfigError(f"config key missing: {key}")
+            else:
+                self.cfg[key] = None if default in (None, _REQUIRED) else \
+                    self._check(key, default, kind)
+        sha = {key: _sha256(value) for key, value in self.cfg.items()}
+        self._config = {c: {k: sha[k] for k, (_, _, r) in _KEYS.items()
+                            if c in r} for c in _COMMANDS}  # by command
+        self.out = Path(args.out or self.base / self.cfg["out_dir"])
         self.out.mkdir(parents=True, exist_ok=True)
         self._digests: dict[str, str] = {}  # artifact name -> SHA-256
         self._checked: dict[str, bytes] = {}  # checked inputs, until read
 
-    # -- config access ------------------------------------------------------
-
-    def value(self, key: str):
-        if key not in self.cfg:
-            raise ConfigError(f"config key missing: {key}")
-        return self.cfg[key]
-
-    def integer(self, key: str) -> int:
-        return _integer(key, self.value(key))
-
-    def design_spec(self) -> workload.DesignSpec:
-        raw = self.value("design_spec")
-        if isinstance(raw, str):
-            raw = _load_json(self.base / raw, "design spec")
-        if not isinstance(raw, dict):
-            raise ConfigError("design_spec must be a path or an object")
-        return _build("design spec", lambda: workload.DesignSpec(**{
-            k: tuple(v) if k == "capacitance_range" else v
-            for k, v in raw.items()}))
-
-    def hyper_params(self, key: str, default: model.HyperParams) -> model.HyperParams:
-        raw = self.cfg.get(key)
-        return default if raw is None else \
-            _build(key, lambda: model.HyperParams(**raw))
-
-    def grid(self) -> tuning.Grid:
-        raw = self.cfg.get("grid") or {}
-        return _build("grid", lambda: tuning.Grid(
-            **{k: tuple(v) for k, v in raw.items()}))
-
-    def pdn_model(self) -> pdn.PdnModel:
-        raw = self.cfg.get("pdn") or {}
-        return _build("pdn block", lambda: pdn.PdnModel(**raw))
-
-    # -- artifacts ----------------------------------------------------------
+    def _check(self, key: str, value, kind):
+        """The value of config key ``key`` checked by the one rule of its
+        kind, else ConfigError naming it.  A JSON bool is never a number."""
+        number = _is_integer(value) or \
+            isinstance(value, float) and math.isfinite(value)
+        if (kind == "integer" and _is_integer(value)
+                or kind == "number" and number
+                or kind == "fraction" and number and 0 < value < 1
+                or kind == "string" and isinstance(value, str)):
+            return value
+        if kind == "integers" and (value is None or isinstance(value, list)):
+            # null, the default, leaves the list to the command
+            return value and [self._check(key, v, "integer") for v in value]
+        if kind == "range" and isinstance(value, list) and len(value) == 3:
+            return tuple(self._check(f"{key}[{i}]", v, "integer" if i == 2
+                                     else "number") for i, v in enumerate(value))
+        if kind == "file" and isinstance(value, str) \
+                and (self.base / value).is_file():
+            return value, (self.base / value).read_bytes()
+        if kind == "ensemble" and isinstance(value, dict) \
+                and set(value) == {"components", "dataset"} \
+                and isinstance(value["components"], list):
+            data = self._check(f"{key}.dataset", value["dataset"], "file")
+            meta = self._check(f"{key}.dataset", f"{data[0]}.meta.json", "file")
+            return [self._check(f"{key}.components", p, "file")
+                    for p in value["components"]], data, meta
+        if isinstance(kind, type):  # a dataclass; null builds its defaults
+            if kind is workload.DesignSpec and isinstance(value, str):
+                value = _load_json(self.base / value, "design spec")
+            value = {} if value is None else value
+            if isinstance(value, dict) and bool not in {  # alone or in a list
+                    type(x) for v in value.values()
+                    for x in (v if isinstance(v, list) else [v])}:
+                tuples = {f.name for f in dataclasses.fields(kind)
+                          if str(f.type).startswith("tuple")}
+                return _build(key, lambda: kind(**{
+                    k: tuple(v) if k in tuples else v
+                    for k, v in value.items()}))
+        want = _WANT.get(kind) or f"an object of numeric {kind.__name__} fields"
+        raise ConfigError(f"config key {key} must be {want}, not {value!r}")
 
     def write_artifact(self, name: str, data: bytes | str,
                        inputs: list[str]) -> Path:
         """Atomically write an artifact, then its sidecar."""
         if isinstance(data, str):
             data = data.encode()
-        digest = _sha256_bytes(data)
-        prov = {
-            "config_sha256": self.config_sha,
-            "inputs": {n: self._digests[n] for n in sorted(inputs)},
-            "sha256": digest,
-        }
-        path = self.out / name
-        sidecar = self.out / f"{name}.prov.json"
+        digest = _sha256(data)
+        prov = {"config": self._config[self.command], "sha256": digest,
+                "inputs": {n: self._digests[n] for n in sorted(inputs)}}
+        path, sidecar = self.out / name, self.out / f"{name}.prov.json"
         for target, payload in ((path, data),
                                 (sidecar, _json_text(prov).encode())):
             tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
@@ -211,12 +231,14 @@ class Context:
         """Why an input artifact is stale, or None if it is fresh."""
         try:
             prov = json.loads((self.out / f"{name}.prov.json").read_bytes())
-            config, own = prov["config_sha256"], prov["sha256"]
+            config, own = dict(prov["config"]), prov["sha256"]
             deps = dict(prov["inputs"])
         except (OSError, ValueError, KeyError, TypeError):
             return "its provenance sidecar is missing or unreadable"
-        if config != self.config_sha:
-            return "it was produced under a different config"
+        expected = self._config[_PRODUCERS[name]]
+        changed = [k for k in _KEYS if config.get(k) != expected.get(k)]
+        if changed:
+            return f"it was produced with a different config key {changed[0]}"
         if own != self._digests[name]:
             return "its bytes differ from the digest its sidecar records"
         for dep, digest in sorted(deps.items()):
@@ -261,15 +283,9 @@ def _load_best_params(ctx: Context) -> model.HyperParams:
 
 def cmd_gen(ctx: Context) -> int:
     """Generate the design, simulate its dataset and split the rows."""
-    spec = ctx.design_spec()
-    seed = ctx.integer("seed")
-    period = ctx.integer("period_cycles")
-    n_samples = ctx.integer("n_samples")
-    frac = float(ctx.value("train_fraction"))
-    if not (0.0 < frac < 1.0):
-        raise ConfigError("train_fraction must lie in (0, 1)")
-
-    design = workload.generate_design(spec)
+    seed, n_samples = ctx.cfg["seed"], ctx.cfg["n_samples"]
+    period = ctx.cfg["period_cycles"]
+    design = workload.generate_design(ctx.cfg["design_spec"])
     ctx.write_artifact("design.json", workload.design_text(design), [])
     dataset = workload.simulate_dataset(design, n_samples, period, seed)
     ctx.write_artifact("dataset.csv", workload.dataset_csv_text(dataset),
@@ -277,9 +293,8 @@ def cmd_gen(ctx: Context) -> int:
     ctx.write_artifact("dataset.csv.meta.json",
                        workload.dataset_meta_text(dataset, design.vdd),
                        ["design.json"])
-
     perm = np.random.default_rng(seed + 1).permutation(n_samples)
-    n_train = int(round(frac * n_samples))
+    n_train = int(round(ctx.cfg["train_fraction"] * n_samples))
     split = {"seed": seed + 1, "train": sorted(int(i) for i in perm[:n_train]),
              "test": sorted(int(i) for i in perm[n_train:])}
     ctx.write_artifact("split.json", _json_text(split), list(_DATASET))
@@ -292,11 +307,10 @@ def cmd_select(ctx: Context) -> int:
     """Keep the signals recursive feature elimination retains."""
     inputs = ctx.inputs(*_DATASET, "split.json")
     train_ds = _split_dataset(ctx)[0]
-    top = min(ctx.integer("top_candidates"), train_ds.n_features)
+    top = min(ctx.cfg["top_candidates"], train_ds.n_features)
     candidates = workload.rank_signals_by_activity(train_ds, top)
-    hp = ctx.hyper_params("rfe_params", model.HyperParams())
-    result = selection.rfe(train_ds.select_features(candidates), hp,
-                           float(ctx.value("rfe_target_fraction")))
+    result = selection.rfe(train_ds.select_features(candidates),
+                           ctx.cfg["rfe_params"], ctx.cfg["rfe_target_fraction"])
     doc = {"candidates": candidates, "retained": list(result.retained)}
     ctx.write_artifact("selection.json", _json_text(doc), inputs)
     ctx.write_artifact("rfe_history.csv", selection.rfe_history_text(result),
@@ -310,9 +324,8 @@ def cmd_tune(ctx: Context) -> int:
     """Grid-search the tree hyper-parameters by cross-validation."""
     inputs = ctx.inputs(*_DATASET, "split.json", "selection.json")
     ds = _split_dataset(ctx)[0].select_features(_load_selection(ctx))
-    k = ctx.integer("cv_folds")
-    seed = ctx.integer("seed") + 2
-    result = tuning.grid_search_cv(ds, ctx.grid(), k, seed)
+    k, seed = ctx.cfg["cv_folds"], ctx.cfg["seed"] + 2
+    result = tuning.grid_search_cv(ds, ctx.cfg["grid"], k, seed)
     ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result), inputs)
     hp = result.best_params
     doc = {name: getattr(hp, name) for name, _ in _HP_FIELDS}
@@ -356,10 +369,9 @@ def cmd_monitor(ctx: Context) -> int:
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     retained = _load_selection(ctx)
     image = hwsim.parse_image(ctx.read("image.bin"), "image.bin")
-    period = ctx.integer("period_cycles")
-    seed = ctx.integer("seed") + 3
-    n_periods = ctx.integer("monitor_periods")
-    trace = workload.synthesize_trace(design, n_periods, period, seed)
+    period = ctx.cfg["period_cycles"]
+    trace = workload.synthesize_trace(design, ctx.cfg["monitor_periods"],
+                                      period, ctx.cfg["seed"] + 3)
     feats = hwsim.period_features(trace.select_signals(retained),
                                   hwsim.MonitorConfig(len(retained), period))
     lines = ["period,cycles,estimate_mw," + ",".join(retained)]
@@ -375,17 +387,11 @@ def cmd_monitor(ctx: Context) -> int:
 
 def cmd_ensemble(ctx: Context) -> int:
     """Score an additive ensemble of trees on a composite dataset."""
-    block = ctx.cfg.get("ensemble")
-    if not isinstance(block, dict) or "components" not in block \
-            or "dataset" not in block:
-        raise ConfigError("config needs an ensemble block with "
-                          "'components' and 'dataset'")
-    trees = [model.load_tree(ctx.base / p) for p in block["components"]]
+    components, (name, data), (_, meta) = ctx.cfg["ensemble"]
+    trees = [model.parse_tree(text, source) for source, text in components]
     em = model.EnsembleModel(tuple((t, t.feature_ids) for t in trees))
-    composite = workload.load_dataset(ctx.base / block["dataset"])
-    preds = sum((model.predict_tree_batch(
-        tree, composite.select_features(ids).features)
-        for tree, ids in em.components), np.zeros(len(composite)))
+    composite = workload.parse_dataset(data, meta, name)
+    preds = model.predict_ensemble(em, composite)
     mae = model.mae_percent(preds, composite.powers)
     lines = ["sample,prediction_w,truth_w"]
     for i, (p, t) in enumerate(zip(preds, composite.powers)):
@@ -410,16 +416,12 @@ def cmd_shed(ctx: Context) -> int:
             raise ValueError(f"monitor.csv, line {lineno}: no estimate_mw "
                              f"in {line!r}") from None
         powers.append(design.static_power + mw / 1000.0)
-
-    regulator = ctx.pdn_model()
-    grid_spec = _list("lut_grid_watts", ctx.cfg.get(
-        "lut_grid_watts", [0.25, 2.0 * regulator.nominal_power, 128]), 3)
-    lo, hi = _build("lut_grid_watts", lambda: tuple(map(float, grid_spec[:2])))
-    n = _integer("lut_grid_watts[2]", grid_spec[2])
+    regulator = ctx.cfg["pdn"]
+    lo, hi, n = ctx.cfg["lut_grid_watts"] or (
+        0.25, 2.0 * regulator.nominal_power, 128)
     lut = pdn.build_lut(regulator, np.linspace(lo, hi, n))
     rows = pdn.shed_rows(regulator, lut, powers)
     decisions, eff = [r[2] for r in rows], rows[-1][3]
-
     ctx.write_artifact("shed.csv", pdn.shed_table_text(rows), inputs)
     ctx.write_artifact("phase_lut.json", pdn.lut_text(lut), inputs)
     hist = {str(n): decisions.count(n)
@@ -439,7 +441,6 @@ def cmd_report(ctx: Context) -> int:
     tree = model.parse_tree(ctx.read("model.json"), "model.json")
     linear = model.parse_linear(ctx.read("linear.json"), "linear.json")
     hp = _load_best_params(ctx)
-
     test_ds = test_ds.select_features(retained)
     tree_mae = model.mae_percent(
         model.predict_tree_batch(tree, test_ds.features), test_ds.powers)
@@ -449,16 +450,13 @@ def cmd_report(ctx: Context) -> int:
               f"dataset,{len(train_ds)},{len(test_ds)},{tree_mae!r},"
               f"{lin_mae!r}"]
     ctx.write_artifact("report.csv", "\n".join(report) + "\n", inputs)
-
     train_ds = train_ds.select_features(retained)
-    k = ctx.integer("cv_folds")
+    k = ctx.cfg["cv_folds"]
     pool = len(train_ds) - (len(train_ds) + k - 1) // k
-    sizes = ctx.cfg.get("learning_curve_sizes")
-    sizes = [pool // 8, pool // 4, pool // 2, pool] if sizes is None else \
-        _list("learning_curve_sizes", sizes)
-    sizes = sorted({_integer("learning_curve_sizes", s) for s in sizes})
-    points = tuning.learning_curve(train_ds, hp, sizes, k,
-                                   ctx.integer("seed") + 2)
+    sizes = ctx.cfg["learning_curve_sizes"]
+    sizes = [pool // 8, pool // 4, pool // 2, pool] if sizes is None else sizes
+    points = tuning.learning_curve(train_ds, hp, sorted(set(sizes)), k,
+                                   ctx.cfg["seed"] + 2)
     ctx.write_artifact("learning_curve.csv",
                        tuning.learning_curve_text(points), inputs)
     print(f"report: test MAE tree {tree_mae:.2f}% vs linear {lin_mae:.2f}% "
@@ -486,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--period", type=int, default=None,
                        help="estimation period override, cycles")
-        p.add_argument("--grid", default=None,
-                       help="hyper-parameter grid JSON override")
+        p.add_argument("--grid", help="hyper-parameter grid JSON override")
         p.set_defaults(func=func)
     return parser
 
@@ -495,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        ctx = Context(args)
-        return args.func(ctx)
+        return args.func(Context(args))
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

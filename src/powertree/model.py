@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _field, _is_integer, _json_doc, _json_text
+from .workload import Dataset, _field, _integer, _json_doc, _json_text
 
 __all__ = [
     "HyperParams",
@@ -56,9 +56,7 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         for name in ("max_depth", "min_split_sample", "min_leaf_sample"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, not "
-                                 f"{getattr(self, name)!r}")
+            _integer(getattr(self, name), name)
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_split_sample < 2:
@@ -305,11 +303,8 @@ def _paths(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
 
 
 def predict_tree(tree: DecisionTree, features) -> float:
-    """Root-to-leaf traversal for one feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (tree.n_features,):
-        raise ValueError(f"expected {tree.n_features} features, got shape {x.shape}")
-    return float(predict_tree_batch(tree, x[None, :])[0])
+    """Root-to-leaf traversal for one feature vector: a batch of one."""
+    return float(predict_tree_batch(tree, np.asarray(features)[None])[0])
 
 
 def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
@@ -359,14 +354,14 @@ def fit_linear(dataset: Dataset) -> LinearModel:
 
 
 def predict_linear(model: LinearModel, features) -> float:
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != model.weights.shape:
-        raise ValueError("feature dimensionality mismatch")
-    return float(x @ model.weights + model.intercept)
+    """One feature vector, predicted as a batch of one."""
+    return float(predict_linear_batch(model, np.asarray(features)[None])[0])
 
 
 def predict_linear_batch(model: LinearModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.weights.size:
+        raise ValueError("feature dimensionality mismatch")
     return X @ model.weights + model.intercept
 
 
@@ -377,12 +372,11 @@ def scale_prediction(p: float, model_freq: float, current_freq: float) -> float:
     return p * (current_freq / model_freq)
 
 
-def predict_ensemble(em: EnsembleModel, per_component_features) -> float:
-    """Sum of the component tree predictions, one feature vector each."""
-    if len(per_component_features) != len(em.components):
-        raise ValueError("one feature vector per component required")
-    return float(sum(predict_tree(tree, x)
-                     for (tree, _), x in zip(em.components, per_component_features)))
+def predict_ensemble(em: EnsembleModel, dataset: Dataset) -> np.ndarray:
+    """Per row of ``dataset``, the sum of the component trees' predictions,
+    each tree reading the columns its feature ids name."""
+    return sum((predict_tree_batch(tree, dataset.select_features(ids).features)
+                for tree, ids in em.components), np.zeros(len(dataset)))
 
 
 def mae_percent(predictions, truths) -> float:

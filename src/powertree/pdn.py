@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .workload import _json_text
+from .workload import _integer, _json_text
 
 __all__ = [
     "PdnModel",
@@ -45,6 +45,7 @@ class PdnModel:
     nominal_power: float = 20.0  # watts
 
     def __post_init__(self) -> None:
+        _integer(self.max_phases, "max_phases")
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if min(self.per_phase_fixed_loss, self.conduction_resistance,

@@ -38,6 +38,7 @@ class Grid:
                      "min_leaf_impurity"):
             if not getattr(self, name):
                 raise ValueError(f"{name} set must be non-empty")
+        self.combinations()  # each one must be valid HyperParams
 
     def combinations(self) -> list[HyperParams]:
         return [HyperParams(d, s, l, i) for d, s, l, i in itertools.product(

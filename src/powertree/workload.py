@@ -36,7 +36,6 @@ represent but a tree resolves with a handful of splits.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,6 +93,9 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_linear_nets", "n_nonlinear_units",
+                     "correlation_groups", "seed"):
+            _integer(getattr(self, name), name)
         cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
@@ -227,6 +229,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer(value, name: str = "value"):
+    """value, if it is an integer other than a bool; else ValueError."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, n_features) integer counts
@@ -241,9 +250,8 @@ class Dataset:
             raise ValueError("features must be (n, F) with matching powers (n,)")
         if f.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
-        if not _is_integer(self.period_cycles) or self.period_cycles < 1:
-            raise ValueError(f"period_cycles must be an integer >= 1, not "
-                             f"{self.period_cycles!r}")
+        if _integer(self.period_cycles, "period_cycles") < 1:
+            raise ValueError(f"period_cycles must be >= 1, not {self.period_cycles}")
         if not (self.clock_freq > 0 and np.isfinite(self.clock_freq)):
             raise ValueError(f"clock_freq must be finite and > 0, not "
                              f"{self.clock_freq!r}")
@@ -624,7 +632,7 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
     first bad line.
     """
     meta = _json_doc(meta_text, None, f"{source} meta")
-    period = _field(meta, "period_cycles", operator.index, f"{source} meta")
+    period = _field(meta, "period_cycles", _integer, f"{source} meta")
     freq = _field(meta, "clock_freq_hz", float, f"{source} meta")
     data = csv_text.encode() if isinstance(csv_text, str) else csv_text
     if not data:

@@ -263,11 +263,8 @@ def test_05_ensemble_close_to_retrained_monolithic():
             (tree_a, tuple("a." + f for f in ds_a.feature_names)),
             (tree_b, tuple("b." + f for f in ds_b.feature_names))))
         test = composite.take(te)
-        preds = np.zeros(len(te))
-        for tree, ids in em.components:
-            sub = test.select_features(ids)
-            preds += pt.predict_tree_batch(tree, sub.features)
-        ensemble_mae = pt.mae_percent(preds, test.powers)
+        ensemble_mae = pt.mae_percent(pt.predict_ensemble(em, test),
+                                      test.powers)
 
         mono = pt.fit_tree(composite.take(tr), hp)
         mono_mae = pt.mae_percent(pt.predict_tree_batch(mono, test.features),

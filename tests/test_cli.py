@@ -61,21 +61,9 @@ def config_error(cfg: Path, capsys, command: str, **overrides) -> str:
     """The stderr of ``command`` run on the finished pipeline of ``cfg``
     with ``overrides`` in its config, once it has exited 2."""
     write_config(cfg.parent, **overrides)
-    adopt_config(cfg)
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 2
     return capsys.readouterr().err
-
-
-def adopt_config(cfg: Path) -> None:
-    """Record an edited config's hash in every sidecar of its output
-    directory, so that provenance passes and only the config is at fault."""
-    args = cli.build_parser().parse_args(["gen", "--config", str(cfg)])
-    sha = cli.Context(args).config_sha
-    for prov in (cfg.parent / "out").glob("*.prov.json"):
-        doc = json.loads(prov.read_text())
-        doc["config_sha256"] = sha
-        prov.write_text(json.dumps(doc))
 
 
 COMMANDS = ("gen", "select", "tune", "train", "quantize", "monitor", "shed",
@@ -146,6 +134,16 @@ BAD_VALUES = [
      "train", "best_params.json: field 'max_depth'"),
 ]
 
+# Integer fields holding a JSON true, as above: a bool is not an integer.
+BAD_BOOLS = [
+    ("best_params.json", json_edit(lambda d: d.update(max_depth=True)),
+     "train", "best_params.json: field 'max_depth': value must be an "
+     "integer, not True"),
+    ("dataset.csv.meta.json", json_edit(lambda d: d.update(period_cycles=True)),
+     "select", "dataset.csv meta: field 'period_cycles': value must be an "
+     "integer, not True"),
+]
+
 # Integer config keys, each with a fractional value, and the first command
 # that reads it.
 FRACTIONAL_KEYS = [
@@ -173,10 +171,49 @@ BAD_LISTS = [
     ("lut_grid_watts", [0.25, 40], "shed",
      "config key lut_grid_watts must be a list of 3 entries"),
     ("lut_grid_watts", None, "shed", "config key lut_grid_watts must be"),
-    ("lut_grid_watts", [None, 40, 128], "shed", "bad lut_grid_watts: "),
+    ("lut_grid_watts", [None, 40, 128], "shed",
+     "config key lut_grid_watts[0] must be a finite number, not None"),
     ("learning_curve_sizes", 5, "report",
      "config key learning_curve_sizes must be a list"),
 ]
+
+# Config values of the wrong kind, the command that reads each, and the
+# start of its error message.
+BAD_KINDS = [
+    ("train_fraction", [0.8], "gen",
+     "config key train_fraction must be a fraction in (0, 1), not [0.8]"),
+    ("rfe_target_fraction", [0.2], "select",
+     "config key rfe_target_fraction must be a fraction in (0, 1)"),
+    ("rfe_target_fraction", True, "select",
+     "config key rfe_target_fraction must be a fraction in (0, 1), not True"),
+    ("design_spec", dict(SPEC, n_linear_nets=20.5), "gen",
+     "bad design_spec: n_linear_nets must be an integer, not 20.5"),
+    ("design_spec", dict(SPEC, n_linear_nets=True), "gen",
+     "config key design_spec must be an object of numeric DesignSpec"),
+    ("design_spec", None, "gen", "bad design_spec: "),
+    ("pdn", {"max_phases": 2.5}, "shed",
+     "bad pdn: max_phases must be an integer, not 2.5"),
+    ("pdn", {"transition_loss": False}, "shed",
+     "config key pdn must be an object of numeric PdnModel fields"),
+    ("grid", {"max_depth": 5}, "tune", "bad grid: "),
+    ("grid", {"max_depth": [2.5]}, "gen",
+     "bad grid: max_depth must be an integer, not 2.5"),
+    ("out_dir", 7, "gen", "config key out_dir must be a string, not 7"),
+    ("ensemble", {"components": ["nope.json"], "dataset": "x.csv"},
+     "ensemble", "config key ensemble.dataset must be the path of a file"),
+]
+
+# The files each command writes, sidecars aside.
+WRITES = {
+    "gen": ("design.json", "dataset.csv", "dataset.csv.meta.json",
+            "split.json"),
+    "select": ("selection.json", "rfe_history.csv"),
+    "tune": ("cv_results.csv", "best_params.json"),
+    "train": ("model.json", "linear.json", "model_rules.txt"),
+    "quantize": ("image.bin",), "monitor": ("monitor.csv",),
+    "shed": ("shed.csv", "phase_lut.json", "shed_summary.json"),
+    "report": ("report.csv", "learning_curve.csv"),
+}
 
 # Every artifact a later command reads, with one command that reads it.
 CONSUMED = [("design.json", "monitor"), ("dataset.csv", "select"),
@@ -316,15 +353,15 @@ class TestExitCodes:
 
     def test_non_integer_rfe_limit_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rfe_params={"min_leaf_sample": 2.5})
-        run_pipeline(cfg, ("gen",))
         capsys.readouterr()
-        assert main(["select", "--config", str(cfg)]) == 2
+        assert main(["gen", "--config", str(cfg)]) == 2
         assert "min_leaf_sample must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, edit, command, message", BAD_INPUTS + BAD_VALUES,
+        "name, edit, command, message", BAD_INPUTS + BAD_VALUES + BAD_BOOLS,
         ids=[f"{n}-{c}" for n, _, c, _ in BAD_INPUTS]
-        + [f"{n}-{c}-value" for n, _, c, _ in BAD_VALUES])
+        + [f"{n}-{c}-value" for n, _, c, _ in BAD_VALUES]
+        + [f"{n}-{c}-true" for n, _, c, _ in BAD_BOOLS])
     def test_bad_input_names_file_and_field(self, pipeline, capsys, name,
                                             edit, command, message):
         path = pipeline.parent / "out" / name
@@ -373,6 +410,128 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["quantize", "--config", str(pipeline)]) == 3
         assert "model.json is stale" in capsys.readouterr().err
+
+
+def context(cfg: Path) -> cli.Context:
+    return cli.Context(cli.build_parser().parse_args(
+        ["gen", "--config", str(cfg)]))
+
+
+class TestConfigTable:
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, perod_cycles=40)
+        capsys.readouterr()
+        assert main(["gen", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown config key perod_cycles\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, command, message", BAD_KINDS,
+        ids=["train_fraction-list", "rfe_target_fraction-list",
+             "rfe_target_fraction-true", "design_spec-fraction",
+             "design_spec-true", "design_spec-null", "pdn-fraction",
+             "pdn-false", "grid-int", "grid-fraction", "out_dir-int",
+             "ensemble-no-file"])
+    def test_bad_kind_is_config_error(self, pipeline, capsys, key, value,
+                                      command, message):
+        err = config_error(pipeline, capsys, command, **{key: value})
+        assert err.startswith(f"error: {message}")
+
+    def test_whole_document_checked_before_any_command(self, pipeline,
+                                                       capsys):
+        # quantize reads no key, yet a bad key of any command stops it
+        err = config_error(pipeline, capsys, "quantize",
+                           lut_grid_watts=[0.25, 2.0, 1.5])
+        assert err.startswith("error: config key lut_grid_watts[2]")
+
+    @pytest.mark.parametrize("key", ["rfe_params", "grid", "pdn",
+                                     "learning_curve_sizes"])
+    def test_null_is_the_default(self, tmp_path, key):
+        null = context(write_config(tmp_path, **{key: None}))
+        doc = json.loads((tmp_path / "config.json").read_text())
+        del doc[key]
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        absent = context(tmp_path / "config.json")
+        assert null.cfg == absent.cfg
+        assert null._config == absent._config
+
+    def test_sidecars_record_only_the_keys_of_their_command(self, finished):
+        written = {c: [p.name for p in (finished / "out").iterdir()
+                       if p.name in names] for c, names in WRITES.items()}
+        assert sum(map(len, written.values())) * 2 == len(
+            list((finished / "out").iterdir()))
+        for command, names in written.items():
+            keys = sorted(k for k, (_, _, readers) in cli._KEYS.items()
+                          if command in readers)
+            for name in names:
+                prov = finished / "out" / f"{name}.prov.json"
+                assert sorted(json.loads(prov.read_text())["config"]) \
+                    == keys, name
+
+    def test_config_digest_is_the_value_seen(self, tmp_path):
+        # the same design spec inline, in its file, and with a default
+        # spelt out is one value to gen
+        base = context(write_config(tmp_path))._config["gen"]
+        inline = context(write_config(tmp_path, design_spec=SPEC))
+        spelt = context(write_config(tmp_path, design_spec=dict(SPEC, vdd=1.0)))
+        assert inline._config["gen"] == spelt._config["gen"] == base
+        assert context(write_config(tmp_path, seed=4))._config["gen"][
+            "seed"] != base["seed"]
+
+    def test_edit_to_shed_key_leaves_upstream_fresh(self, pipeline):
+        write_config(pipeline.parent, lut_grid_watts=[0.5, 30.0, 64])
+        assert main(["shed", "--config", str(pipeline)]) == 0
+        assert main(["report", "--config", str(pipeline)]) == 0
+        assert main(["monitor", "--config", str(pipeline)]) == 0
+
+    def test_design_spec_file_edit_is_stale(self, pipeline, capsys):
+        spec = pipeline.parent / "design_spec.json"
+        spec.write_text(json.dumps(dict(SPEC, n_linear_nets=30)))
+        capsys.readouterr()
+        assert main(["select", "--config", str(pipeline)]) == 3
+        assert "dataset.csv is stale: it was produced with a different " \
+            "config key design_spec; rerun the pipeline from 'gen'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [(["--seed", "4"], "seed"),
+                                            (["--period", "40"],
+                                             "period_cycles")])
+    def test_stale_message_names_the_key(self, pipeline, capsys, flags, key):
+        capsys.readouterr()
+        assert main(["monitor", "--config", str(pipeline), *flags]) == 3
+        assert f"different config key {key};" in capsys.readouterr().err
+
+    def test_commands_index_exactly_their_table_keys(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        commands = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                    and n.name.startswith("cmd_")]
+        assert sorted(n.name[4:] for n in commands) == sorted(cli._COMMANDS)
+        for func in commands:
+            uses = [n for n in ast.walk(func)
+                    if isinstance(n, ast.Attribute) and n.attr == "cfg"]
+            keys = [n.slice.value for n in ast.walk(func)
+                    if isinstance(n, ast.Subscript)
+                    and isinstance(n.value, ast.Attribute)
+                    and n.value.attr == "cfg"
+                    and isinstance(n.slice, ast.Constant)]
+            assert len(keys) == len(uses), f"{func.name} reads cfg otherwise"
+            assert set(keys) == {k for k, (_, _, readers) in cli._KEYS.items()
+                                 if func.name[4:] in readers}, func.name
+        # only commands, and the Context that checks it, touch cfg
+        others = [n for n in tree.body if n not in commands and not (
+            isinstance(n, ast.ClassDef) and n.name == "Context")]
+        assert [n.lineno for top in others for n in ast.walk(top)
+                if isinstance(n, ast.Attribute) and n.attr == "cfg"] == []
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration keys\n")[1].split("\n#")[0]
+        rows = re.findall(r"^\| `(\w+)` \|.*\|(.*)\|$", section, re.M)
+        assert sorted(k for k, _ in rows) == sorted(cli._KEYS)
+        for key, readers in rows:
+            assert re.findall(r"`(\w+)`", readers) == list(
+                cli._KEYS[key][2]), key
 
 
 @pytest.mark.parametrize("parse, text, field", [
@@ -509,34 +668,66 @@ class TestDeterminism:
         assert (tmp_path / "out" / "dataset.csv").read_bytes() != first
 
 
+def ensemble_config(base: Path) -> Path:
+    """A config whose ensemble block names two small models, with disjoint
+    feature ids by prefixing, and their composite dataset."""
+    parts = []
+    for name, seed in (("a", 11), ("b", 12)):
+        design = pt.generate_design(pt.DesignSpec(**dict(SPEC, seed=seed)))
+        ds = pt.simulate_dataset(design, 200, 60, seed=seed)
+        prefixed = pt.Dataset(ds.features, ds.powers,
+                              tuple(f"{name}.{f}" for f in ds.feature_names),
+                              ds.period_cycles, ds.clock_freq)
+        tree = pt.fit_tree(prefixed, pt.HyperParams(4, 5, 5, 0.001))
+        pt.save_tree(tree, base / f"model_{name}.json")
+        parts.append((name, ds))
+    pt.save_dataset(pt.compose_datasets(parts), base / "composite.csv")
+    return write_config(base, ensemble={
+        "components": ["model_a.json", "model_b.json"],
+        "dataset": "composite.csv",
+    })
+
+
 class TestEnsembleCommand:
     def test_ensemble_happy_path(self, tmp_path):
-        # train two small models whose feature ids are disjoint by prefixing
-        rng_specs = (("a", 11), ("b", 12))
-        model_paths = []
-        parts = []
-        for name, seed in rng_specs:
-            spec = pt.DesignSpec(**dict(SPEC, seed=seed))
-            design = pt.generate_design(spec)
-            ds = pt.simulate_dataset(design, 200, 60, seed=seed)
-            prefixed = pt.Dataset(ds.features, ds.powers,
-                                  tuple(f"{name}.{f}" for f in ds.feature_names),
-                                  ds.period_cycles, ds.clock_freq)
-            tree = pt.fit_tree(prefixed, pt.HyperParams(4, 5, 5, 0.001))
-            path = tmp_path / f"model_{name}.json"
-            pt.save_tree(tree, path)
-            model_paths.append(path)
-            parts.append((name, ds))
-        comp = pt.compose_datasets(parts)
-        pt.save_dataset(comp, tmp_path / "composite.csv")
-        cfg = write_config(tmp_path, ensemble={
-            "components": [p.name for p in model_paths],
-            "dataset": "composite.csv",
-        })
+        cfg = ensemble_config(tmp_path)
         assert main(["ensemble", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "ensemble.json").read_text())
         assert doc["n_components"] == 2
         assert doc["mae_percent"] >= 0
+
+    def test_predictions_are_the_component_sum(self, tmp_path):
+        cfg = ensemble_config(tmp_path)
+        assert main(["ensemble", "--config", str(cfg)]) == 0
+        comp = pt.load_dataset(tmp_path / "composite.csv")
+        expect = sum(pt.predict_tree_batch(
+            tree, comp.select_features(tree.feature_ids).features)
+            for tree in (pt.load_tree(tmp_path / f"model_{n}.json")
+                         for n in "ab"))
+        lines = (tmp_path / "out" / "ensemble_predictions.csv").read_text()
+        got = [float(line.split(",")[1]) for line in lines.splitlines()[1:]]
+        assert got == list(expect)
+
+    @pytest.mark.parametrize("name", ["model_b.json", "composite.csv",
+                                      "composite.csv.meta.json"])
+    def test_input_edit_changes_recorded_digest(self, tmp_path, name):
+        cfg = ensemble_config(tmp_path)
+        out = tmp_path / "out"
+
+        def recorded() -> list[str]:
+            assert main(["ensemble", "--config", str(cfg)]) == 0
+            return [json.loads((out / f"{n}.prov.json").read_text())[
+                "config"]["ensemble"] for n in ("ensemble.json",
+                                                "ensemble_predictions.csv")]
+        before = recorded()
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[-1] + "\n"  # one more row
+                        if name.endswith(".csv") else
+                        json.dumps(json.loads(text), indent=2))
+        after = recorded()
+        assert before[0] == before[1] and after[0] == after[1]
+        assert after[0] != before[0]
 
     def test_missing_block_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -513,6 +513,23 @@ class TestLinear:
         assert np.allclose(model.weights, w, rtol=1e-9, atol=1e-15)
         assert model.intercept == pytest.approx(0.125, rel=1e-9)
 
+    def test_single_prediction_is_batch_of_one(self):
+        rng = np.random.default_rng(10)
+        X = rng.integers(0, 300, (40, 3))
+        model = pt.fit_linear(make_dataset(X, X @ np.array([1e-3, 0, 2e-3])))
+        single = [pt.predict_linear(model, x) for x in X]
+        assert single == pytest.approx(pt.predict_linear_batch(model, X),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("predict, bad", [
+        (pt.predict_linear, [1, 2]), (pt.predict_linear, [[1, 2, 3]]),
+        (pt.predict_linear_batch, [[1, 2]]),
+        (pt.predict_linear_batch, [1, 2, 3])])
+    def test_width_mismatch_rejected(self, predict, bad):
+        model = pt.LinearModel(np.array([1e-3, 0.0, 2e-3]), 0.5, 1e8)
+        with pytest.raises(ValueError, match="feature dimensionality mismatch"):
+            predict(model, bad)
+
     def test_zero_features_gives_intercept(self):
         rng = np.random.default_rng(8)
         X = rng.integers(1, 300, (50, 2))
@@ -599,23 +616,33 @@ class TestEnsemble:
         y = np.array([value_left] * 2 + [value_right] * 2)
         return pt.fit_tree(make_dataset(X, y), pt.HyperParams(1, 2, 1, 0.0))
 
+    @staticmethod
+    def _rows(names, X):
+        """A dataset whose columns carry ``names``."""
+        X = np.array(X, dtype=np.int64)
+        return Dataset(X, np.zeros(len(X)), tuple(names), 1000, 1e8)
+
     def test_sum_of_components(self):
         trees = [self._stump(1.2, 1.2), self._stump(0.8, 0.8),
                  self._stump(0.5, 0.5)]
         em = pt.EnsembleModel(((trees[0], ("a",)), (trees[1], ("b",)),
                                (trees[2], ("c",))))
-        got = pt.predict_ensemble(em, [[1], [1], [1]])
-        assert got == pytest.approx(2.5, rel=1e-12)
+        got = pt.predict_ensemble(em, self._rows("cab", [[1, 1, 1]]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_single_component_equals_tree(self):
         tree = self._stump(0.0, 10.0)
         em = pt.EnsembleModel(((tree, ("a",)),))
-        assert pt.predict_ensemble(em, [[10]]) == pt.predict_tree(tree, [10])
+        got = pt.predict_ensemble(em, self._rows("a", [[10], [0]]))
+        assert list(got) == [pt.predict_tree(tree, [10]),
+                             pt.predict_tree(tree, [0])]
 
     def test_component_count_mismatch(self):
-        em = pt.EnsembleModel(((self._stump(1, 1), ("a",)),))
-        with pytest.raises(ValueError):
-            pt.predict_ensemble(em, [[1], [2]])
+        em = pt.EnsembleModel(((self._stump(1, 1), ("a",)),
+                               (self._stump(2, 2), ("b",))))
+        with pytest.raises(ValueError, match="unknown feature name: 'b'"):
+            pt.predict_ensemble(em, self._rows("a", [[1], [2]]))
 
     def test_overlapping_feature_sets_rejected(self):
         with pytest.raises(ValueError):

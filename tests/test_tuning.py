@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,15 @@ class TestGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             pt.Grid(max_depth=())
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("max_depth", (3, 2.5), "max_depth must be an integer, not 2.5"),
+        ("min_split_sample", (True,), "min_split_sample must be an integer"),
+        ("min_leaf_sample", (0,), "min_leaf_sample must be >= 1"),
+        ("min_leaf_impurity", (0.01, 1.5), "min_leaf_impurity must lie in")])
+    def test_invalid_axis_value_rejected(self, axis, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pt.Grid(**{axis: values})
 
 
 def two_level_dataset(n=400, seed=0):

@@ -39,6 +39,26 @@ class TestDesignSpec:
         with pytest.raises(ValueError):
             DesignSpec(n_linear_nets=10, **{field: value})
 
+    # Integer fields of DesignSpec and PdnModel follow HyperParams's rule: a
+    # fraction, an integral float or a bool is not an integer.
+    @pytest.mark.parametrize("cls, field", [
+        (DesignSpec, "n_linear_nets"), (DesignSpec, "n_nonlinear_units"),
+        (DesignSpec, "correlation_groups"), (DesignSpec, "seed"),
+        (pt.PdnModel, "max_phases")])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_non_integer_count_rejected(self, cls, field, value):
+        kw = {"n_linear_nets": 10} if cls is DesignSpec else {}
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer, not {value!r}"):
+            cls(**{**kw, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = DesignSpec(np.int64(10), np.int32(2),
+                          correlation_groups=np.uint8(2), seed=np.int64(4))
+        assert pt.generate_design(spec).nets == pt.generate_design(
+            DesignSpec(10, 2, correlation_groups=2, seed=4)).nets
+        assert pt.PdnModel(max_phases=np.int64(3)).max_phases == 3
+
 
 class TestGenerateDesign:
     def test_deterministic(self):
