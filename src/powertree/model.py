@@ -127,39 +127,60 @@ class EnsembleModel:
             seen |= set(ids)
 
 
-def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
-                    rows: np.ndarray, order: np.ndarray, var: float):
+def _ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """keys (n, F) = f * B + the rank of X[r, f] in column f of the integer
+    counts X, and values (F, B) = the count of each rank (0.0 past the
+    column's last), B being the most distinct counts in any column."""
+    n_feat = X.shape[1]
+    width = int(X.max(initial=0)) + 1
+    if width * n_feat > np.iinfo(np.int64).max:  # the keys would wrap
+        raise ValueError("activity counts too large to rank")
+    # the narrowest unsigned type that holds the keys sorts fastest
+    kind = np.min_scalar_type(width * n_feat)
+    flat, inverse = np.unique(np.arange(n_feat, dtype=kind) * width
+                              + X.astype(kind), return_inverse=True)
+    col = (flat // width).astype(np.intp)
+    rank = np.arange(flat.size) - np.searchsorted(col, col)
+    n_bins = int(rank.max(initial=-1)) + 1
+    values = np.zeros((n_feat, n_bins))
+    values[col, rank] = flat % width
+    # numpy versions differ in the inverse's shape, not in its flat order
+    return (col * n_bins + rank)[inverse.reshape(X.shape)], values
+
+
+def _best_split_all(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
+                    min_leaf: int, var: float):
     """Best (feature, threshold, impurity_decrease) over all features.
 
-    The node holds the samples ``rows`` of X (n, F) and y (n,), listed in
-    ascending order.  ``order`` is an (F, m) array whose row f lists those
-    samples sorted stably by feature f, and ``var`` is np.var(y[rows]).
+    The node's m samples, in ascending row order, have the _ranks keys
+    keys (m, F) and the targets y (m,); var is np.var(y).
 
-    A candidate is a midpoint of consecutive distinct sorted values of one
-    feature that leaves at least min_leaf samples on each side.  Its score
-    is the decrease of mean squared deviation, var(parent) - weighted
+    A candidate is a midpoint of consecutive distinct values of one feature
+    in the node that leaves at least min_leaf samples on each side.  Its
+    score is the decrease of mean squared deviation, var(parent) - weighted
     var(children), taken from the two children's variances in ascending
     row order (_exact_decrease), which depends on the partition alone.  The
     highest score wins; among equal scores the lowest feature, then the
     lowest threshold.  Returns None when no candidate scores strictly above
     zero.  That is the rule an exhaustive scan applies.
 
-    Every candidate first gets a fast score from prefix sums in its
-    feature's sort order, and only the candidates whose fast score is at
-    least top - tol are scored exactly, top being the best fast score.  A
-    candidate whose partition a lower one already had scores the same and
-    is not scored again.  Let S = sum(y**2) over the node's m samples.  A
-    cumulative sum of k terms errs by at most about k eps / 2 times the sum
-    of its terms' magnitudes, and sum|y| <= sqrt(m S).  The largest error
-    of a fast score is in the right child's sr**2 / nr, where
-    sr = sum(y) - sl cancels: sr errs by up to m eps sqrt(m S), and
-    |sr| / nr <= sqrt(S), so the term errs by up to 2 m eps sqrt(m) S, or
-    2 eps sqrt(m) S after the final division by m.  With the other terms, a
-    fast score lies within E_fast = (3 sqrt(m) + 8) eps S of the exact
-    decrease of its candidate, and the exact score (pairwise sums of
-    squared deviations from a rounded mean) within E_exact = (1 + 6 / m)
-    eps S of it.  Were a candidate k outside the band to score at least as
-    high as the fast winner f, then
+    Every candidate first gets a fast score from the count, sum(y) and
+    sum(y**2) of each (feature, rank) bin, summed cumulatively over the
+    bins; only the candidates whose fast score is at least top - tol are
+    scored exactly, top being the best fast score.  A candidate whose
+    partition a lower one already had scores the same and is not scored
+    again.  Let S = sum(y**2) over the node's m samples.  A sum of k terms,
+    in any order and grouping (here within each bin, then over the bins),
+    errs by at most (k - 1) eps / 2 times the sum of its terms' magnitudes,
+    to first order, and sum|y| <= sqrt(m S).  The largest error of a fast
+    score is in the right child's sr**2 / nr, where sr = sum(y) - sl
+    cancels: sr errs by up to m eps sqrt(m S), and |sr| / nr <= sqrt(S), so
+    the term errs by up to 2 m eps sqrt(m) S, or 2 eps sqrt(m) S after the
+    final division by m.  With the other terms, a fast score lies within
+    E_fast = (3 sqrt(m) + 8) eps S of the exact decrease of its candidate,
+    and the exact score (pairwise sums of squared deviations from a rounded
+    mean) within E_exact = (1 + 6 / m) eps S of it.  Were a candidate k
+    outside the band to score at least as high as the fast winner f, then
     top - E_fast - E_exact <= score(f) <= score(k)
     <= fast(k) + E_fast + E_exact < top - tol + E_fast + E_exact, that is
     tol < 2 (E_fast + E_exact) <= (6 sqrt(m) + 30) eps S.  So with
@@ -169,55 +190,43 @@ def _best_split_all(X: np.ndarray, y: np.ndarray, min_leaf: int,
     the winner, and the result is the one scoring every candidate exactly
     would give, whatever order the fast sums took.
     """
-    m, n_feat = int(rows.size), X.shape[1]
-    if m < 2 or m < 2 * min_leaf:
+    m, (n_feat, n_bins) = y.size, values.shape
+    flat, size = keys.ravel(), n_feat * n_bins
+    count = np.bincount(flat, minlength=size).reshape(n_feat, n_bins)
+    nl = np.cumsum(count, axis=1)
+    cy, cyy = (np.cumsum(np.bincount(flat, np.repeat(w, n_feat), size)
+                         .reshape(n_feat, n_bins), axis=1) for w in (y, y * y))
+    # cutting after a non-empty bin leaves nl samples on the left
+    j, b = np.nonzero((count > 0) & (nl >= min_leaf) & (nl <= m - min_leaf))
+    if j.size == 0:
         return None
-    # gap g lies between sorted positions g and g + 1 and leaves g + 1
-    # samples on the left; only gaps lo <= g < hi leave min_leaf on each side
-    lo, hi = min_leaf - 1, m - min_leaf
-    # numpy gathers fastest with intp indices into a flat array; X.ravel
-    # order "F" is a view when X is column-major, as fit_tree passes it
-    idx = order.astype(np.intp)
-    xs = X.ravel(order="F")[idx + np.arange(n_feat)[:, None] * X.shape[0]]
-    ys = y[idx]
-    cy = np.cumsum(ys, axis=1)
-    cyy = np.cumsum(ys * ys, axis=1)
-    tot_y, tot_yy = cy[:, -1:], cyy[:, -1:]
-    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    nr = m - nl
-    sl, ql = cy[:, lo:hi], cyy[:, lo:hi]
+    tot_y, tot_yy = cy[j, -1], cyy[j, -1]
+    nl, sl, ql = nl[j, b], cy[j, b], cyy[j, b]
     sr, qr = tot_y - sl, tot_yy - ql
-    sse_l = ql - sl * sl / nl
-    sse_r = qr - sr * sr / nr
     sse_p = tot_yy - tot_y * tot_y / m
-    red = (sse_p - sse_l - sse_r) / m
-    red[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
-    top = red.max(initial=-np.inf)
-    if top == -np.inf:
-        return None
-    # tot_yy.max() is S up to its own rounding, which the margin covers
+    red = (sse_p - (ql - sl * sl / nl) - (qr - sr * sr / (m - nl))) / m
+    top = red.max()
+    # cyy[:, -1].max() is S up to its own rounding, which the margin covers
     tol = (16.0 * (np.sqrt(m) + 4.0) * np.finfo(np.float64).eps
-           * tot_yy.max())
-
-    yy = y[rows]
-    parent_sse = var * m
+           * cyy[:, -1].max())
     best = None
     scored: set[bytes] = set()
     # candidates in (feature, threshold) order, so the first of equal
     # scores is the lowest
-    for j, g in zip(*np.nonzero(red >= top - tol)):
-        r = lo + int(g)
-        thr = 0.5 * (xs[j, r] + xs[j, r + 1])
-        left = X[rows, j] <= thr
+    for c in np.flatnonzero(red >= top - tol):
+        f, r = int(j[c]), int(b[c])
+        left = keys[:, f] <= f * n_bins + r
         # a partition already scored for a lower candidate scores the same
         # and cannot win
         key = left.tobytes()
         if key in scored:
             continue
         scored.add(key)
-        score = _exact_decrease(yy, left, parent_sse)
+        score = _exact_decrease(y, left, var * m)
         if score > 0.0 and (best is None or score > best[2]):
-            best = (int(j), float(thr), float(score))
+            above = r + 1 + int(np.flatnonzero(count[f, r + 1:])[0])
+            best = (f, float(0.5 * (values[f, r] + values[f, above])),
+                    float(score))
     return best
 
 
@@ -238,52 +247,41 @@ def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     variance fraction, or no candidate split reduces variance (candidates
     that would starve a child below min_leaf_sample are skipped).
 
-    Every feature column is sorted once, stably, at the root.  A split hands
-    each child its parent's sorted lists filtered to the child's samples;
-    filtering keeps ties in row order, so every node sees exactly the order
-    a stable sort of its own rows would give.  The right child's lists are
-    built only after the left subtree is done.
+    Each column's counts are ranked once, and each node bins its rows by
+    rank.  Nodes are grown from a stack, left subtree first, in preorder.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    X = np.asfortranarray(dataset.features, dtype=np.float64)
+    keys, values = _ranks(dataset.features)
     y = dataset.powers.astype(np.float64)
     root_var = float(np.var(y))
-    # marks the samples of the child being built; only the parent's rows
-    # are read back, and those are all written first
-    member = np.zeros(len(y), dtype=bool)
     # one record per node in preorder, in DecisionTree's field order
     nodes: list[list] = []
-
-    def child(rows: np.ndarray, order: np.ndarray, side: np.ndarray):
-        member[rows] = side
-        sub = rows[side]
-        return sub, order[member[order]].reshape(order.shape[0], sub.size)
-
-    def build(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+    # (ascending rows, depth, -1 or the node whose right child they are);
+    # a left child directly follows its parent in preorder
+    stack = [(np.arange(len(dataset), dtype=np.intp), 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent][8] = i
         yy = y[rows]
         m = int(rows.size)
         var = float(np.var(yy))
-        i = len(nodes)
         nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0, -1, -1])
-        if depth >= hp.max_depth or m < hp.min_split_sample:
-            return i
-        if np.all(yy == yy[0]):
-            return i
-        if root_var == 0.0 or var / root_var < hp.min_leaf_impurity:
-            return i
-        found = _best_split_all(X, y, hp.min_leaf_sample, rows, order, var)
+        # fewer than 2 * min_leaf_sample samples have no cut to score
+        if (depth >= hp.max_depth or np.all(yy == yy[0])
+                or m < max(hp.min_split_sample, 2 * hp.min_leaf_sample)
+                or root_var == 0.0 or var / root_var < hp.min_leaf_impurity):
+            continue
+        found = _best_split_all(keys[rows], values, yy, hp.min_leaf_sample, var)
         if found is None:
-            return i
+            continue
         j, thr, red = found
-        left_side = X[rows, j] <= thr
-        left = build(*child(rows, order, left_side), depth + 1)
-        right = build(*child(rows, order, ~left_side), depth + 1)
-        nodes[i][4:] = [j, thr, red, left, right]
-        return i
-
-    build(np.arange(len(dataset), dtype=np.intp),
-          np.argsort(X.T, axis=1, kind="stable").astype(np.int32), 0)
+        nodes[i][4:8] = [j, thr, red, i + 1]
+        left_side = dataset.features[rows, j] <= thr
+        stack.append((rows[~left_side], depth + 1, i))
+        stack.append((rows[left_side], depth + 1, -1))
     return DecisionTree(*(np.array(column) for column in zip(*nodes)),
                         dataset.n_features, dataset.clock_freq,
                         dataset.feature_names)
@@ -422,19 +420,19 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     their order in the document.
 
     A malformed document raises ValueError naming the node or field at
-    fault: a missing or unconvertible field, feature_ids of a length other
-    than n_features, an unknown kind, a negative n_samples, a leaf value
-    that is not finite, a child index outside the node list, a node
-    reached twice (which also rules out cycles) or never reached, a feature
-    index outside [0, n_features), or a recorded depth the nodes do not
-    reach.
+    fault: a missing, unconvertible or non-integer field, feature_ids of a
+    length other than n_features, an unknown kind, a negative n_samples, a
+    leaf value that is not finite, a child index outside the node list, a
+    node reached twice (which also rules out cycles) or never reached, a
+    feature index outside [0, n_features), or a recorded depth the nodes do
+    not reach.
     """
     if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
         raise ValueError("not a decision-tree document")
     try:
         raw = doc["nodes"]
-        depth = int(doc["depth"])
-        n_features = int(doc["n_features"])
+        depth = _integer(doc["depth"], "depth")
+        n_features = _integer(doc["n_features"], "n_features")
         model_freq = float(doc["model_freq_hz"])
         feature_ids = tuple(doc["feature_ids"])
     except KeyError as e:
@@ -457,17 +455,18 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         node = raw[i]
         try:
             kind = node["kind"]
-            n_samples = int(node["n_samples"])
+            n_samples = _integer(node["n_samples"], "n_samples")
             impurity = float(node["impurity"])
             value, feature, threshold, reduction = np.nan, 0, 0.0, 0.0
             children: tuple[int, ...] = ()
             if kind == "leaf":
                 value = float(node["value"])
             elif kind == "decision":
-                feature = int(node["feature"])
+                feature = _integer(node["feature"], "feature")
                 threshold = float(node["threshold"])
                 reduction = float(node["reduction"])
-                children = (int(node["left"]), int(node["right"]))
+                children = tuple(_integer(node[side], side)
+                                 for side in ("left", "right"))
             else:
                 raise ValueError(f"kind {kind!r} is neither 'leaf' nor "
                                  "'decision'")

@@ -142,8 +142,8 @@ class SyntheticDesign:
 
     def __post_init__(self) -> None:
         ids = [n.id for n in self.nets]
-        if len(set(ids)) != len(ids):
-            raise ValueError("net ids must be unique")
+        if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
+            raise ValueError("net ids must be unique strings")
         known = set(ids)
         for u in self.nonlinear_units:
             if not u.inputs:
@@ -505,7 +505,7 @@ def design_text(design: SyntheticDesign) -> str:
 def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
     doc = _json_doc(text, "powertree-design-v1", source)
     nets = _field(doc, "nets", lambda v: tuple(
-        Net(i, float(c), int(g)) for i, c, g in v), source)
+        Net(i, float(c), _integer(g, "net group")) for i, c, g in v), source)
     units = _field(doc, "nonlinear_units", lambda v: tuple(
         NonlinearUnit(tuple(ins), float(c)) for ins, c in v), source)
     scalars = [_field(doc, k, float, source)

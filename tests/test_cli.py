@@ -732,3 +732,15 @@ class TestEnsembleCommand:
     def test_missing_block_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["ensemble", "--config", str(cfg)]) == 2
+
+    def test_non_integer_component_field_is_input_error(self, tmp_path,
+                                                        capsys):
+        # component trees are config paths without a sidecar: only the
+        # loader stands between a malformed field and the predictions
+        cfg = ensemble_config(tmp_path)
+        path = tmp_path / "model_a.json"
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["feature"] = 0.9
+        path.write_text(json.dumps(doc))
+        assert main(["ensemble", "--config", str(cfg)]) == 2
+        assert "feature must be an integer, not 0.9" in capsys.readouterr().err

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +201,44 @@ class TestFitTree:
         with pytest.raises(ValueError):
             pt.fit_tree(ds, pt.HyperParams())
 
+    def test_counts_too_large_to_rank_rejected(self):
+        X = np.array([[2**62, 0, 1], [0, 2**62, 1]])
+        ds = make_dataset(X, [1.0, 2.0], period=2**62)
+        with pytest.raises(ValueError, match="too large to rank"):
+            pt.fit_tree(ds, pt.HyperParams(2, 2, 1, 0.0))
+
+    def test_fit_leaves_no_reference_cycle(self):
+        # a cycle would keep each fit's arrays alive until the cyclic
+        # collector happens to run
+        rng = np.random.default_rng(3)
+        ds = make_dataset(rng.integers(0, 300, (400, 20)),
+                          rng.uniform(1.0, 9.0, 400))
+        gc.collect()
+        gc.disable()
+        try:
+            pt.fit_tree(ds, pt.HyperParams(8, 2, 1, 0.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("high", [5 * 10**5, 2**40])
+    def test_large_counts_fit_in_little_memory(self, high):
+        # histograms over every count up to the period would take hundreds
+        # of megabytes at 5e5, over each column's ranks one
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, high, (400, 20))
+        y = rng.uniform(1.0, 9.0, 400)
+        ds = make_dataset(X, y, period=2 * high)
+        tracemalloc.start()
+        try:
+            tree = pt.fit_tree(ds, pt.HyperParams(8, 2, 1, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (tree.feature[0], tree.threshold[0], tree.reduction[0]) \
+            == brute_force_best_split(X, y)
+
     @pytest.mark.parametrize("hp", [
         pt.HyperParams(3, 5, 2, 0.01),
         pt.HyperParams(8, 2, 1, 0.0),
@@ -274,8 +314,9 @@ class TestFitTree:
 @st.composite
 def tie_heavy_growths(draw):
     """Small integer datasets full of value ties, with duplicated and
-    constant columns (or none at all), targets that may be constant or sit
-    on a large offset, and growth limits around min_leaf_sample in
+    constant columns (or none at all), counts that may be spread sparsely
+    so that their ranks differ from them, targets that may be constant or
+    sit on a large offset, and growth limits around min_leaf_sample in
     {1, 3, 5}."""
     m = draw(st.integers(1, 40))
     n_feat = draw(st.integers(0, 5))
@@ -285,6 +326,12 @@ def tie_heavy_growths(draw):
         X[:, draw(st.integers(1, n_feat - 1))] = X[:, 0]
     if n_feat and draw(st.booleans()):
         X[:, draw(st.integers(0, n_feat - 1))] = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        # a strictly increasing map per column: thresholds then fall
+        # between counts that are not adjacent integers
+        X = (X * draw(arrays(np.int64, n_feat,
+                             elements=st.sampled_from([1, 3, 1000])))
+             + draw(arrays(np.int64, n_feat, elements=st.integers(0, 10))))
     levels = draw(arrays(np.int64, m, elements=st.integers(0, 3)))
     y = (draw(st.sampled_from([0.0, 1.0, 1e6]))
          + draw(st.sampled_from([0.0, 1e-3, 1.0])) * levels)
@@ -294,14 +341,13 @@ def tie_heavy_growths(draw):
     hp = pt.HyperParams(draw(st.integers(1, 6)), draw(st.integers(2, 6)),
                         draw(st.sampled_from([1, 3, 5])),
                         draw(st.sampled_from([0.0, 0.01])))
-    return make_dataset(X, y), hp
+    return make_dataset(X, y, period=5000), hp
 
 
 class TestGrowthMatchesBruteForce:
-    """fit_tree (one stable sort at the root, stable partitions, exact
-    scores only for near-top candidates) against oracle_grow (every
-    candidate of every node scored exactly): all nine node arrays must be
-    bitwise equal."""
+    """fit_tree (per-column count ranks, binned sums, exact scores only for
+    near-top candidates) against oracle_grow (every candidate of every
+    node scored exactly): all nine node arrays must be bitwise equal."""
 
     @given(tie_heavy_growths())
     # the prefix-sum score ranks the cut at 0.5 above the one at 1.5
@@ -322,30 +368,10 @@ class TestGrowthMatchesBruteForce:
         assert_growths_identical(pt.fit_tree(ds, hp), oracle_grow(ds, hp))
 
 
-class TestPresortedGrowth:
-    def test_every_node_sees_its_rows_stably_sorted(self, monkeypatch):
-        split_all = model._best_split_all
-        nodes = 0
-
-        def checking(X, y, min_leaf, rows, order, var):
-            nonlocal nodes
-            nodes += 1
-            assert (np.diff(rows) > 0).all()
-            expect = rows[np.argsort(X[rows], axis=0, kind="stable")].T
-            assert np.array_equal(order, expect)
-            assert var == np.var(y[rows])
-            return split_all(X, y, min_leaf, rows, order, var)
-
-        monkeypatch.setattr(model, "_best_split_all", checking)
-        d = pt.generate_design(pt.hybrid_design_spec(seed=3))
-        pt.fit_tree(pt.simulate_dataset(d, 400, 300, seed=4),
-                    pt.HyperParams(8, 2, 1, 0.0))
-        assert nodes > 20
-
-
 def fast_score(y, order, k):
     """The prefix-sum score of the cut after the first k of order, with
-    the operations of _best_split_all."""
+    the operations of _best_split_all on columns whose every count bin
+    holds one row."""
     ys = y[order]
     cy, cyy = np.cumsum(ys), np.cumsum(ys * ys)
     m = len(y)
@@ -375,8 +401,7 @@ class TestSplitTies:
             return exact(y, left, parent_sse)
 
         monkeypatch.setattr(model, "_exact_decrease", recording)
-        rows = np.arange(8)
-        order = np.argsort(self.X, axis=0, kind="stable").T
+        keys, values = model._ranks(self.X)
         fast_prefers_1 = 0
         for seed in range(200):
             y = self.targets(seed)
@@ -384,7 +409,7 @@ class TestSplitTies:
                     for j in range(2)]
             fast_prefers_1 += fast[1] > fast[0]
             rescored.clear()
-            got = model._best_split_all(self.X, y, 1, rows, order,
+            got = model._best_split_all(keys, values, y, 1,
                                         float(np.var(y)))
             assert got == brute_force_best_split(self.X, y, 1)
             assert got[:2] == (0, 3.5)
@@ -758,6 +783,18 @@ class TestSerialization:
          "tree node 2: leaf value nan is not finite"),
         (lambda doc: doc["nodes"][6].update(value=float("-inf")),
          "tree node 6: leaf value -inf is not finite"),
+        (lambda doc: doc["nodes"][0].update(feature=0.9),
+         "tree node 0: feature must be an integer, not 0.9"),
+        (lambda doc: doc["nodes"][1].update(feature=True),
+         "tree node 1: feature must be an integer, not True"),
+        (lambda doc: doc["nodes"][5].update(n_samples=4.5),
+         "tree node 5: n_samples must be an integer, not 4.5"),
+        (lambda doc: doc.update(n_features=2.7),
+         "tree document: n_features must be an integer, not 2.7"),
+        (lambda doc: doc.update(depth=True),
+         "tree document: depth must be an integer, not True"),
+        (lambda doc: doc["nodes"][0].update(left=1.0),
+         "tree node 0: left must be an integer, not 1.0"),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         X = np.arange(1, 9)[:, None]

@@ -296,6 +296,17 @@ class TestDatasetIO:
         d = small_design()
         assert pt.parse_design(pt.design_text(d)) == d
 
+    @pytest.mark.parametrize("net, message", [
+        (["net_x", 1e-15, 1.7], "net group must be an integer, not 1.7"),
+        (["net_x", 1e-15, True], "net group must be an integer, not True"),
+        ([5, 1e-15, 0], "net ids must be unique strings"),
+    ])
+    def test_malformed_net_rejected(self, net, message):
+        doc = json.loads(pt.design_text(small_design()))
+        doc["nets"].append(net)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pt.parse_design(json.dumps(doc))
+
 
 # ---------------------------------------------------------------------------
 # The dataset codec against the per-cell writer and reader it replaced.
