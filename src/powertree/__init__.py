@@ -10,9 +10,9 @@ from .workload import (DEFAULT_NONLINEAR_STRENGTH, Dataset, DesignSpec, Net,
                        save_dataset, simulate_dataset, synthesize_trace)
 from .model import (DecisionTree, EnsembleModel, HyperParams, LinearModel,
                     feature_importances, fit_linear, fit_tree, linear_text,
-                    load_tree, mae_percent, parse_linear, parse_tree,
-                    predict_ensemble, predict_linear, predict_linear_batch,
-                    predict_tree, predict_tree_batch, rule_text, save_tree,
+                    mae_percent, parse_linear, parse_tree, predict_ensemble,
+                    predict_linear, predict_linear_batch, predict_tree,
+                    predict_tree_batch, rule_text, save_tree,
                     scale_prediction, tree_text)
 from .selection import RfeResult, RfeStep, rfe, rfe_history_text
 from .tuning import (CvResult, CvRow, Grid, LearningPoint, cv_table_text,
@@ -22,7 +22,7 @@ from .hwsim import (CounterState, MalformedImageError, MemNode, MonitorConfig,
                     TreeMemoryImage, counter_step, dequantize_mw,
                     engine_invoke, fsm_trace_text, image_bytes, load_image,
                     node_decode, node_encode, parse_image, period_features,
-                    quantize, run_monitor, save_image, validate_image)
+                    quantize, run_monitor, save_image)
 from .pdn import (PdnModel, PhaseLut, build_lut, efficiency, input_power,
                   lut_text, optimal_phases, shed, shed_rows, shed_table_text)
 

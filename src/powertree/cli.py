@@ -372,15 +372,14 @@ def cmd_monitor(ctx: Context) -> int:
     period = ctx.cfg["period_cycles"]
     trace = workload.synthesize_trace(design, ctx.cfg["monitor_periods"],
                                       period, ctx.cfg["seed"] + 3)
-    feats = hwsim.period_features(trace.select_signals(retained),
-                                  hwsim.MonitorConfig(len(retained), period))
+    rows = hwsim.run_monitor(trace.select_signals(retained), image,
+                             hwsim.MonitorConfig(len(retained), period))
     lines = ["period,cycles,estimate_mw," + ",".join(retained)]
-    for p, f in enumerate(feats):
-        value, cycles, _ = hwsim.engine_invoke(image, f)
+    for p, value, cycles, f in rows:
         mw = hwsim.dequantize_mw(image, value)
         lines.append(f"{p},{cycles},{mw!r}," + ",".join(str(v) for v in f))
     ctx.write_artifact("monitor.csv", "\n".join(lines) + "\n", inputs)
-    print(f"monitor: {len(feats)} periods of {period} cycles, "
+    print(f"monitor: {len(rows)} periods of {period} cycles, "
           f"{len(retained)} counters")
     return 0
 

@@ -55,7 +55,6 @@ __all__ = [
     "engine_invoke",
     "period_features",
     "run_monitor",
-    "validate_image",
     "image_bytes",
     "parse_image",
     "save_image",
@@ -155,9 +154,15 @@ def node_decode(word: int) -> MemNode:
     )
 
 
+class MalformedImageError(ValueError):
+    """Image violates the tree-memory invariants."""
+
+
 @dataclass(frozen=True)
 class TreeMemoryImage:
-    """Tree structure memory: word 0 is the root."""
+    """Tree structure memory: word 0 is the root.  Building one proves, on
+    a read-only copy of words, that they form a tree whose deepest leaf is
+    at max_depth, so every engine walk ends within max_depth decisions."""
 
     words: np.ndarray  # uint64, breadth-first
     n_nodes: int
@@ -171,15 +176,28 @@ class TreeMemoryImage:
             raise ValueError(f"words must be uint64, not {self.words.dtype}")
         if self.leaf_unit <= 0:
             raise ValueError("leaf_unit must be positive")
-
-    def node(self, address: int) -> MemNode:
-        if not (0 <= address < self.n_nodes):
-            raise MalformedImageError(f"node address {address} out of range")
-        return node_decode(int(self.words[address]))
-
-
-class MalformedImageError(ValueError):
-    """Image violates the tree-memory invariants."""
+        object.__setattr__(self, "words", self.words.copy())
+        self.words.flags.writeable = False
+        words = self.words.tolist()
+        reached = [True] + [False] * (self.n_nodes - 1)
+        level, depth = [0], -1
+        while level:  # breadth-first, one level per pass
+            depth += 1
+            level = [c for a in level if not words[a] >> LEAF_FLAG_BIT
+                     for c in ((words[a] >> _LEFT_SHIFT) & _CHILD_MASK,
+                               words[a] & _CHILD_MASK)]
+            for c in level:
+                if c >= self.n_nodes:
+                    raise MalformedImageError(f"dangling child address {c}")
+                if reached[c]:
+                    raise MalformedImageError(f"node {c} reachable twice")
+                reached[c] = True
+        if not all(reached):
+            raise MalformedImageError(
+                f"unreachable node {reached.index(False)}")
+        if depth != self.max_depth:
+            raise MalformedImageError(f"deepest leaf at depth {depth}, but "
+                                      f"max_depth is {self.max_depth}")
 
 
 def quantize(tree: DecisionTree) -> TreeMemoryImage:
@@ -246,12 +264,12 @@ def engine_invoke(image: TreeMemoryImage,
 
     Returns (leaf value in LSBs, cycles consumed, FSM state trace).  The
     trace always matches I (N S)* R and a leaf at depth d costs 2*d + 1
-    cycles.
+    cycles, at most 2*max_depth + 1.
     """
     buf = tuple(int(v) for v in features)
     if any(v < 0 for v in buf):
         raise ValueError("features must be unsigned")
-    words, n_nodes = image.words, image.n_nodes
+    words = image.words
     trace = ["I"]
     addr = decisions = 0
     while True:
@@ -268,11 +286,7 @@ def engine_invoke(image: TreeMemoryImage,
             addr = (word >> _LEFT_SHIFT) & _CHILD_MASK
         else:
             addr = word & _CHILD_MASK
-        if addr >= n_nodes:
-            raise MalformedImageError(f"dangling child address {addr}")
         decisions += 1
-        if decisions > n_nodes:
-            raise MalformedImageError("cycle detected in structure memory")
 
 
 def period_features(trace: ToggleTrace,
@@ -303,30 +317,12 @@ def period_features(trace: ToggleTrace,
 
 
 def run_monitor(trace: ToggleTrace, image: TreeMemoryImage,
-                cfg: MonitorConfig) -> list[tuple[int, int, int]]:
+                cfg: MonitorConfig) -> list[tuple[int, int, int, tuple]]:
     """Per estimation period: count edges, buffer features, invoke the
-    engine, reset the counters.  Returns (period, estimate LSBs, cycles)."""
-    results = []
-    for p, features in enumerate(period_features(trace, cfg)):
-        value, cycles, _ = engine_invoke(image, features)
-        results.append((p, value, cycles))
-    return results
-
-
-def validate_image(image: TreeMemoryImage) -> None:
-    """Check the structure is a tree: in-range children, no node reached
-    twice."""
-    seen = set()
-    queue = [0]
-    while queue:
-        addr = queue.pop()
-        if addr in seen:
-            raise MalformedImageError(f"node {addr} reachable twice")
-        seen.add(addr)
-        node = image.node(addr)
-        if not node.is_leaf:
-            queue.append(node.left)
-            queue.append(node.right)
+    engine, reset the counters.  Returns (period, estimate LSBs, cycles,
+    features)."""
+    return [(p, *engine_invoke(image, f)[:2], f)
+            for p, f in enumerate(period_features(trace, cfg))]
 
 
 def image_bytes(image: TreeMemoryImage) -> bytes:
@@ -341,12 +337,16 @@ def parse_image(raw: bytes, source="image") -> TreeMemoryImage:
     magic, n_nodes, max_depth, unit_uw = _HEADER.unpack_from(raw)
     if magic != IMAGE_MAGIC:
         raise ValueError(f"{source}: not a tree memory image")
-    words = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size).copy()
-    if words.shape[0] != n_nodes:
-        raise ValueError(f"{source}: body holds {words.shape[0]} words, "
-                         f"header says {n_nodes}")
-    return TreeMemoryImage(words.astype(np.uint64), n_nodes, max_depth,
-                           unit_uw / 1000.0)
+    body = len(raw) - _HEADER.size
+    if body != 8 * n_nodes:
+        raise ValueError(f"{source}: body holds {body} bytes, header says "
+                         f"{n_nodes} words")
+    words = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
+    try:
+        return TreeMemoryImage(words.astype(np.uint64), n_nodes, max_depth,
+                               unit_uw / 1000.0)
+    except ValueError as e:
+        raise type(e)(f"{source}: {e}") from None
 
 
 def save_image(image: TreeMemoryImage, path: str | Path) -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "tree_text",
     "parse_tree",
     "save_tree",
-    "load_tree",
     "linear_text",
     "parse_linear",
     "rule_text",
@@ -77,7 +76,7 @@ class DecisionTree:
     on every node.  A decision node sends x[feature] <= threshold to its
     left child and records the impurity decrease its split achieved; a leaf
     has left == right == -1, feature 0, threshold 0.0 and reduction 0.0.
-    A tree read by load_tree has value NaN on its decision nodes, which
+    A tree read by parse_tree has value NaN on its decision nodes, which
     powertree-tree-v1 does not store.
     """
 
@@ -519,10 +518,6 @@ def parse_tree(text: str | bytes, source="tree") -> DecisionTree:
 
 def save_tree(tree: DecisionTree, path: str | Path) -> None:
     Path(path).write_text(tree_text(tree))
-
-
-def load_tree(path: str | Path) -> DecisionTree:
-    return parse_tree(Path(path).read_text(), path)
 
 
 def linear_text(model: LinearModel) -> str:

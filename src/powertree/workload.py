@@ -148,6 +148,8 @@ class SyntheticDesign:
         for u in self.nonlinear_units:
             if not u.inputs:
                 raise ValueError("nonlinear unit with no inputs")
+            if not all(isinstance(s, str) for s in u.inputs):
+                raise ValueError("unit inputs must be net id strings")
             missing = set(u.inputs) - known
             if missing:
                 raise ValueError(f"unit references unknown nets: {sorted(missing)}")

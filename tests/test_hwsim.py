@@ -1,5 +1,6 @@
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ class EngineState:
 
 def oracle_engine_invoke(image, features):
     """The engine as it was before its walk decoded words inline: a MemNode
-    and an EngineState per step.  Same contract as pt.engine_invoke."""
+    and an EngineState per step, checking every child address and the step
+    count itself.  Same contract as pt.engine_invoke on a built image; it
+    also walks words no image can be built from."""
     buf = tuple(int(v) for v in features)
     if any(v < 0 for v in buf):
         raise ValueError("features must be unsigned")
@@ -31,7 +34,7 @@ def oracle_engine_invoke(image, features):
     trace = ["I"]
     steps = 0
     while True:
-        node = image.node(state.current_node)
+        node = pt.node_decode(int(image.words[state.current_node]))
         if node.is_leaf:
             trace.append("R")
             state = EngineState("R", state.current_node,
@@ -80,14 +83,36 @@ def oracle_walk(image, features):
         depth += 1
 
 
+def oracle_tree_depth(words):
+    """Independent breadth-first walk from word 0: the depth of the deepest
+    leaf, or None if a child address dangles, or a word is reached twice or
+    never."""
+    words = [int(w) for w in words]
+    seen, level, depth = {0}, [0], 0
+    while True:
+        children = []
+        for addr in level:
+            node = pt.node_decode(words[addr])
+            if not node.is_leaf:
+                children += [node.left, node.right]
+        if not children:
+            return depth if len(seen) == len(words) else None
+        for child in children:
+            if child >= len(words) or child in seen:
+                return None
+            seen.add(child)
+        level, depth = children, depth + 1
+
+
 def random_image(rng, depth, n_features=6):
-    """Random tree image of exactly this max depth, built word by word."""
+    """Random tree image of exactly this max depth, built word by word; the
+    leftmost path (word index == level) always goes to the bottom."""
     words = []
 
     def build(level):
         idx = len(words)
         words.append(None)
-        force_deep = level < depth and (idx == 0 or rng.random() < 0.6)
+        force_deep = level < depth and (idx == level or rng.random() < 0.6)
         if not force_deep:
             words[idx] = pt.node_encode(MemNode(
                 True, value=int(rng.integers(0, 1 << VALUE_BITS))))
@@ -209,7 +234,6 @@ class TestQuantize:
     def test_image_matches_software_tree_on_random_vectors(self):
         rng = np.random.default_rng(1)
         image, tree = fitted_image(seed=1, depth=6)
-        pt.validate_image(image)
         for _ in range(1000):
             x = rng.integers(0, 300, 6)
             value, _ = oracle_walk(image, x)
@@ -237,7 +261,7 @@ class TestEngine:
     def test_cycles_follow_leaf_depth(self, depth):
         rng = np.random.default_rng(depth)
         image = random_image(rng, depth)
-        pt.validate_image(image)
+        assert oracle_tree_depth(image.words) == image.max_depth
         for _ in range(200):
             x = rng.integers(0, 1 << THRESHOLD_BITS, 6)
             value, cycles, trace = pt.engine_invoke(image, x)
@@ -259,9 +283,9 @@ class TestEngine:
         words = np.array([pt.node_encode(MemNode(False, feature=0,
                                                  threshold=5, left=1,
                                                  right=9))], dtype=np.uint64)
-        image = pt.TreeMemoryImage(words, 1, 1)
-        with pytest.raises(MalformedImageError):
-            pt.engine_invoke(image, [100])
+        with pytest.raises(MalformedImageError,
+                           match="dangling child address 1"):
+            pt.TreeMemoryImage(words, 1, 1)
 
     def test_missing_feature_rejected(self):
         image, _ = fitted_image(seed=3, depth=3)
@@ -275,11 +299,41 @@ class TestEngine:
             pt.node_encode(MemNode(False, feature=0, threshold=5,
                                    left=0, right=0)),
         ], dtype=np.uint64)
-        image = pt.TreeMemoryImage(words, 2, 1)
-        with pytest.raises(MalformedImageError):
-            pt.engine_invoke(image, [0])
-        with pytest.raises(MalformedImageError):
-            pt.validate_image(image)
+        with pytest.raises(MalformedImageError,
+                           match="node 1 reachable twice"):
+            pt.TreeMemoryImage(words, 2, 1)
+
+    def test_words_are_read_only(self):
+        image, _ = fitted_image(seed=3, depth=3)
+        with pytest.raises(ValueError, match="read-only"):
+            image.words[0] = 0
+        # the image holds its own copy: the caller's array stays writable
+        # and editing it leaves the proven image as it was
+        words = np.array([pt.node_encode(MemNode(True, value=7))],
+                         dtype=np.uint64)
+        leaf = pt.TreeMemoryImage(words, 1, 0)
+        words[0] = pt.node_encode(MemNode(True, value=8))
+        assert pt.engine_invoke(leaf, [0])[0] == 7
+
+    @pytest.mark.parametrize("max_depth", [0, 2, 8])
+    def test_recorded_depth_must_be_reached(self, max_depth):
+        # a depth-1 tree recorded as any other depth
+        words = np.array([pt.node_encode(w) for w in (
+            MemNode(False, feature=0, threshold=5, left=1, right=2),
+            MemNode(True, value=1), MemNode(True, value=2))], dtype=np.uint64)
+        with pytest.raises(MalformedImageError,
+                           match=f"deepest leaf at depth 1, but max_depth "
+                                 f"is {max_depth}"):
+            pt.TreeMemoryImage(words, 3, max_depth)
+
+    def test_unreachable_word_rejected(self):
+        words = np.array([pt.node_encode(w) for w in (
+            MemNode(False, feature=0, threshold=5, left=1, right=2),
+            MemNode(True, value=1), MemNode(True, value=2),
+            MemNode(False, feature=0, threshold=5, left=9, right=9))],
+            dtype=np.uint64)
+        with pytest.raises(MalformedImageError, match="unreachable node 3"):
+            pt.TreeMemoryImage(words, 4, 1)
 
 
 def engine_outcome(engine, image, x):
@@ -337,6 +391,8 @@ class TestEngineMatchesOracle:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
     def test_malformed_images_fail_alike(self, seed, depth):
+        """Building raises exactly when the independent walk finds no tree
+        of the recorded depth; otherwise the engine equals the oracle."""
         rng = np.random.default_rng(seed)
         image = random_image(rng, depth)
         words = image.words.copy()
@@ -344,6 +400,10 @@ class TestEngineMatchesOracle:
                      if not int(w) >> LEAF_FLAG_BIT]
         for i in rng.choice(decisions, int(rng.integers(1, 3))):
             words[i] = corrupt_word(rng, int(words[i]), 6)
+        if oracle_tree_depth(words) != image.max_depth:
+            with pytest.raises(MalformedImageError):
+                pt.TreeMemoryImage(words, image.n_nodes, image.max_depth)
+            return
         bad = pt.TreeMemoryImage(words, image.n_nodes, image.max_depth)
         rows = self.probes(rng, bad, 6)
         rows.append(rows[0][:2])
@@ -371,9 +431,19 @@ class TestEngineMatchesOracle:
         ([MemNode(True, value=1)], [0, -1], ValueError),
     ])
     def test_each_error_as_before(self, words, x, error):
-        image = pt.TreeMemoryImage(
-            np.array([pt.node_encode(w) for w in words], dtype=np.uint64),
-            len(words), 1)
+        words = np.array([pt.node_encode(w) for w in words], dtype=np.uint64)
+        depth = oracle_tree_depth(words)
+        if error is MalformedImageError:
+            # the oracle fails on these mid-walk; no image of them is built
+            unchecked = SimpleNamespace(words=words, n_nodes=len(words))
+            assert engine_outcome(oracle_engine_invoke, unchecked, x)[0] \
+                is error
+            assert depth is None
+            with pytest.raises(MalformedImageError,
+                               match="dangling|reachable twice"):
+                pt.TreeMemoryImage(words, len(words), 1)
+            return
+        image = pt.TreeMemoryImage(words, len(words), depth)
         got = engine_outcome(pt.engine_invoke, image, x)
         assert got == engine_outcome(oracle_engine_invoke, image, x)
         assert got[0] is error
@@ -427,12 +497,13 @@ class TestMonitor:
         cfg = pt.MonitorConfig(n_counters=2, estimation_period=40)
         image = self._image_two_counters()
         rows = pt.run_monitor(trace, image, cfg)
-        for p, value, cycles in rows:
+        for p, value, cycles, features in rows:
             states = [pt.CounterState(cfg.counter_width) for _ in range(2)]
             for t in range(p * 40, (p + 1) * 40):
                 states = [pt.counter_step(s, int(levels[i, t]))
                           for i, s in enumerate(states)]
             feats = [s.value for s in states]
+            assert list(features) == feats
             expect_value, expect_cycles, _ = pt.engine_invoke(image, feats)
             assert (value, cycles) == (expect_value, expect_cycles)
 
@@ -445,9 +516,9 @@ class TestMonitor:
         image = pt.quantize(tree)
         trace = pt.synthesize_trace(design, 5, 100, seed=7)
         cfg = pt.MonitorConfig(n_counters=20, estimation_period=100)
-        feats = pt.period_features(trace, cfg)
         rows = pt.run_monitor(trace, image, cfg)
-        for (p, value, cycles), f in zip(rows, feats):
+        assert [row[3] for row in rows] == pt.period_features(trace, cfg)
+        for p, value, cycles, f in rows:
             soft = pt.predict_tree(tree, np.array(f))
             assert value == int(np.floor(soft * 1000.0 + 0.5))
             # per-period counters equal windowed trace activity
@@ -579,11 +650,55 @@ class TestImageFile:
                                              0), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("cut", [1, 3, 8])
+    def test_short_body_names_source(self, cut):
+        raw = pt.image_bytes(fitted_image(seed=4, depth=3)[0])
+        with pytest.raises(ValueError, match="image.bin: body holds"):
+            pt.parse_image(raw[:-cut], "image.bin")
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.img"
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(ValueError):
             pt.load_image(path)
+
+
+class TestImageFuzz:
+    """Bit flips, truncation and header edits of a quantized image.  Each
+    mutant fails to parse with a ValueError, or every engine walk of it
+    ends within 2*max_depth + 1 cycles or raises ValueError."""
+
+    RAW = pt.image_bytes(fitted_image(seed=4, depth=5)[0])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutant_parses_or_fails_cleanly(self, data):
+        raw = bytearray(self.RAW)
+        kind = data.draw(st.sampled_from(["flip", "truncate", "header"]))
+        if kind == "flip":
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                          min_size=1, max_size=4)):
+                raw[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "truncate":
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        else:  # n_nodes, max_depth or leaf unit: nudged or redrawn
+            at = data.draw(st.sampled_from([4, 8, 12]))
+            old = int.from_bytes(raw[at:at + 4], "little")
+            new = data.draw(st.one_of(
+                st.integers(-3, 3).map(lambda d: (old + d) % 2**32),
+                st.integers(0, 2**32 - 1)))
+            raw[at:at + 4] = new.to_bytes(4, "little")
+        try:
+            image = pt.parse_image(bytes(raw))
+        except ValueError:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for x in rng.integers(0, 301, (20, 6)):
+            try:
+                _, cycles, _ = pt.engine_invoke(image, x)
+            except ValueError:
+                continue
+            assert cycles <= 2 * image.max_depth + 1
 
 
 class TestTraceText:

@@ -707,7 +707,7 @@ class TestSerialization:
         tree = pt.fit_tree(ds, pt.HyperParams(6, 5, 2, 0.001))
         path = tmp_path / "tree.json"
         pt.save_tree(tree, path)
-        back = pt.load_tree(path)
+        back = pt.parse_tree(path.read_text(), path)
         assert back.depth == tree.depth
         assert back.n_features == tree.n_features
         assert back.model_freq == tree.model_freq
@@ -739,7 +739,7 @@ class TestSerialization:
         doc["nodes"] = nodes
         permuted = tmp_path / "permuted.json"
         permuted.write_text(json.dumps(doc))
-        back = pt.load_tree(permuted)
+        back = pt.parse_tree(permuted.read_text(), permuted)
         assert_loaded_arrays_equal(back, tree)
         pt.save_tree(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -749,10 +749,10 @@ class TestSerialization:
         ds = make_dataset(rng.integers(0, 300, (100, 3)),
                           rng.uniform(0.5, 8.0, 100))
         tree = pt.fit_tree(ds, pt.HyperParams(4, 5, 2, 0.001))
-        pt.save_tree(tree, tmp_path / "a.json")
-        pt.save_tree(pt.load_tree(tmp_path / "a.json"), tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() \
-            == (tmp_path / "b.json").read_bytes()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        pt.save_tree(tree, a)
+        pt.save_tree(pt.parse_tree(a.read_text(), a), b)
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: doc["nodes"][0].update(left=999),
@@ -809,7 +809,7 @@ class TestSerialization:
         mutate(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(message)):
-            pt.load_tree(path)
+            pt.parse_tree(path.read_text(), path)
 
     def test_linear_round_trip(self):
         rng = np.random.default_rng(13)

@@ -307,6 +307,14 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             pt.parse_design(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [[1], 1, None])
+    def test_non_string_unit_input_rejected(self, bad):
+        doc = json.loads(pt.design_text(small_design()))
+        doc["nonlinear_units"][0][0].append(bad)
+        with pytest.raises(ValueError,
+                           match="unit inputs must be net id strings"):
+            pt.parse_design(json.dumps(doc))
+
 
 # ---------------------------------------------------------------------------
 # The dataset codec against the per-cell writer and reader it replaced.
