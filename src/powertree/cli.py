@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import _field, _integer, _is_integer, _json_doc, _json_text
+from .workload import (_field, _integer, _is_integer, _json_doc, _json_text,
+                       _table_text)
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -374,11 +375,10 @@ def cmd_monitor(ctx: Context) -> int:
                                       period, ctx.cfg["seed"] + 3)
     rows = hwsim.run_monitor(trace.select_signals(retained), image,
                              hwsim.MonitorConfig(len(retained), period))
-    lines = ["period,cycles,estimate_mw," + ",".join(retained)]
-    for p, value, cycles, f in rows:
-        mw = hwsim.dequantize_mw(image, value)
-        lines.append(f"{p},{cycles},{mw!r}," + ",".join(str(v) for v in f))
-    ctx.write_artifact("monitor.csv", "\n".join(lines) + "\n", inputs)
+    ctx.write_artifact("monitor.csv", _table_text(
+        ["period", "cycles", "estimate_mw", *retained],
+        ((p, cycles, hwsim.dequantize_mw(image, value), *f)
+         for p, value, cycles, f in rows)), inputs)
     print(f"monitor: {len(rows)} periods of {period} cycles, "
           f"{len(retained)} counters")
     return 0
@@ -392,10 +392,9 @@ def cmd_ensemble(ctx: Context) -> int:
     composite = workload.parse_dataset(data, meta, name)
     preds = model.predict_ensemble(em, composite)
     mae = model.mae_percent(preds, composite.powers)
-    lines = ["sample,prediction_w,truth_w"]
-    for i, (p, t) in enumerate(zip(preds, composite.powers)):
-        lines.append(f"{i},{float(p)!r},{float(t)!r}")
-    ctx.write_artifact("ensemble_predictions.csv", "\n".join(lines) + "\n", [])
+    ctx.write_artifact("ensemble_predictions.csv", _table_text(
+        ["sample", "prediction_w", "truth_w"],
+        zip(range(len(preds)), preds, composite.powers)), [])
     ctx.write_artifact("ensemble.json", _json_text(
         {"mae_percent": mae, "n_components": len(trees)}), [])
     print(f"ensemble: {len(trees)} components, MAE {mae:.2f}%")
@@ -445,10 +444,10 @@ def cmd_report(ctx: Context) -> int:
         model.predict_tree_batch(tree, test_ds.features), test_ds.powers)
     lin_mae = model.mae_percent(
         model.predict_linear_batch(linear, test_ds.features), test_ds.powers)
-    report = ["dataset,n_train,n_test,tree_mae_percent,linear_mae_percent",
-              f"dataset,{len(train_ds)},{len(test_ds)},{tree_mae!r},"
-              f"{lin_mae!r}"]
-    ctx.write_artifact("report.csv", "\n".join(report) + "\n", inputs)
+    ctx.write_artifact("report.csv", _table_text(
+        ["dataset", "n_train", "n_test", "tree_mae_percent",
+         "linear_mae_percent"],
+        [("dataset", len(train_ds), len(test_ds), tree_mae, lin_mae)]), inputs)
     train_ds = train_ds.select_features(retained)
     k = ctx.cfg["cv_folds"]
     pool = len(train_ds) - (len(train_ds) + k - 1) // k

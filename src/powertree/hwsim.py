@@ -158,7 +158,7 @@ class MalformedImageError(ValueError):
     """Image violates the tree-memory invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeMemoryImage:
     """Tree structure memory: word 0 is the root.  Building one proves, on
     a read-only copy of words, that they form a tree whose deepest leaf is
@@ -221,11 +221,11 @@ def quantize(tree: DecisionTree) -> TreeMemoryImage:
         if left[i] < 0:
             if value[i] < 0:
                 raise ValueError("leaf values must be >= 0")
-            mw = int(np.floor(value[i] * 1000.0 + 0.5))
+            mw = np.floor(value[i] * 1000.0 + 0.5)
             if mw >= (1 << VALUE_BITS):
                 raise ValueError(f"leaf value {value[i]} W exceeds the "
                                  "16-bit milliwatt range")
-            words[k] = node_encode(MemNode(True, value=mw))
+            words[k] = node_encode(MemNode(True, value=int(mw)))
         else:
             if threshold[i] < 0:
                 raise ValueError("thresholds must be >= 0")

@@ -421,10 +421,10 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     A malformed document raises ValueError naming the node or field at
     fault: a missing, unconvertible or non-integer field, feature_ids of a
     length other than n_features, an unknown kind, a negative n_samples, a
-    leaf value that is not finite, a child index outside the node list, a
-    node reached twice (which also rules out cycles) or never reached, a
-    feature index outside [0, n_features), or a recorded depth the nodes do
-    not reach.
+    leaf value or threshold that is not finite, a child index outside the
+    node list, a node reached twice (which also rules out cycles) or never
+    reached, a feature index outside [0, n_features), or a recorded depth
+    the nodes do not reach.
     """
     if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
         raise ValueError("not a decision-tree document")
@@ -436,7 +436,7 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         feature_ids = tuple(doc["feature_ids"])
     except KeyError as e:
         raise ValueError(f"tree document lacks {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"tree document: {e}") from None
     if len(feature_ids) != n_features:
         raise ValueError(f"tree document: {len(feature_ids)} feature_ids "
@@ -471,12 +471,15 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
                                  "'decision'")
         except KeyError as e:
             raise ValueError(f"tree node {i} lacks {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"tree node {i}: {e}") from None
         if n_samples < 0:
             raise ValueError(f"tree node {i}: n_samples {n_samples} is negative")
         if not (children or np.isfinite(value)):
             raise ValueError(f"tree node {i}: leaf value {value} is not finite")
+        if not np.isfinite(threshold):
+            raise ValueError(f"tree node {i}: threshold {threshold} is not "
+                             "finite")
         if children and not 0 <= feature < n_features:
             raise ValueError(f"tree node {i}: feature {feature} "
                              f"outside [0, {n_features})")

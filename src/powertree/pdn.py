@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .workload import _integer, _json_text
+from .workload import _integer, _json_text, _table_text
 
 __all__ = [
     "PdnModel",
@@ -181,10 +181,8 @@ def shed_rows(model: PdnModel, lut: PhaseLut,
 
 
 def shed_table_text(rows) -> str:
-    lines = ["period,power_w,phases,cumulative_eff_impv"]
-    for i, p, n, eff in rows:
-        lines.append(f"{i},{p!r},{n},{eff!r}")
-    return "\n".join(lines) + "\n"
+    return _table_text(["period", "power_w", "phases", "cumulative_eff_impv"],
+                       rows)
 
 
 def lut_text(lut: PhaseLut) -> str:

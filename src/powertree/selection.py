@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .model import (HyperParams, feature_importances, fit_tree, mae_percent,
                     predict_tree_batch)
-from .workload import Dataset
+from .workload import Dataset, _table_text
 
 __all__ = ["RfeStep", "RfeResult", "rfe", "rfe_history_text"]
 
@@ -77,8 +77,7 @@ def rfe(dataset: Dataset, hp: HyperParams,
 
 def rfe_history_text(result: RfeResult) -> str:
     """Elimination audit trail as delimited text."""
-    lines = ["iteration,n_dropped,train_mae_percent,dropped"]
-    for step in result.history:
-        lines.append(f"{step.iteration},{len(step.dropped)},"
-                     f"{step.train_mae_percent!r},{';'.join(step.dropped)}")
-    return "\n".join(lines) + "\n"
+    return _table_text(
+        ["iteration", "n_dropped", "train_mae_percent", "dropped"],
+        ((step.iteration, len(step.dropped), step.train_mae_percent,
+          ";".join(step.dropped)) for step in result.history))

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .model import (DecisionTree, HyperParams, _paths, fit_linear, fit_tree,
                     mae_percent, predict_linear_batch, predict_tree_batch)
-from .workload import Dataset
+from .workload import Dataset, _table_text
 
 __all__ = [
     "Grid",
@@ -205,22 +205,12 @@ def learning_curve(dataset: Dataset, hp: HyperParams, sizes: list[int],
 
 
 def cv_table_text(result: CvResult) -> str:
-    head = ["max_depth", "min_split_sample", "min_leaf_sample",
-            "min_leaf_impurity"]
+    head = [f.name for f in fields(HyperParams)]
     head += [f"fold_{i}" for i in range(result.k)] + ["mean"]
-    lines = [",".join(head)]
-    for row in result.rows:
-        hp = row.params
-        cells = [str(hp.max_depth), str(hp.min_split_sample),
-                 str(hp.min_leaf_sample), repr(hp.min_leaf_impurity)]
-        cells += [repr(s) for s in row.fold_scores] + [repr(row.mean_score)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _table_text(head, ((*astuple(row.params), *row.fold_scores,
+                               row.mean_score) for row in result.rows))
 
 
 def learning_curve_text(points: list[LearningPoint]) -> str:
-    lines = ["size,tree_train,tree_val,linear_train,linear_val"]
-    for p in points:
-        lines.append(f"{p.size},{p.tree_train!r},{p.tree_val!r},"
-                     f"{p.linear_train!r},{p.linear_val!r}")
-    return "\n".join(lines) + "\n"
+    return _table_text([f.name for f in fields(LearningPoint)],
+                       map(astuple, points))

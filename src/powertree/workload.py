@@ -480,6 +480,12 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _table_text(header, rows) -> str:
+    """The one layout of every table artifact: the header line, then one
+    line per row, its cells comma-separated as ``str(cell)``."""
+    return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
+
+
 def _field(doc: dict, key: str, convert, source):
     """``convert(doc[key])``; a missing or unconvertible field raises
     ValueError naming ``source`` and the field."""
@@ -487,7 +493,7 @@ def _field(doc: dict, key: str, convert, source):
         raise ValueError(f"{source}: missing field {key!r}")
     try:
         return convert(doc[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{source}: field {key!r}: {e}") from None
 
 

@@ -133,6 +133,9 @@ BAD_VALUES = [
      "select", "dataset.csv: clock_freq must be finite and > 0"),
     ("best_params.json", json_edit(lambda d: d.update(max_depth=2.5)),
      "train", "best_params.json: field 'max_depth'"),
+    ("model.json", json_edit(
+        lambda d: d["nodes"][0].update(threshold=float("inf"))), "quantize",
+     "tree node 0: threshold inf is not finite"),
 ]
 
 # Integer fields holding a JSON true, as above: a bool is not an integer.
@@ -304,6 +307,36 @@ class TestPipeline:
         lines = (out / "shed.csv").read_text().splitlines()
         assert lines[0] == "period,power_w,phases,cumulative_eff_impv"
         assert len(lines) == 5
+
+    def test_every_table_parses(self, finished):
+        # each table: its header, then rows of as many cells, each cell a
+        # number but in the text columns
+        out = finished / "out"
+        retained = json.loads((out / "selection.json").read_text())["retained"]
+        heads = {
+            "cv_results.csv": ["max_depth", "min_split_sample",
+                               "min_leaf_sample", "min_leaf_impurity",
+                               "fold_0", "fold_1", "fold_2", "fold_3", "mean"],
+            "learning_curve.csv": ["size", "tree_train", "tree_val",
+                                   "linear_train", "linear_val"],
+            "rfe_history.csv": ["iteration", "n_dropped", "train_mae_percent",
+                                "dropped"],
+            "shed.csv": ["period", "power_w", "phases", "cumulative_eff_impv"],
+            "monitor.csv": ["period", "cycles", "estimate_mw", *retained],
+            "report.csv": ["dataset", "n_train", "n_test", "tree_mae_percent",
+                           "linear_mae_percent"],
+        }
+        text = {("report.csv", "dataset"), ("rfe_history.csv", "dropped")}
+        for name, head in heads.items():
+            lines = (out / name).read_text().split("\n")
+            assert lines[0].split(",") == head, name
+            assert len(lines) > 2 and lines[-1] == "", name
+            for line in lines[1:-1]:
+                cells = line.split(",")
+                assert len(cells) == len(head), (name, line)
+                for column, cell in zip(head, cells):
+                    if (name, column) not in text:
+                        float(cell)
 
 
 class TestExitCodes:

@@ -632,6 +632,13 @@ class TestImageFile:
         assert (tmp_path / "tree.img").read_bytes() \
             == (tmp_path / "again.img").read_bytes()
 
+    def test_multi_word_images_compare_without_error(self):
+        # words is an array, so a field-wise == of two images would raise
+        # on the truth value of an array of more than one element
+        image, tree = fitted_image(seed=4, depth=3)
+        again = pt.quantize(tree)
+        assert image.n_nodes > 1 and image == image and image != again
+
     def test_header_layout(self, tmp_path):
         image, _ = fitted_image(seed=4, depth=3)
         path = tmp_path / "tree.img"

@@ -820,3 +820,62 @@ class TestSerialization:
         assert (back.weights == model.weights).all()
         assert back.intercept == model.intercept
         assert back.model_freq == model.model_freq
+
+
+def _mutant(data, text: str) -> bytes:
+    """text with bit flips, truncated, or with one JSON value (a scalar
+    after a key or on a list line) replaced by another value of the same
+    document or by an odd one: a wrong type, a non-finite or an out-of-range
+    number."""
+    raw = bytearray(text.encode())
+    kind = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
+    if kind == "flip":
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                      min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+        return bytes(raw)
+    if kind == "truncate":
+        return bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    values = list(re.finditer(rb'(?:": |\n +)(-?[\w.+]+|"[^"\n]*"(?!:))', raw))
+    at = data.draw(st.sampled_from(values)).span(1)
+    new = data.draw(st.one_of(
+        st.sampled_from(values).map(lambda m: m.group(1)),
+        st.sampled_from([b"true", b"null", b'"0.5"', b"[]", b"{}", b"-1",
+                         b"1e400", b"-Infinity", b"Infinity", b"NaN",
+                         b"1" + b"0" * 400, b"1e300", b"2.5", b"-0.0"])))
+    return bytes(raw[:at[0]] + new + raw[at[1]:])
+
+
+class TestModelFuzz:
+    """Mutants of a small model.json and linear.json, as in the image fuzz
+    of test_hwsim: each parses or raises ValueError, and what parses
+    quantizes or predicts, or raises ValueError."""
+
+    X = np.arange(1, 9)[:, None] * np.array([1, 3, 7])
+    DS = make_dataset(X, [0.0, 0.0, 5.0, 5.0, 20.0, 20.0, 30.0, 30.0])
+    TREE = pt.tree_text(pt.fit_tree(DS, pt.HyperParams(2, 2, 1, 0.0)))
+    LINEAR = pt.linear_text(pt.fit_linear(DS))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tree_mutant_parses_or_fails_cleanly(self, data):
+        try:
+            tree = pt.parse_tree(_mutant(data, self.TREE))
+        except ValueError:
+            return
+        try:
+            pt.quantize(tree)
+        except ValueError:
+            pass
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_linear_mutant_parses_or_fails_cleanly(self, data):
+        try:
+            linear = pt.parse_linear(_mutant(data, self.LINEAR))
+        except ValueError:
+            return
+        try:
+            pt.predict_linear_batch(linear, self.X)
+        except ValueError:
+            pass
