@@ -25,7 +25,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -33,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import (_field, _integer, _is_integer, _json_doc, _json_text,
-                       _table_text)
+from .workload import _field, _json_doc, _json_text, _table_text, _value
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -49,31 +47,31 @@ class StaleArtifactError(Exception):
 
 _REQUIRED = object()  # the default of a key that has none
 
-# Each config key: its kind (a dataclass: an object of its fields), its
-# default as JSON (None: the command derives it) and the commands reading it.
+# Each config key: its kind (``workload._value``'s, one of _WANT's, or a
+# dataclass: an object of fields of the kinds _ANNOTATED gives), its default
+# as JSON (None: the command derives it) and the commands reading it.
 _KEYS = {
     "design_spec": (workload.DesignSpec, _REQUIRED, ("gen",)),
-    "seed": ("integer", 0, ("gen", "tune", "monitor", "report")),
-    "period_cycles": ("integer", 300, ("gen", "monitor")),
-    "n_samples": ("integer", 2000, ("gen",)),
+    "seed": (int, 0, ("gen", "tune", "monitor", "report")),
+    "period_cycles": (int, 300, ("gen", "monitor")),
+    "n_samples": (int, 2000, ("gen",)),
     "train_fraction": ("fraction", 0.8, ("gen",)),
-    "top_candidates": ("integer", 100, ("select",)),
+    "top_candidates": (int, 100, ("select",)),
     "rfe_params": (model.HyperParams, {}, ("select",)),
     "rfe_target_fraction": ("fraction", 0.2, ("select",)),
     "grid": (tuning.Grid, {}, ("tune",)),
-    "cv_folds": ("integer", 10, ("tune", "report")),
-    "monitor_periods": ("integer", 8, ("monitor",)),
+    "cv_folds": (int, 10, ("tune", "report")),
+    "monitor_periods": (int, 8, ("monitor",)),
     "pdn": (pdn.PdnModel, {}, ("shed",)),
-    "lut_grid_watts": ("range", None, ("shed",)),
-    "learning_curve_sizes": ("integers", None, ("report",)),
+    "lut_grid_watts": ((float, float, int), None, ("shed",)),
+    "learning_curve_sizes": ([int], None, ("report",)),
     "ensemble": ("ensemble", _REQUIRED, ("ensemble",)),
-    "out_dir": ("string", "out", ()),
+    "out_dir": (str, "out", ()),
 }
-_WANT = {"integer": "an integer", "number": "a finite number",
-         "fraction": "a fraction in (0, 1)", "string": "a string",
-         "integers": "a list of integers", "file": "the path of a file",
-         "range": "a list of 3 entries [lo, hi, n]",
+_WANT = {"fraction": "a fraction in (0, 1)", "file": "the path of a file",
          "ensemble": "an object of 'components' and 'dataset' paths"}
+_ANNOTATED = {"int": int, "float": float, "tuple[float, float]": (float, float),
+              "tuple[int, ...]": [int], "tuple[float, ...]": [float]}
 
 # The command that writes each artifact a later command reads.
 _PRODUCERS = {name: command for command, names in (
@@ -83,8 +81,6 @@ _PRODUCERS = {name: command for command, names in (
     ("train", ("model.json", "linear.json")), ("quantize", ("image.bin",)),
     ("monitor", ("monitor.csv",))) for name in names}
 _DATASET = ("dataset.csv", "dataset.csv.meta.json")
-_HP_FIELDS = (("max_depth", _integer), ("min_split_sample", _integer),
-              ("min_leaf_sample", _integer), ("min_leaf_impurity", float))
 
 
 def _sha256(data) -> str:
@@ -151,20 +147,9 @@ class Context:
 
     def _check(self, key: str, value, kind):
         """The value of config key ``key`` checked by the one rule of its
-        kind, else ConfigError naming it.  A JSON bool is never a number."""
-        number = _is_integer(value) or \
-            isinstance(value, float) and math.isfinite(value)
-        if (kind == "integer" and _is_integer(value)
-                or kind == "number" and number
-                or kind == "fraction" and number and 0 < value < 1
-                or kind == "string" and isinstance(value, str)):
+        kind, else ConfigError or ValueError naming it."""
+        if kind == "fraction" and isinstance(value, float) and 0 < value < 1:
             return value
-        if kind == "integers" and (value is None or isinstance(value, list)):
-            # null, the default, leaves the list to the command
-            return value and [self._check(key, v, "integer") for v in value]
-        if kind == "range" and isinstance(value, list) and len(value) == 3:
-            return tuple(self._check(f"{key}[{i}]", v, "integer" if i == 2
-                                     else "number") for i, v in enumerate(value))
         if kind == "file" and isinstance(value, str) \
                 and (self.base / value).is_file():
             return value, (self.base / value).read_bytes()
@@ -175,19 +160,20 @@ class Context:
             meta = self._check(f"{key}.dataset", f"{data[0]}.meta.json", "file")
             return [self._check(f"{key}.components", p, "file")
                     for p in value["components"]], data, meta
-        if isinstance(kind, type):  # a dataclass; null builds its defaults
+        if dataclasses.is_dataclass(kind):  # null builds its defaults
             if kind is workload.DesignSpec and isinstance(value, str):
                 value = _load_json(self.base / value, "design spec")
             value = {} if value is None else value
-            if isinstance(value, dict) and bool not in {  # alone or in a list
-                    type(x) for v in value.values()
-                    for x in (v if isinstance(v, list) else [v])}:
-                tuples = {f.name for f in dataclasses.fields(kind)
-                          if str(f.type).startswith("tuple")}
+            if isinstance(value, dict):
+                kinds = {f.name: _ANNOTATED[f.type]
+                         for f in dataclasses.fields(kind)}
                 return _build(key, lambda: kind(**{
-                    k: tuple(v) if k in tuples else v
+                    k: _value(v, kinds[k], k) if k in kinds else v
                     for k, v in value.items()}))
-        want = _WANT.get(kind) or f"an object of numeric {kind.__name__} fields"
+        elif not isinstance(kind, str):  # null leaves a list to the command
+            return None if value is None and isinstance(kind, list) else \
+                _value(value, kind, f"config key {key}")
+        want = _WANT.get(kind) or f"an object of {kind.__name__} fields"
         raise ConfigError(f"config key {key} must be {want}, not {value!r}")
 
     def write_artifact(self, name: str, data: bytes | str,
@@ -260,23 +246,21 @@ def _split_dataset(ctx: Context) -> tuple[workload.Dataset, workload.Dataset]:
                                 ctx.read("dataset.csv.meta.json"),
                                 "dataset.csv")
     doc = _json_doc(ctx.read("split.json"), None, "split.json")
-    return (_field(doc, "train", ds.take, "split.json"),
-            _field(doc, "test", ds.take, "split.json"))
+    rows = [_field(doc, key, [int], "split.json") for key in ("train", "test")]
+    return _build("split.json", lambda: (ds.take(rows[0]), ds.take(rows[1])))
 
 
-def _load_selection(ctx: Context) -> list[str]:
+def _load_selection(ctx: Context) -> tuple[str, ...]:
     doc = _json_doc(ctx.read("selection.json"), None, "selection.json")
-    names = _field(doc, "retained", list, "selection.json")
-    if not all(isinstance(n, str) for n in names):
-        raise ValueError("selection.json: field 'retained' must list names")
-    return names
+    return _field(doc, "retained", [str], "selection.json")
 
 
 def _load_best_params(ctx: Context) -> model.HyperParams:
     doc = _json_doc(ctx.read("best_params.json"), None, "best_params.json")
-    values = [_field(doc, k, convert, "best_params.json")
-              for k, convert in _HP_FIELDS]
-    return _build("best_params.json", lambda: model.HyperParams(*values))
+    values = {f.name: _field(doc, f.name, _ANNOTATED[f.type],
+                             "best_params.json")
+              for f in dataclasses.fields(model.HyperParams)}
+    return _build("best_params.json", lambda: model.HyperParams(**values))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +313,8 @@ def cmd_tune(ctx: Context) -> int:
     result = tuning.grid_search_cv(ds, ctx.cfg["grid"], k, seed)
     ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result), inputs)
     hp = result.best_params
-    doc = {name: getattr(hp, name) for name, _ in _HP_FIELDS}
-    doc.update(mean_score=result.best_score, k=k, seed=seed)
+    doc = dict(dataclasses.asdict(hp), mean_score=result.best_score, k=k,
+               seed=seed)
     ctx.write_artifact("best_params.json", _json_text(doc), inputs)
     print(f"tune: {len(result.rows)} combinations, best {hp} "
           f"(mean validation MAE {result.best_score:.2f}%)")
@@ -409,7 +393,7 @@ def cmd_shed(ctx: Context) -> int:
     lines = ctx.read("monitor.csv").decode().splitlines()
     for lineno, line in enumerate(lines[1:], 2):
         try:
-            mw = float(line.split(",")[2])
+            mw = _value(float(line.split(",")[2]), float, "estimate_mw")
         except (IndexError, ValueError):
             raise ValueError(f"monitor.csv, line {lineno}: no estimate_mw "
                              f"in {line!r}") from None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _field, _integer, _json_doc, _json_text
+from .workload import Dataset, _field, _json_doc, _json_text, _value
 
 __all__ = [
     "HyperParams",
@@ -55,7 +55,7 @@ class HyperParams:
 
     def __post_init__(self) -> None:
         for name in ("max_depth", "min_split_sample", "min_leaf_sample"):
-            _integer(getattr(self, name), name)
+            _value(getattr(self, name), int, name)
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_split_sample < 2:
@@ -419,24 +419,24 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     their order in the document.
 
     A malformed document raises ValueError naming the node or field at
-    fault: a missing, unconvertible or non-integer field, feature_ids of a
+    fault: a missing field or one not of its kind by ``workload._value``
+    (an integer, a finite number or a list of strings), feature_ids of a
     length other than n_features, an unknown kind, a negative n_samples, a
-    leaf value or threshold that is not finite, a child index outside the
-    node list, a node reached twice (which also rules out cycles) or never
-    reached, a feature index outside [0, n_features), or a recorded depth
-    the nodes do not reach.
+    child index outside the node list, a node reached twice (which also
+    rules out cycles) or never reached, a feature index outside
+    [0, n_features), or a recorded depth the nodes do not reach.
     """
     if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
         raise ValueError("not a decision-tree document")
     try:
         raw = doc["nodes"]
-        depth = _integer(doc["depth"], "depth")
-        n_features = _integer(doc["n_features"], "n_features")
-        model_freq = float(doc["model_freq_hz"])
-        feature_ids = tuple(doc["feature_ids"])
+        depth = _value(doc["depth"], int, "depth")
+        n_features = _value(doc["n_features"], int, "n_features")
+        model_freq = _value(doc["model_freq_hz"], float, "model_freq_hz")
+        feature_ids = _value(doc["feature_ids"], [str], "feature_ids")
     except KeyError as e:
         raise ValueError(f"tree document lacks {e}") from None
-    except (TypeError, ValueError, OverflowError) as e:
+    except ValueError as e:
         raise ValueError(f"tree document: {e}") from None
     if len(feature_ids) != n_features:
         raise ValueError(f"tree document: {len(feature_ids)} feature_ids "
@@ -454,32 +454,27 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
         node = raw[i]
         try:
             kind = node["kind"]
-            n_samples = _integer(node["n_samples"], "n_samples")
-            impurity = float(node["impurity"])
+            n_samples = _value(node["n_samples"], int, "n_samples")
+            impurity = _value(node["impurity"], float, "impurity")
             value, feature, threshold, reduction = np.nan, 0, 0.0, 0.0
             children: tuple[int, ...] = ()
             if kind == "leaf":
-                value = float(node["value"])
+                value = _value(node["value"], float, "value")
             elif kind == "decision":
-                feature = _integer(node["feature"], "feature")
-                threshold = float(node["threshold"])
-                reduction = float(node["reduction"])
-                children = tuple(_integer(node[side], side)
+                feature = _value(node["feature"], int, "feature")
+                threshold = _value(node["threshold"], float, "threshold")
+                reduction = _value(node["reduction"], float, "reduction")
+                children = tuple(_value(node[side], int, side)
                                  for side in ("left", "right"))
             else:
                 raise ValueError(f"kind {kind!r} is neither 'leaf' nor "
                                  "'decision'")
         except KeyError as e:
             raise ValueError(f"tree node {i} lacks {e}") from None
-        except (TypeError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"tree node {i}: {e}") from None
         if n_samples < 0:
             raise ValueError(f"tree node {i}: n_samples {n_samples} is negative")
-        if not (children or np.isfinite(value)):
-            raise ValueError(f"tree node {i}: leaf value {value} is not finite")
-        if not np.isfinite(threshold):
-            raise ValueError(f"tree node {i}: threshold {threshold} is not "
-                             "finite")
         if children and not 0 <= feature < n_features:
             raise ValueError(f"tree node {i}: feature {feature} "
                              f"outside [0, {n_features})")
@@ -537,10 +532,10 @@ def linear_text(model: LinearModel) -> str:
 def parse_linear(text: str | bytes, source="linear model") -> LinearModel:
     doc = _json_doc(text, "powertree-linear-v1", source)
     return LinearModel(
-        _field(doc, "weights", lambda v: np.array(v, dtype=np.float64), source),
+        np.array(_field(doc, "weights", [float], source), dtype=np.float64),
         _field(doc, "intercept", float, source),
         _field(doc, "model_freq_hz", float, source),
-        _field(doc, "feature_ids", tuple, source))
+        _field(doc, "feature_ids", [str], source))
 
 
 def rule_text(tree: DecisionTree) -> str:

@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .workload import _integer, _json_text, _table_text
+from .workload import _json_text, _table_text, _value
 
 __all__ = [
     "PdnModel",
@@ -45,7 +45,7 @@ class PdnModel:
     nominal_power: float = 20.0  # watts
 
     def __post_init__(self) -> None:
-        _integer(self.max_phases, "max_phases")
+        _value(self.max_phases, int, "max_phases")
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if min(self.per_phase_fixed_loss, self.conduction_resistance,
@@ -161,8 +161,9 @@ def shed(model: PdnModel, lut: PhaseLut,
 
 def shed_rows(model: PdnModel, lut: PhaseLut,
               powers) -> list[tuple[int, float, int, float]]:
-    """(period, power, phases, cumulative efficiency improvement) rows."""
-    powers = [float(p) for p in powers]
+    """(period, power, phases, cumulative efficiency improvement) rows;
+    each power must be a finite number."""
+    powers = [_value(p, float, "power") for p in powers]
     if not powers:
         raise ValueError("powers must be non-empty")
     rows = []

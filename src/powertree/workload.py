@@ -36,6 +36,8 @@ represent but a tree resolves with a handful of splits.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -95,7 +97,7 @@ class DesignSpec:
     def __post_init__(self) -> None:
         for name in ("n_linear_nets", "n_nonlinear_units",
                      "correlation_groups", "seed"):
-            _integer(getattr(self, name), name)
+            _value(getattr(self, name), int, name)
         cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
@@ -226,16 +228,34 @@ class ToggleTrace:
         return ToggleTrace(tuple(ids), self.levels[rows])
 
 
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer other than a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _integer(value, name: str = "value"):
-    """value, if it is an integer other than a bool; else ValueError."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
+def _value(value, kind, name: str):
+    """``value`` checked as ``kind``, else ValueError "<name> must be ...":
+    ``int`` (never a bool), ``float`` (an integer or float that a float holds
+    finitely, returned as a float), ``str``, ``[kind]`` (a list of any
+    length) or ``(kind, ...)`` (a list of one entry per kind).  A list comes
+    back as a tuple; only an entry that raises has its name built."""
+    if kind is int:
+        ok, want = isinstance(value, (int, np.integer)), "an integer"
+    elif kind is float:
+        ok, want = (math.isfinite(value) if isinstance(value, (float, np.floating))
+                    else isinstance(value, (int, np.integer))
+                    and abs(value) <= sys.float_info.max), "a finite number"
+    elif kind is str:
+        ok, want = isinstance(value, str), "a string"
+    else:
+        if isinstance(value, list) and (isinstance(kind, list)
+                                        or len(value) == len(kind)):
+            kinds = kind * len(value) if isinstance(kind, list) else kind
+            try:
+                return tuple(map(_value, value, kinds, [name] * len(value)))
+            except ValueError:
+                for i, (entry, each) in enumerate(zip(value, kinds)):
+                    _value(entry, each, f"{name}[{i}]")
+        ok, want = False, ("a list" if isinstance(kind, list)
+                           else f"a list of {len(kind)} entries")
+    if ok and not isinstance(value, bool):
+        return float(value) if kind is float else value
+    raise ValueError(f"{name} must be {want}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +272,7 @@ class Dataset:
             raise ValueError("features must be (n, F) with matching powers (n,)")
         if f.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
-        if _integer(self.period_cycles, "period_cycles") < 1:
+        if _value(self.period_cycles, int, "period_cycles") < 1:
             raise ValueError(f"period_cycles must be >= 1, not {self.period_cycles}")
         if not (self.clock_freq > 0 and np.isfinite(self.clock_freq)):
             raise ValueError(f"clock_freq must be finite and > 0, not "
@@ -275,11 +295,13 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, rows) -> "Dataset":
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
         if rows.ndim != 1 or rows.size and not (
-                rows.min() >= 0 and rows.max() < len(self)):
+                np.issubdtype(rows.dtype, np.integer)
+                and rows.min() >= 0 and rows.max() < len(self)):
             raise ValueError(f"rows must be a list of indices in "
                              f"[0, {len(self)})")
+        rows = rows.astype(np.intp)
         return Dataset(self.features[rows], self.powers[rows],
                        self.feature_names, self.period_cycles, self.clock_freq)
 
@@ -486,15 +508,12 @@ def _table_text(header, rows) -> str:
     return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
 
 
-def _field(doc: dict, key: str, convert, source):
-    """``convert(doc[key])``; a missing or unconvertible field raises
-    ValueError naming ``source`` and the field."""
+def _field(doc: dict, key: str, kind, source):
+    """``doc[key]`` checked as ``kind`` by ``_value``; a missing or bad
+    field raises ValueError naming ``source`` and the field."""
     if key not in doc:
         raise ValueError(f"{source}: missing field {key!r}")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"{source}: field {key!r}: {e}") from None
+    return _value(doc[key], kind, f"{source}: field {key!r}")
 
 
 def design_text(design: SyntheticDesign) -> str:
@@ -512,14 +531,14 @@ def design_text(design: SyntheticDesign) -> str:
 
 def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
     doc = _json_doc(text, "powertree-design-v1", source)
-    nets = _field(doc, "nets", lambda v: tuple(
-        Net(i, float(c), _integer(g, "net group")) for i, c, g in v), source)
-    units = _field(doc, "nonlinear_units", lambda v: tuple(
-        NonlinearUnit(tuple(ins), float(c)) for ins, c in v), source)
+    nets = _field(doc, "nets", [(str, float, int)], source)
+    units = _field(doc, "nonlinear_units", [([str], float)], source)
     scalars = [_field(doc, k, float, source)
                for k in ("vdd_v", "clock_freq_hz", "static_power_w")]
     try:
-        return SyntheticDesign(nets, units, *scalars)
+        return SyntheticDesign(tuple(Net(*n) for n in nets),
+                               tuple(NonlinearUnit(*u) for u in units),
+                               *scalars)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
 
@@ -640,7 +659,7 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
     first bad line.
     """
     meta = _json_doc(meta_text, None, f"{source} meta")
-    period = _field(meta, "period_cycles", _integer, f"{source} meta")
+    period = _field(meta, "period_cycles", int, f"{source} meta")
     freq = _field(meta, "clock_freq_hz", float, f"{source} meta")
     data = csv_text.encode() if isinstance(csv_text, str) else csv_text
     if not data:

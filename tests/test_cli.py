@@ -110,7 +110,7 @@ BAD_INPUTS = [
     ("design.json", json_edit(lambda d: d.pop("vdd_v")), "monitor",
      "design.json: missing field 'vdd_v'"),
     ("split.json", json_edit(lambda d: d["train"].append(10 ** 6)), "select",
-     "split.json: field 'train': rows must be a list of indices in [0, 240)"),
+     "split.json: rows must be a list of indices in [0, 240)"),
     ("selection.json", json_edit(lambda d: d.pop("retained")), "tune",
      "selection.json: missing field 'retained'"),
     ("best_params.json", json_edit(lambda d: d.update(max_depth="deep")),
@@ -121,13 +121,14 @@ BAD_INPUTS = [
      "select", "dataset.csv meta: missing field 'clock_freq_hz'"),
     ("model.json", json_edit(
         lambda d: d["nodes"][-1].update(value=float("nan"))), "quantize",
-     "leaf value nan is not finite"),
+     "value must be a finite number, not nan"),
     ("dataset.csv", lambda t: re.sub(r"\n\d+,", "\n" + "9" * 20 + ",", t,
                                      count=1), "select",
      "dataset.csv, line 2: cell 1 is not 1 to 18 ASCII digits"),
 ]
 
-# Values of the right JSON type outside their field's domain, as above.
+# Values outside their field's domain or kind, as above: a bool, a string
+# or a non-finite number is never a number.
 BAD_VALUES = [
     ("dataset.csv.meta.json", json_edit(lambda d: d.update(clock_freq_hz=0)),
      "select", "dataset.csv: clock_freq must be finite and > 0"),
@@ -135,17 +136,41 @@ BAD_VALUES = [
      "train", "best_params.json: field 'max_depth'"),
     ("model.json", json_edit(
         lambda d: d["nodes"][0].update(threshold=float("inf"))), "quantize",
-     "tree node 0: threshold inf is not finite"),
+     "tree node 0: threshold must be a finite number, not inf"),
+    ("split.json", json_edit(lambda d: d["train"].__setitem__(0, 0.9)),
+     "select", "split.json: field 'train'[0] must be an integer, not 0.9"),
+    ("split.json", json_edit(lambda d: d["train"].__setitem__(1, True)),
+     "select", "split.json: field 'train'[1] must be an integer, not True"),
+    ("split.json", json_edit(lambda d: d["test"].__setitem__(0, "7")),
+     "select", "split.json: field 'test'[0] must be an integer, not '7'"),
+    ("linear.json", json_edit(lambda d: d.update(feature_ids="ab")), "report",
+     "linear.json: field 'feature_ids' must be a list, not 'ab'"),
+    ("design.json", json_edit(lambda d: d.update(vdd_v="1.0")), "monitor",
+     "design.json: field 'vdd_v' must be a finite number, not '1.0'"),
+    ("dataset.csv.meta.json", json_edit(
+        lambda d: d.update(clock_freq_hz="1e8")), "select",
+     "dataset.csv meta: field 'clock_freq_hz' must be a finite number, "
+     "not '1e8'"),
+    ("best_params.json", json_edit(lambda d: d.update(min_leaf_impurity=False)),
+     "train", "best_params.json: field 'min_leaf_impurity' must be a finite "
+     "number, not False"),
+    ("best_params.json", json_edit(
+        lambda d: d.update(min_leaf_impurity="0.01")), "report",
+     "best_params.json: field 'min_leaf_impurity' must be a finite number, "
+     "not '0.01'"),
+    ("monitor.csv", lambda t: re.sub(r"^(\d+,\d+,)[^,]+", r"\1nan", t,
+                                     count=1, flags=re.M), "shed",
+     "monitor.csv, line 2: no estimate_mw"),
 ]
 
 # Integer fields holding a JSON true, as above: a bool is not an integer.
 BAD_BOOLS = [
     ("best_params.json", json_edit(lambda d: d.update(max_depth=True)),
-     "train", "best_params.json: field 'max_depth': value must be an "
-     "integer, not True"),
+     "train", "best_params.json: field 'max_depth' must be an integer, "
+     "not True"),
     ("dataset.csv.meta.json", json_edit(lambda d: d.update(period_cycles=True)),
-     "select", "dataset.csv meta: field 'period_cycles': value must be an "
-     "integer, not True"),
+     "select", "dataset.csv meta: field 'period_cycles' must be an integer, "
+     "not True"),
 ]
 
 # Integer config keys, each with a fractional value, and the first command
@@ -193,20 +218,33 @@ BAD_KINDS = [
     ("design_spec", dict(SPEC, n_linear_nets=20.5), "gen",
      "bad design_spec: n_linear_nets must be an integer, not 20.5"),
     ("design_spec", dict(SPEC, n_linear_nets=True), "gen",
-     "config key design_spec must be an object of numeric DesignSpec"),
+     "bad design_spec: n_linear_nets must be an integer, not True"),
     ("design_spec", None, "gen", "bad design_spec: "),
     ("pdn", {"max_phases": 2.5}, "shed",
      "bad pdn: max_phases must be an integer, not 2.5"),
     ("pdn", {"transition_loss": False}, "shed",
-     "config key pdn must be an object of numeric PdnModel fields"),
+     "bad pdn: transition_loss must be a finite number, not False"),
     ("grid", {"max_depth": 5}, "tune", "bad grid: "),
     ("grid", {"max_depth": [2.5]}, "gen",
-     "bad grid: max_depth must be an integer, not 2.5"),
+     "bad grid: max_depth[0] must be an integer, not 2.5"),
     ("out_dir", 7, "gen", "config key out_dir must be a string, not 7"),
     ("ensemble", {"components": ["nope.json"], "dataset": "x.csv"},
      "ensemble", "config key ensemble.dataset must be the path of a file"),
+    ("pdn", {"per_phase_fixed_loss": 10 ** 400}, "shed",
+     "bad pdn: per_phase_fixed_loss must be a finite number, not 1000"),
+    ("lut_grid_watts", [0.25, 10 ** 400, 128], "shed",
+     "config key lut_grid_watts[1] must be a finite number, not 1000"),
 ]
 
+
+
+def unique_ids(ids: list[str]) -> list[str]:
+    """ids, each repeat of an earlier one numbered by its occurrence."""
+    seen: dict[str, int] = {}
+    for i, name in enumerate(ids):
+        seen[name] = seen.get(name, 0) + 1
+        ids[i] = name if seen[name] == 1 else f"{name}-{seen[name]}"
+    return ids
 
 
 def deeper_header(raw: bytes) -> bytes:
@@ -412,8 +450,9 @@ class TestExitCodes:
         refresh_provenance(design)
         capsys.readouterr()
         assert main(["monitor", "--config", str(pipeline)]) == 2
-        assert "design.json: unit inputs must be net id strings" \
-            in capsys.readouterr().err
+        assert re.search(r"design\.json: field 'nonlinear_units'\[0\]\[0\]"
+                         r"\[\d+\] must be a string, not \[1\]",
+                         capsys.readouterr().err)
 
     def test_config_change_detected(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -438,9 +477,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "name, edit, command, message", BAD_INPUTS + BAD_VALUES + BAD_BOOLS,
-        ids=[f"{n}-{c}" for n, _, c, _ in BAD_INPUTS]
-        + [f"{n}-{c}-value" for n, _, c, _ in BAD_VALUES]
-        + [f"{n}-{c}-true" for n, _, c, _ in BAD_BOOLS])
+        ids=unique_ids([f"{n}-{c}" for n, _, c, _ in BAD_INPUTS]
+                       + [f"{n}-{c}-value" for n, _, c, _ in BAD_VALUES]
+                       + [f"{n}-{c}-true" for n, _, c, _ in BAD_BOOLS]))
     def test_bad_input_names_file_and_field(self, pipeline, capsys, name,
                                             edit, command, message):
         path = pipeline.parent / "out" / name
@@ -511,7 +550,7 @@ class TestConfigTable:
              "rfe_target_fraction-true", "design_spec-fraction",
              "design_spec-true", "design_spec-null", "pdn-fraction",
              "pdn-false", "grid-int", "grid-fraction", "out_dir-int",
-             "ensemble-no-file"])
+             "ensemble-no-file", "pdn-huge", "lut_grid_watts-huge"])
     def test_bad_kind_is_config_error(self, pipeline, capsys, key, value,
                                       command, message):
         err = config_error(pipeline, capsys, command, **{key: value})
@@ -602,6 +641,42 @@ class TestConfigTable:
             isinstance(n, ast.ClassDef) and n.name == "Context")]
         assert [n.lineno for top in others for n in ast.walk(top)
                 if isinstance(n, ast.Attribute) and n.attr == "cfg"] == []
+
+    def test_values_pass_one_rule(self):
+        # every _field call names a kind of workload._value, never a
+        # converter, and only _value asks whether a value is a bool
+        def is_kind(node):
+            if isinstance(node, (ast.List, ast.Tuple)):
+                return all(map(is_kind, node.elts))
+            return (isinstance(node, ast.Name)
+                    and node.id in ("int", "float", "str")
+                    or isinstance(node, ast.Subscript)
+                    and getattr(node.value, "id", None) == "_ANNOTATED")
+
+        def asks_bool(node):
+            return (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and "bool" in {n.id for n in ast.walk(node.args[1])
+                                   if isinstance(n, ast.Name)})
+
+        fields = 0
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "id", None) == "_field":
+                    fields += 1
+                    assert is_kind(node.args[2]), \
+                        f"{path.name}:{node.lineno} passes no kind"
+            asked = {n.lineno for n in ast.walk(tree) if asks_bool(n)}
+            if path.name == "workload.py":
+                value = next(f for f in tree.body if getattr(f, "name", None)
+                             == "_value")
+                rule = {n.lineno for n in ast.walk(value) if asks_bool(n)}
+                assert rule and rule <= asked
+                asked -= rule
+            assert not asked, f"{path.name} asks for a bool on {asked}"
+        assert fields >= 10
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

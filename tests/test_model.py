@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import tracemalloc
 
@@ -766,8 +767,10 @@ class TestSerialization:
          "tree node 0: child 1 is reached twice"),
         (lambda doc: doc["nodes"][1].update(feature=1),
          "tree node 1: feature 1 outside [0, 1)"),
-        (lambda doc: doc["nodes"][0].update(threshold="high"),
-         "tree node 0: could not convert"),
+        # an explicit id names the case by its fault, apart from its message
+        pytest.param(lambda doc: doc["nodes"][0].update(threshold="high"),
+                     "tree node 0: threshold must be a finite number, "
+                     "not 'high'", id="<lambda>-tree node 0: could not convert"),
         (lambda doc: doc["nodes"][3].update(kind="branch"),
          "tree node 3: kind 'branch' is neither"),
         (lambda doc: doc.update(depth=3),
@@ -779,10 +782,12 @@ class TestSerialization:
          "tree node 7 is not reached from the root"),
         (lambda doc: doc["nodes"][5].update(n_samples=-1),
          "tree node 5: n_samples -1 is negative"),
-        (lambda doc: doc["nodes"][2].update(value=float("nan")),
-         "tree node 2: leaf value nan is not finite"),
-        (lambda doc: doc["nodes"][6].update(value=float("-inf")),
-         "tree node 6: leaf value -inf is not finite"),
+        pytest.param(lambda doc: doc["nodes"][2].update(value=float("nan")),
+                     "tree node 2: value must be a finite number, not nan",
+                     id="<lambda>-tree node 2: leaf value nan is not finite"),
+        pytest.param(lambda doc: doc["nodes"][6].update(value=float("-inf")),
+                     "tree node 6: value must be a finite number, not -inf",
+                     id="<lambda>-tree node 6: leaf value -inf is not finite"),
         (lambda doc: doc["nodes"][0].update(feature=0.9),
          "tree node 0: feature must be an integer, not 0.9"),
         (lambda doc: doc["nodes"][1].update(feature=True),
@@ -795,6 +800,12 @@ class TestSerialization:
          "tree document: depth must be an integer, not True"),
         (lambda doc: doc["nodes"][0].update(left=1.0),
          "tree node 0: left must be an integer, not 1.0"),
+        (lambda doc: doc["nodes"][0].update(impurity=float("nan")),
+         "tree node 0: impurity must be a finite number, not nan"),
+        (lambda doc: doc["nodes"][1].update(reduction="0.5"),
+         "tree node 1: reduction must be a finite number, not '0.5'"),
+        (lambda doc: doc.update(model_freq_hz="1e8"),
+         "tree document: model_freq_hz must be a finite number, not '1e8'"),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         X = np.arange(1, 9)[:, None]
@@ -846,10 +857,18 @@ def _mutant(data, text: str) -> bytes:
     return bytes(raw[:at[0]] + new + raw[at[1]:])
 
 
+def assert_plain(values, kind) -> None:
+    """Each value is a Python ``kind``: an int is never a bool, a float is
+    finite."""
+    for v in values:
+        assert type(v) is kind and (kind is not float or math.isfinite(v)), v
+
+
 class TestModelFuzz:
     """Mutants of a small model.json and linear.json, as in the image fuzz
-    of test_hwsim: each parses or raises ValueError, and what parses
-    quantizes or predicts, or raises ValueError."""
+    of test_hwsim: each parses or raises ValueError; what parses holds
+    plain finite floats and ints in its number fields, and quantizes or
+    predicts, or raises ValueError."""
 
     X = np.arange(1, 9)[:, None] * np.array([1, 3, 7])
     DS = make_dataset(X, [0.0, 0.0, 5.0, 5.0, 20.0, 20.0, 30.0, 30.0])
@@ -863,6 +882,14 @@ class TestModelFuzz:
             tree = pt.parse_tree(_mutant(data, self.TREE))
         except ValueError:
             return
+        leaves = tree.left < 0
+        assert_plain([tree.model_freq, *tree.value[leaves].tolist()] + [
+            v for a in (tree.impurity, tree.threshold, tree.reduction)
+            for v in a.tolist()], float)
+        assert_plain([tree.n_features] + [
+            v for a in (tree.n_samples, tree.feature, tree.left, tree.right)
+            for v in a.tolist()], int)
+        assert_plain(tree.feature_ids, str)
         try:
             pt.quantize(tree)
         except ValueError:
@@ -875,6 +902,9 @@ class TestModelFuzz:
             linear = pt.parse_linear(_mutant(data, self.LINEAR))
         except ValueError:
             return
+        assert_plain([linear.intercept, linear.model_freq,
+                      *linear.weights.tolist()], float)
+        assert_plain(linear.feature_ids, str)
         try:
             pt.predict_linear_batch(linear, self.X)
         except ValueError:

@@ -119,6 +119,12 @@ class TestShed:
         with pytest.raises(ValueError):
             pt.shed(MODEL, self._lut(), [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, bad):
+        with pytest.raises(ValueError,
+                           match=f"power must be a finite number, not {bad}"):
+            pt.shed_rows(MODEL, self._lut(), [1.0, bad, 2.0])
+
     def test_rows_cumulative_improvement(self):
         lut = self._lut()
         powers = [1.0, 20.0, 2.0, 18.0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import powertree as pt
 from powertree.workload import RATE_MODES, DesignSpec, Dataset, ToggleTrace
+from test_model import _mutant, assert_plain
 
 
 def small_design(seed=7, **kw):
@@ -296,10 +297,19 @@ class TestDatasetIO:
         d = small_design()
         assert pt.parse_design(pt.design_text(d)) == d
 
+    # an explicit id names the case by its fault, apart from its message
     @pytest.mark.parametrize("net, message", [
-        (["net_x", 1e-15, 1.7], "net group must be an integer, not 1.7"),
-        (["net_x", 1e-15, True], "net group must be an integer, not True"),
-        ([5, 1e-15, 0], "net ids must be unique strings"),
+        pytest.param(["net_x", 1e-15, 1.7],
+                     "field 'nets'[50][2] must be an integer, not 1.7",
+                     id="net0-net group must be an integer, not 1.7"),
+        pytest.param(["net_x", 1e-15, True],
+                     "field 'nets'[50][2] must be an integer, not True",
+                     id="net1-net group must be an integer, not True"),
+        pytest.param([5, 1e-15, 0],
+                     "field 'nets'[50][0] must be a string, not 5",
+                     id="net2-net ids must be unique strings"),
+        (["net_x", True, 0],
+         "field 'nets'[50][1] must be a finite number, not True"),
     ])
     def test_malformed_net_rejected(self, net, message):
         doc = json.loads(pt.design_text(small_design()))
@@ -311,8 +321,8 @@ class TestDatasetIO:
     def test_non_string_unit_input_rejected(self, bad):
         doc = json.loads(pt.design_text(small_design()))
         doc["nonlinear_units"][0][0].append(bad)
-        with pytest.raises(ValueError,
-                           match="unit inputs must be net id strings"):
+        with pytest.raises(ValueError, match=r"field 'nonlinear_units'"
+                           r"\[0\]\[0\]\[\d+\] must be a string"):
             pt.parse_design(json.dumps(doc))
 
 
@@ -539,7 +549,61 @@ class TestInvariants:
             Dataset(np.array([[3], [4]], dtype=dtype), np.array([1.0, 2.0]),
                     ("a",), 300, 1e8)
 
+    @pytest.mark.parametrize("rows", [
+        np.array([True, False, True]), [0.9], np.array([1.0, 0.0])],
+        ids=["mask", "fraction", "float"])
+    def test_take_needs_integer_indices(self, rows):
+        ds = Dataset(np.array([[1], [2], [3]]), np.array([1.0, 2.0, 3.0]),
+                     ("a",), 300, 1e8)
+        with pytest.raises(ValueError, match=re.escape(
+                "rows must be a list of indices in [0, 3)")):
+            ds.take(rows)
+
+    def test_take_reads_integer_indices(self):
+        ds = Dataset(np.array([[1], [2], [3]]), np.array([1.0, 2.0, 3.0]),
+                     ("a",), 300, 1e8)
+        assert ds.take(np.array([2, 0], dtype=np.uint8)).features.tolist() \
+            == [[3], [1]]
+        assert ds.take((1,)).powers.tolist() == [2.0]
+        assert len(ds.take([])) == 0
+
     def test_unsigned_features_accepted(self):
         ds = Dataset(np.array([[3], [4]], dtype=np.uint16),
                      np.array([1.0, 2.0]), ("a",), 300, 1e8)
         assert len(ds) == 2
+
+
+class TestWorkloadFuzz:
+    """Mutants of a small design.json and dataset meta file, by the fuzz of
+    test_model: each parses or raises ValueError, and what parses holds
+    plain finite floats and ints in its number fields."""
+
+    DESIGN = pt.design_text(small_design(n_linear_nets=6, n_nonlinear_units=1,
+                                         correlation_groups=2))
+    META = pt.dataset_meta_text(
+        Dataset(np.array([[3]]), np.array([0.5]), ("a",), 300, 1e8), 1.0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_design_mutant_parses_or_fails_cleanly(self, data):
+        try:
+            design = pt.parse_design(_mutant(data, self.DESIGN))
+        except ValueError:
+            return
+        assert_plain([design.vdd, design.clock_freq, design.static_power]
+                     + [n.capacitance for n in design.nets]
+                     + [u.coefficient for u in design.nonlinear_units], float)
+        assert_plain([n.group for n in design.nets], int)
+        assert_plain([n.id for n in design.nets] + [
+            s for u in design.nonlinear_units for s in u.inputs], str)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_meta_mutant_parses_or_fails_cleanly(self, data):
+        try:
+            ds = pt.parse_dataset("a,power_w\n3,0.5\n",
+                                  _mutant(data, self.META))
+        except ValueError:
+            return
+        assert_plain([ds.clock_freq], float)
+        assert_plain([ds.period_cycles], int)
