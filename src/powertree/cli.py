@@ -344,7 +344,8 @@ def cmd_quantize(ctx: Context) -> int:
                                             "model.json"))
     ctx.write_artifact("image.bin", hwsim.image_bytes(image), inputs)
     print(f"quantize: {image.n_nodes} node words, max depth {image.max_depth}, "
-          f"{image.leaf_unit} mW/LSB")
+          f"{image.leaf_unit} mW/LSB, structure memory {64 * image.n_nodes} "
+          f"bits, worst-case latency {2 * image.max_depth + 1} cycles")
     return 0
 
 

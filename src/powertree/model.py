@@ -129,11 +129,47 @@ class EnsembleModel:
 def _ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """keys (n, F) = f * B + the rank of X[r, f] in column f of the integer
     counts X, and values (F, B) = the count of each rank (0.0 past the
-    column's last), B being the most distinct counts in any column."""
+    column's last), B being the most distinct counts in any column.
+
+    Counts below a bound W fill a presence table of F * W cells; when that
+    is no larger than X (or 2**16 cells) the table ranks them with no sort,
+    and wider counts are sorted."""
     n_feat = X.shape[1]
     width = int(X.max(initial=0)) + 1
     if width * n_feat > np.iinfo(np.int64).max:  # the keys would wrap
         raise ValueError("activity counts too large to rank")
+    if width * n_feat <= max(X.size, 2**16):
+        return _ranks_by_table(X, width)
+    return _ranks_by_sort(X, width)
+
+
+def _ranks_by_table(X: np.ndarray,
+                    width: int) -> tuple[np.ndarray, np.ndarray]:
+    """_ranks of counts in [0, width), from a (F, width) table: a count's
+    rank is the number of distinct counts below it in its column."""
+    n_feat = X.shape[1]
+    flat = X.astype(np.intp)
+    flat += np.arange(n_feat, dtype=np.intp) * width
+    seen = np.zeros((n_feat, width), dtype=bool)
+    seen.reshape(-1)[flat] = True
+    # the table may have as many cells as X: int32 halves it
+    table = np.cumsum(seen, axis=1, dtype=np.int32 if n_feat * width < 2**31
+                      else np.intp)
+    n_bins = int(table[:, -1].max(initial=0))
+    col, count = np.nonzero(seen)
+    values = np.zeros((n_feat, n_bins))
+    values[col, table[col, count] - 1] = count
+    table += (np.arange(n_feat, dtype=table.dtype) * n_bins - 1)[:, None]
+    keys = table.reshape(-1)[flat]
+    del flat  # freed before keys' intp copy is made
+    return keys.astype(np.intp), values
+
+
+def _ranks_by_sort(X: np.ndarray,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """_ranks of counts in [0, width), by one np.unique over all n * F
+    (column, count) keys."""
+    n_feat = X.shape[1]
     # the narrowest unsigned type that holds the keys sorts fastest
     kind = np.min_scalar_type(width * n_feat)
     flat, inverse = np.unique(np.arange(n_feat, dtype=kind) * width
@@ -249,41 +285,93 @@ def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     Each column's counts are ranked once, and each node bins its rows by
     rank.  Nodes are grown from a stack, left subtree first, in preorder.
     """
+    return _grow(dataset, hp)
+
+
+def _grow(dataset: Dataset, hp: HyperParams, prior: DecisionTree | None = None,
+          remap: np.ndarray | None = None) -> DecisionTree:
+    """fit_tree(dataset, hp), reusing prior where it still holds.
+
+    prior is the tree fit_tree (or _grow) grew with hp on the same rows and
+    targets over wider columns, of which dataset keeps some in their order;
+    remap[f] is the new index of prior's feature f, or -1 if it was dropped.
+    A prior leaf stays a leaf, and a prior split on a kept feature keeps its
+    threshold, reduction, n_samples, impurity and value, its feature index
+    remapped, its children mirroring prior's children.  A prior split on a
+    dropped feature, and every node below it, is searched afresh.  That
+    gives fit_tree's tree bit for bit:
+    * a node's rows depend only on its ancestors' splits, which it shares
+      with its prior node, so n_samples, impurity and value are the same;
+    * the stopping rules read only the node's rows, so a node stopped by one
+      stops again, and one that passed them passes again;
+    * a kept split was the best candidate over a superset of the node's
+      candidates, and deleting columns keeps their order, so the tie rule
+      (the lowest feature, then the lowest threshold) still picks it;
+    * its exact score and threshold depend on the node's rows and the
+      split's column alone;
+    * a node with no candidate scoring above zero has none in a subset.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    keys, values = _ranks(dataset.features)
+    X = dataset.features
     y = dataset.powers.astype(np.float64)
     root_var = float(np.var(y))
+    ranked = None  # _ranks(X), taken on the first search
     # one record per node in preorder, in DecisionTree's field order
     nodes: list[list] = []
-    # (ascending rows, depth, -1 or the node whose right child they are);
-    # a left child directly follows its parent in preorder
-    stack = [(np.arange(len(dataset), dtype=np.intp), 0, -1)]
+    # (ascending rows, depth, -1 or the node whose right child they are,
+    # -1 or the prior node they mirror); a left child directly follows its
+    # parent in preorder
+    stack = [(np.arange(len(dataset), dtype=np.intp), 0, -1,
+              -1 if prior is None else 0)]
     while stack:
-        rows, depth, parent = stack.pop()
+        rows, depth, parent, p = stack.pop()
         i = len(nodes)
         if parent >= 0:
             nodes[parent][8] = i
-        yy = y[rows]
-        m = int(rows.size)
-        var = float(np.var(yy))
-        nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0, -1, -1])
-        # fewer than 2 * min_leaf_sample samples have no cut to score
-        if (depth >= hp.max_depth or np.all(yy == yy[0])
-                or m < max(hp.min_split_sample, 2 * hp.min_leaf_sample)
-                or root_var == 0.0 or var / root_var < hp.min_leaf_impurity):
-            continue
-        found = _best_split_all(keys[rows], values, yy, hp.min_leaf_sample, var)
-        if found is None:
-            continue
-        j, thr, red = found
+        if p >= 0 and (prior.left[p] < 0 or remap[prior.feature[p]] >= 0):
+            nodes.append([prior.n_samples[p], prior.impurity[p],
+                          prior.value[p], depth, 0, 0.0, 0.0, -1, -1])
+            if prior.left[p] < 0:
+                continue
+            j, thr, red = (remap[prior.feature[p]], prior.threshold[p],
+                           prior.reduction[p])
+            below = prior.left[p], prior.right[p]
+        else:
+            yy = y[rows]
+            m = int(rows.size)
+            var = float(np.var(yy))
+            nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0,
+                          -1, -1])
+            # fewer than 2 * min_leaf_sample samples have no cut to score
+            if (depth >= hp.max_depth or np.all(yy == yy[0])
+                    or m < max(hp.min_split_sample, 2 * hp.min_leaf_sample)
+                    or root_var == 0.0
+                    or var / root_var < hp.min_leaf_impurity):
+                continue
+            if ranked is None:
+                ranked = _ranks(X)
+            keys, values = ranked
+            found = _best_split_all(keys[rows], values, yy,
+                                    hp.min_leaf_sample, var)
+            if found is None:
+                continue
+            j, thr, red = found
+            below = -1, -1
         nodes[i][4:8] = [j, thr, red, i + 1]
-        left_side = dataset.features[rows, j] <= thr
-        stack.append((rows[~left_side], depth + 1, i))
-        stack.append((rows[left_side], depth + 1, -1))
-    return DecisionTree(*(np.array(column) for column in zip(*nodes)),
-                        dataset.n_features, dataset.clock_freq,
-                        dataset.feature_names)
+        left_side = X[rows, j] <= thr
+        stack.append((rows[~left_side], depth + 1, i, below[1]))
+        stack.append((rows[left_side], depth + 1, -1, below[0]))
+    return DecisionTree(*_node_arrays(nodes), dataset.n_features,
+                        dataset.clock_freq, dataset.feature_names)
+
+
+def _node_arrays(records: list[list]) -> list[np.ndarray]:
+    """DecisionTree's nine node arrays from one record per node; an integer
+    outside the int64 range raises OverflowError."""
+    return [np.array(column, dtype=kind) for column, kind in zip(
+        zip(*records), (np.int64, np.float64, np.float64, np.int64, np.int64,
+                        np.float64, np.float64, np.int64, np.int64))]
 
 
 def _paths(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
@@ -499,8 +587,12 @@ def _tree_from_doc(doc: dict) -> DecisionTree:
     position = {i: p for p, (i, _, _) in enumerate(visited)}
     records = [record + ([position[c] for c in children] or [-1, -1])
                for _, record, children in visited]
-    return DecisionTree(*(np.array(column) for column in zip(*records)),
-                        n_features, model_freq, feature_ids)
+    try:
+        arrays = _node_arrays(records)
+    except OverflowError:
+        raise ValueError("tree document: an n_samples is outside the int64 "
+                         "range") from None
+    return DecisionTree(*arrays, n_features, model_freq, feature_ids)
 
 
 def tree_text(tree: DecisionTree) -> str:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (HyperParams, feature_importances, fit_tree, mae_percent,
+import numpy as np
+
+from .model import (HyperParams, _grow, feature_importances, mae_percent,
                     predict_tree_batch)
 from .workload import Dataset, _table_text
 
@@ -33,6 +35,12 @@ def rfe(dataset: Dataset, hp: HyperParams,
     feature is dropped per iteration, and the loop stops once
     ceil(target_fraction * n_original) features remain.  Importance ties drop
     the feature that appears later in the dataset's column order.
+
+    Each iteration's tree, and the final refit's, is fit_tree's on the
+    remaining features.  It is grown from the previous tree: every split on
+    a surviving feature is kept as it was, and only the subtrees under a
+    dropped feature's splits are searched again (model._grow says why that
+    is exact).
     """
     if len(dataset) == 0:
         raise ValueError("cannot select features on an empty dataset")
@@ -47,10 +55,11 @@ def rfe(dataset: Dataset, hp: HyperParams,
     remaining = list(original)
     history: list[RfeStep] = []
     iteration = 0
+    tree = remap = None
 
     while len(remaining) > n_target:
         sub = dataset.select_features(remaining)
-        tree = fit_tree(sub, hp)
+        tree = _grow(sub, hp, tree, remap)
         imp = feature_importances(tree)
         train_mae = mae_percent(predict_tree_batch(tree, sub.features), sub.powers)
 
@@ -65,9 +74,11 @@ def rfe(dataset: Dataset, hp: HyperParams,
         history.append(RfeStep(iteration, dropped, train_mae))
         iteration += 1
         gone = set(dropped)
+        kept = np.array([name not in gone for name in remaining])
+        remap = np.where(kept, np.cumsum(kept) - 1, -1)
         remaining = [name for name in remaining if name not in gone]
 
-    final = fit_tree(dataset.select_features(remaining), hp)
+    final = _grow(dataset.select_features(remaining), hp, tree, remap)
     imp = feature_importances(final)
     ranked = sorted(range(len(remaining)),
                     key=lambda j: (-imp[j], position[remaining[j]]))

@@ -335,6 +335,20 @@ class TestPipeline:
             assert float(cells[2]) == expect_mw
             assert int(cells[1]) <= 2 * image.max_depth + 1
 
+    def test_quantize_reports_monitor_overhead(self, pipeline, capsys):
+        # the structure memory holds one 64-bit word per node, and an
+        # engine walk takes at most 2 * max_depth + 1 cycles
+        image_bin = pipeline.parent / "out" / "image.bin"
+        before = image_bin.read_bytes()
+        capsys.readouterr()
+        assert main(["quantize", "--config", str(pipeline)]) == 0
+        out = capsys.readouterr().out
+        assert image_bin.read_bytes() == before
+        bits = int(re.search(r"structure memory (\d+) bits", out)[1])
+        cycles = int(re.search(r"worst-case latency (\d+) cycles", out)[1])
+        assert bits == 8 * (len(before) - struct.calcsize("<4sIII"))
+        assert cycles == 2 * pt.load_image(image_bin).max_depth + 1
+
     def test_shed_output(self, tmp_path):
         cfg = write_config(tmp_path)
         run_pipeline(cfg, ("gen", "select", "tune", "train", "quantize",

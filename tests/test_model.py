@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -369,6 +370,75 @@ class TestGrowthMatchesBruteForce:
         assert_growths_identical(pt.fit_tree(ds, hp), oracle_grow(ds, hp))
 
 
+@functools.cache
+def power_data():
+    """The power data of TestGrowthMatchesBruteForce."""
+    d = pt.generate_design(pt.hybrid_design_spec(seed=3))
+    ds = pt.simulate_dataset(d, 400, 300, seed=4)
+    return ds.select_features(pt.rank_signals_by_activity(ds, 20))
+
+
+def drop_columns(ds, keep):
+    """ds with only the columns keep marks, and the remap of _grow."""
+    keep = np.asarray(keep, dtype=bool)
+    sub = ds.select_features([n for n, k in zip(ds.feature_names, keep) if k])
+    return sub, np.where(keep, np.cumsum(keep) - 1, -1)
+
+
+def assert_regrowth_matches(ds, hp, keep):
+    """_grow from ds's tree over the columns keep marks equals fit_tree
+    there."""
+    sub, remap = drop_columns(ds, keep)
+    assert_growths_identical(model._grow(sub, hp, pt.fit_tree(ds, hp), remap),
+                             pt.fit_tree(sub, hp))
+
+
+class TestRegrowth:
+    """_grow reusing a tree grown over more columns against fit_tree from
+    scratch: all nine node arrays must be bitwise equal."""
+
+    @given(tie_heavy_growths(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fit_tree_on_tie_heavy_data(self, case, data):
+        ds, hp = case
+        keep = data.draw(arrays(bool, ds.n_features))
+        assert_regrowth_matches(ds, hp, keep)
+
+    @given(st.sampled_from([pt.HyperParams(8, 5, 5, 0.001),
+                            pt.HyperParams(8, 2, 1, 0.0)]),
+           arrays(bool, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_fit_tree_on_power_data(self, hp, keep):
+        assert_regrowth_matches(power_data(), hp, keep)
+
+    def test_kept_splits_are_not_searched(self, monkeypatch):
+        ds = power_data()
+        hp = pt.HyperParams(4, 5, 5, 0.001)
+        tree = pt.fit_tree(ds, hp)
+        used = np.unique(tree.feature[tree.left >= 0])
+        searched = []
+        search = model._best_split_all
+
+        def recording(keys, *args):
+            searched.append(keys.shape[0])
+            return search(keys, *args)
+
+        monkeypatch.setattr(model, "_best_split_all", recording)
+
+        def regrow(dropped):
+            """The node sizes _grow searches with the dropped columns
+            gone."""
+            keep = np.ones(ds.n_features, dtype=bool)
+            keep[dropped] = False
+            sub, remap = drop_columns(ds, keep)
+            searched.clear()
+            model._grow(sub, hp, tree, remap)
+            return searched
+
+        assert regrow(np.setdiff1d(np.arange(ds.n_features), used)) == []
+        assert regrow(tree.feature[0])[0] == len(ds)
+
+
 def fast_score(y, order, k):
     """The prefix-sum score of the cut after the first k of order, with
     the operations of _best_split_all on columns whose every count bin
@@ -421,6 +491,53 @@ class TestSplitTies:
             assert rescored == [(0, 1, 2, 3)]
         # the band matters: re-scoring the fast winner alone would pick 1
         assert fast_prefers_1 > 0
+
+
+@st.composite
+def count_matrices(draw):
+    """Non-negative integer counts, as int64 or as integer-valued floats,
+    with zero columns or zero rows, constant columns, and widths on both
+    sides of _ranks' switch from the table to the sort."""
+    m = draw(st.integers(0, 30))
+    n_feat = draw(st.integers(0, 5))
+    # up to 2**17 keeps the table at most 5 * (2**17 + 1) cells
+    high = draw(st.sampled_from([0, 1, 4, 300, 2**16 // max(n_feat, 1) - 1,
+                                 2**16 // max(n_feat, 1), 2**17]))
+    X = draw(arrays(np.int64, (m, n_feat), elements=st.integers(0, high)))
+    if n_feat and draw(st.booleans()):
+        X[:, draw(st.integers(0, n_feat - 1))] = draw(st.integers(0, high))
+    return X.astype(draw(st.sampled_from([np.int64, np.float64])))
+
+
+class TestRanks:
+    @given(count_matrices())
+    # either side of the table's bounds: F * W at 2**16, and at n * F
+    # above it
+    @example(np.full((1, 1), 2**16 - 1))
+    @example(np.full((1, 1), 2**16))
+    @example(np.arange(2**16 + 8)[:, None])
+    @example(np.arange(2**16 + 8)[:, None] + 1)
+    @settings(max_examples=300, deadline=None)
+    def test_table_and_sort_agree(self, X):
+        width = int(X.max(initial=0)) + 1
+        by_sort = model._ranks_by_sort(X, width)
+        for got in (model._ranks_by_table(X, width), model._ranks(X)):
+            for a, b in zip(got, by_sort):  # keys, then values
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_table_peaks_below_sort(self):
+        # select's first fit ranks 8000 x 200 counts of at most 300
+        X = np.random.default_rng(7).integers(0, 301, (8000, 200))
+        peaks = []
+        for path in (model._ranks_by_table, model._ranks_by_sort):
+            tracemalloc.start()
+            try:
+                path(X, 301)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
 
 
 class TestPredict:
@@ -806,6 +923,9 @@ class TestSerialization:
          "tree node 1: reduction must be a finite number, not '0.5'"),
         (lambda doc: doc.update(model_freq_hz="1e8"),
          "tree document: model_freq_hz must be a finite number, not '1e8'"),
+        # a float64 column would save every n_samples as a float
+        (lambda doc: doc["nodes"][3].update(n_samples=10**19),
+         "tree document: an n_samples is outside the int64 range"),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         X = np.arange(1, 9)[:, None]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import powertree as pt
+from powertree import model, selection
 from powertree.workload import Dataset
 
 HP = pt.HyperParams(max_depth=6, min_split_sample=5, min_leaf_sample=5,
@@ -93,3 +94,17 @@ class TestRfe:
         assert lines[0] == "iteration,n_dropped,train_mae_percent,dropped"
         assert len(lines) == len(result.history) + 1
         assert lines[1].startswith("0,")
+
+    @pytest.mark.parametrize("hp", [HP, pt.HyperParams(8, 2, 1, 0.0)])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_regrowth_equals_fresh_fits(self, monkeypatch, hp, seed):
+        # RFE's trees reuse the previous one's surviving splits; fitting
+        # each from scratch must give the same result
+        d = pt.generate_design(pt.hybrid_design_spec(seed=seed))
+        ds = pt.simulate_dataset(d, 400, 300, seed=seed + 1)
+        ds = ds.select_features(pt.rank_signals_by_activity(ds, 40))
+        result = pt.rfe(ds, hp, 0.2)
+        monkeypatch.setattr(selection, "_grow",
+                            lambda sub, hp, *prior: model.fit_tree(sub, hp))
+        assert len(result.history) > 1
+        assert pt.rfe(ds, hp, 0.2) == result
