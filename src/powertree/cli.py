@@ -358,14 +358,16 @@ def cmd_monitor(ctx: Context) -> int:
     period = ctx.cfg["period_cycles"]
     trace = workload.synthesize_trace(design, ctx.cfg["monitor_periods"],
                                       period, ctx.cfg["seed"] + 3)
-    rows = hwsim.run_monitor(trace.select_signals(retained), image,
-                             hwsim.MonitorConfig(len(retained), period))
+    counters = hwsim.MonitorConfig(len(retained), period)
+    rows = hwsim.run_monitor(trace.select_signals(retained), image, counters)
     ctx.write_artifact("monitor.csv", _table_text(
         ["period", "cycles", "estimate_mw", *retained],
         ((p, cycles, hwsim.dequantize_mw(image, value), *f)
          for p, value, cycles, f in rows)), inputs)
     print(f"monitor: {len(rows)} periods of {period} cycles, "
-          f"{len(retained)} counters")
+          f"{len(retained)} counters, counter bits "
+          f"{counters.n_counters * counters.counter_width}, worst latency "
+          f"{max(cycles for _, _, cycles, _ in rows)} of {period} cycles")
     return 0
 
 

@@ -11,14 +11,7 @@ Three pieces, mirroring the hardware wrapper:
   decision level (synchronous memory read plus stall) and one to present
   the result.
 
-Node word layout (bit 63 is the leaf flag)::
-
-    decision: [62:48] feature address   (15 bits)
-              [47:28] threshold         (20 bits, matches counter width)
-              [27:14] left child index  (14 bits)
-              [13:0]  right child index (14 bits)
-    leaf:     [15:0]  value             (16 bits, leaf_unit milliwatts/LSB)
-
+``_LAYOUT`` places the fields of a node word; bit 63 is the leaf flag.
 Thresholds are stored floored; because activity counts are integers and
 training thresholds are midpoints of observed counts, `x <= floor(t)` routes
 every integer x exactly as `x <= t` does.  Leaf values round to the nearest
@@ -68,13 +61,17 @@ THRESHOLD_BITS = 20
 CHILD_BITS = 14
 VALUE_BITS = 16
 
-_FEATURE_SHIFT = 48
-_THRESHOLD_SHIFT = 28
-_LEFT_SHIFT = 14
-_FEATURE_MASK = (1 << FEATURE_BITS) - 1
-_THRESHOLD_MASK = (1 << THRESHOLD_BITS) - 1
-_CHILD_MASK = (1 << CHILD_BITS) - 1
-_VALUE_MASK = (1 << VALUE_BITS) - 1
+# (shift, bits) of each MemNode field in the node word, in MemNode's
+# order: a decision word holds feature, threshold (as wide as an activity
+# counter), left and right; a leaf word sets is_leaf and holds value, in
+# leaf_unit milliwatts per LSB
+_LAYOUT = {"is_leaf": (LEAF_FLAG_BIT, 1), "feature": (48, FEATURE_BITS),
+           "threshold": (28, THRESHOLD_BITS), "left": (14, CHILD_BITS),
+           "right": (0, CHILD_BITS), "value": (0, VALUE_BITS)}
+
+# what a feature may be: an int or any numpy integer, never a bool
+_INTEGER_TYPES = frozenset([int, *(np.dtype(c).type
+                                   for c in np.typecodes["AllInteger"])])
 
 IMAGE_MAGIC = b"PTMI"
 _HEADER = struct.Struct("<4sIII")  # magic, n_nodes, max_depth, leaf_unit in uW
@@ -121,37 +118,43 @@ class MemNode:
     value: int = 0  # leaf only, in leaf_unit LSBs
 
 
-def _check_field(name: str, value: int, bits: int) -> None:
-    if not (0 <= value < (1 << bits)):
-        raise ValueError(f"{name}={value} does not fit in {bits} bits")
+def _pack(**fields) -> np.ndarray:
+    """uint64 node words from the named fields, each one number or an array
+    of one per word; a field not named packs as 0.  A value outside its
+    field, checked before any cast, raises ValueError naming the field."""
+    words = np.uint64(0)
+    for name, values in fields.items():
+        shift, bits = _LAYOUT[name]
+        v = np.asarray(values)
+        fits = (v >= 0) & (v < 1 << bits)
+        if not np.all(fits):
+            raise ValueError(f"{name}={v.flat[np.argmin(fits)]} does not fit "
+                             f"in {bits} bits")
+        words = words | v.astype(np.uint64) << shift
+    return words
+
+
+def _unpack(words) -> tuple:
+    """Every MemNode field, in MemNode's order, of a word (an int) or of
+    each word (a uint64 array), whatever the word's kind."""
+    return tuple((words >> shift) & ((1 << bits) - 1)
+                 for shift, bits in _LAYOUT.values())
 
 
 def node_encode(node: MemNode) -> int:
     if node.is_leaf:
-        _check_field("value", node.value, VALUE_BITS)
-        return (1 << LEAF_FLAG_BIT) | node.value
-    _check_field("feature", node.feature, FEATURE_BITS)
-    _check_field("threshold", node.threshold, THRESHOLD_BITS)
-    _check_field("left", node.left, CHILD_BITS)
-    _check_field("right", node.right, CHILD_BITS)
-    return ((node.feature << _FEATURE_SHIFT)
-            | (node.threshold << _THRESHOLD_SHIFT)
-            | (node.left << _LEFT_SHIFT)
-            | node.right)
+        return int(_pack(is_leaf=1, value=node.value))
+    return int(_pack(feature=node.feature, threshold=node.threshold,
+                     left=node.left, right=node.right))
 
 
 def node_decode(word: int) -> MemNode:
     if not (0 <= word < (1 << 64)):
         raise ValueError("word must be an unsigned 64-bit value")
-    if word >> LEAF_FLAG_BIT:
-        return MemNode(True, value=word & _VALUE_MASK)
-    return MemNode(
-        False,
-        feature=(word >> _FEATURE_SHIFT) & _FEATURE_MASK,
-        threshold=(word >> _THRESHOLD_SHIFT) & _THRESHOLD_MASK,
-        left=(word >> _LEFT_SHIFT) & _CHILD_MASK,
-        right=word & _CHILD_MASK,
-    )
+    leaf, feature, threshold, left, right, value = _unpack(word)
+    if leaf:
+        return MemNode(True, value=value)
+    return MemNode(False, feature, threshold, left, right)
 
 
 class MalformedImageError(ValueError):
@@ -178,14 +181,16 @@ class TreeMemoryImage:
             raise ValueError("leaf_unit must be positive")
         object.__setattr__(self, "words", self.words.copy())
         self.words.flags.writeable = False
-        words = self.words.tolist()
+        # the fields the engine walks, always decoded from the words
+        object.__setattr__(self, "_fields",
+                           tuple(v.tolist() for v in _unpack(self.words)))
+        leaf, _, _, left, right, _ = self._fields
         reached = [True] + [False] * (self.n_nodes - 1)
         level, depth = [0], -1
         while level:  # breadth-first, one level per pass
             depth += 1
-            level = [c for a in level if not words[a] >> LEAF_FLAG_BIT
-                     for c in ((words[a] >> _LEFT_SHIFT) & _CHILD_MASK,
-                               words[a] & _CHILD_MASK)]
+            level = [c for a in level if not leaf[a]
+                     for c in (left[a], right[a])]
             for c in level:
                 if c >= self.n_nodes:
                     raise MalformedImageError(f"dangling child address {c}")
@@ -203,8 +208,9 @@ class TreeMemoryImage:
 def quantize(tree: DecisionTree) -> TreeMemoryImage:
     """Encode a fitted tree as integer node words, breadth-first.
 
-    Requires non-negative thresholds and leaf values; leaf values must fit
-    the 16-bit milliwatt field, node count the 14-bit child address field.
+    Requires non-negative leaf values, and each field to fit the node word:
+    leaf values in 16-bit milliwatts, thresholds floored to 20 bits, the
+    node count within the 14-bit child address.
     """
     n = tree.left.size
     if n > (1 << CHILD_BITS):
@@ -214,25 +220,17 @@ def quantize(tree: DecisionTree) -> TreeMemoryImage:
     order = np.argsort(tree.node_depth, kind="stable")
     address = np.empty(n, dtype=np.intp)
     address[order] = np.arange(n)
-    value, feature, threshold, left, right = (a.tolist() for a in (
-        tree.value, tree.feature, tree.threshold, tree.left, tree.right))
-    words = np.zeros(n, dtype=np.uint64)
-    for k, i in enumerate(order.tolist()):
-        if left[i] < 0:
-            if value[i] < 0:
-                raise ValueError("leaf values must be >= 0")
-            mw = np.floor(value[i] * 1000.0 + 0.5)
-            if mw >= (1 << VALUE_BITS):
-                raise ValueError(f"leaf value {value[i]} W exceeds the "
-                                 "16-bit milliwatt range")
-            words[k] = node_encode(MemNode(True, value=int(mw)))
-        else:
-            if threshold[i] < 0:
-                raise ValueError("thresholds must be >= 0")
-            thr = int(np.floor(threshold[i]))
-            words[k] = node_encode(MemNode(
-                False, feature=feature[i], threshold=thr,
-                left=int(address[left[i]]), right=int(address[right[i]])))
+    leaf = tree.left[order] < 0
+    watts = tree.value[order[leaf]]
+    if (watts < 0).any():  # in (-0.0005, 0) W it would round to 0 mW
+        raise ValueError("leaf values must be >= 0")
+    node = order[~leaf]
+    words = np.empty(n, dtype=np.uint64)
+    words[leaf] = _pack(is_leaf=1, value=np.floor(watts * 1000.0 + 0.5))
+    words[~leaf] = _pack(feature=tree.feature[node],
+                         threshold=np.floor(tree.threshold[node]),
+                         left=address[tree.left[node]],
+                         right=address[tree.right[node]])
     return TreeMemoryImage(words, n, tree.depth)
 
 
@@ -262,31 +260,27 @@ def engine_invoke(image: TreeMemoryImage,
                   features) -> tuple[int, int, list[str]]:
     """Walk the structure memory once; integer compares only.
 
-    Returns (leaf value in LSBs, cycles consumed, FSM state trace).  The
-    trace always matches I (N S)* R and a leaf at depth d costs 2*d + 1
-    cycles, at most 2*max_depth + 1.
+    features holds one unsigned int or numpy integer per feature address;
+    a float, bool or string raises ValueError.  Returns (leaf value in
+    LSBs, cycles consumed, FSM state trace).  The engine reads and stalls
+    once per decision, so a leaf at depth d traces I (N S)^d R and costs
+    2*d + 1 cycles, at most 2*max_depth + 1.
     """
-    buf = tuple(int(v) for v in features)
-    if any(v < 0 for v in buf):
+    buf = list(features)
+    if not set(map(type, buf)) <= _INTEGER_TYPES:
+        raise ValueError("features must be integers")
+    if min(buf, default=0) < 0:
         raise ValueError("features must be unsigned")
-    words = image.words
-    trace = ["I"]
+    leaf, feature, threshold, left, right, value = image._fields
     addr = decisions = 0
-    while True:
-        word = int(words[addr])
-        if word >> LEAF_FLAG_BIT:
-            trace.append("R")
-            return word & _VALUE_MASK, 2 * decisions + 1, trace
-        feature = (word >> _FEATURE_SHIFT) & _FEATURE_MASK
-        if feature >= len(buf):
-            raise ValueError(f"feature address {feature} not covered by "
+    while not leaf[addr]:
+        j = feature[addr]
+        if j >= len(buf):
+            raise ValueError(f"feature address {j} not covered by "
                              f"the {len(buf)}-entry feature buffer")
-        trace += ("N", "S")
-        if buf[feature] <= (word >> _THRESHOLD_SHIFT) & _THRESHOLD_MASK:
-            addr = (word >> _LEFT_SHIFT) & _CHILD_MASK
-        else:
-            addr = word & _CHILD_MASK
+        addr = left[addr] if buf[j] <= threshold[addr] else right[addr]
         decisions += 1
+    return value[addr], 2 * decisions + 1, ["I", *("N", "S") * decisions, "R"]
 
 
 def period_features(trace: ToggleTrace,

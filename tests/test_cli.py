@@ -349,6 +349,22 @@ class TestPipeline:
         assert bits == 8 * (len(before) - struct.calcsize("<4sIII"))
         assert cycles == 2 * pt.load_image(image_bin).max_depth + 1
 
+    def test_monitor_reports_its_overhead(self, pipeline, capsys):
+        # one counter_width-bit counter per retained signal, and the
+        # slowest engine walk the run logged, against the period
+        out_dir = pipeline.parent / "out"
+        before = (out_dir / "monitor.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["monitor", "--config", str(pipeline)]) == 0
+        out = capsys.readouterr().out
+        assert (out_dir / "monitor.csv").read_bytes() == before
+        retained = json.loads((out_dir / "selection.json").read_text())[
+            "retained"]
+        assert f"counter bits {20 * len(retained)}," in out
+        worst = max(int(line.split(",")[1])
+                    for line in before.decode().splitlines()[1:])
+        assert f"worst latency {worst} of 60 cycles" in out
+
     def test_shed_output(self, tmp_path):
         cfg = write_config(tmp_path)
         run_pipeline(cfg, ("gen", "select", "tune", "train", "quantize",

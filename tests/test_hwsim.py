@@ -1,5 +1,8 @@
+import ast
+import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powertree as pt
+from powertree import hwsim
 from powertree.hwsim import (CHILD_BITS, FEATURE_BITS, LEAF_FLAG_BIT,
                              THRESHOLD_BITS, VALUE_BITS, MalformedImageError,
                              MemNode)
@@ -141,6 +145,44 @@ def fitted_image(seed, depth):
     return pt.quantize(tree), tree
 
 
+def leaf_tree(watts):
+    """A one-leaf tree holding this power."""
+    ds = Dataset(np.array([[0], [1]]), np.array([watts, watts]), ("f0",), 10,
+                 1e8)
+    return pt.fit_tree(ds, pt.HyperParams())
+
+
+def split_tree(high):
+    """One split between counts 0 and high, at threshold high / 2."""
+    ds = Dataset(np.array([[0], [high]]), np.array([1.0, 2.0]), ("f0",),
+                 high, 1e8)
+    return pt.fit_tree(ds, pt.HyperParams(1, 2, 1, 0.0))
+
+
+def edited_tree(tree, field, value):
+    """The tree read back from its model.json with one field of its root
+    set to value."""
+    doc = json.loads(pt.tree_text(tree))
+    doc["nodes"][0][field] = value
+    return pt.parse_tree(json.dumps(doc), "model.json")
+
+
+def chain_tree(n_decisions, feature=0):
+    """A tree of n_decisions decisions on one feature, each with a leaf as
+    its left child; in preorder decision, leaf, decision, leaf, ..., leaf,
+    leaf."""
+    n = 2 * n_decisions + 1
+    idx = np.arange(n)
+    decision = (idx % 2 == 0) & (idx < n - 1)
+    return pt.DecisionTree(
+        n_samples=np.full(n, 2), impurity=np.zeros(n), value=np.ones(n),
+        node_depth=(idx + 1) // 2, feature=np.where(decision, feature, 0),
+        threshold=np.where(decision, 0.5, 0.0), reduction=np.zeros(n),
+        left=np.where(decision, idx + 1, -1),
+        right=np.where(decision, idx + 2, -1), n_features=feature + 1,
+        model_freq=1e8, feature_ids=tuple(f"f{j}" for j in range(feature + 1)))
+
+
 class TestCounter:
     def test_hand_counted_sequence(self):
         state = pt.CounterState(width=20)
@@ -207,10 +249,31 @@ class TestNodeWords:
         MemNode(False, threshold=1 << THRESHOLD_BITS),
         MemNode(False, left=1 << CHILD_BITS),
         MemNode(False, right=-1),
+        # checked before any cast to 64 bits, so no OverflowError
+        MemNode(False, feature=2**70),
+        MemNode(True, value=2**70),
     ])
     def test_field_overflow_rejected(self, node):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not fit"):
             pt.node_encode(node)
+
+    def test_layout_declared_once(self):
+        # only _pack and _unpack shift a word or mask a field, both by the
+        # _LAYOUT table; a 1 << n bound is no word shift
+        def word_ops(tree):
+            return {n.lineno for n in ast.walk(tree)
+                    if isinstance(n, ast.BinOp) and (
+                        isinstance(n.op, ast.RShift)
+                        or isinstance(n.op, ast.LShift)
+                        and getattr(n.left, "value", None) != 1
+                        or isinstance(n.op, ast.BitAnd)
+                        and ast.Constant in {type(n.left), type(n.right)})}
+
+        tree = ast.parse(Path(hwsim.__file__).read_text())
+        helpers = [f for f in tree.body
+                   if getattr(f, "name", None) in ("_pack", "_unpack")]
+        assert len(helpers) == 2 and all(map(word_ops, helpers))
+        assert word_ops(tree) == set().union(*map(word_ops, helpers))
 
 
 class TestQuantize:
@@ -246,6 +309,35 @@ class TestQuantize:
         tree = pt.fit_tree(ds, pt.HyperParams())
         with pytest.raises(ValueError):
             pt.quantize(tree)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: edited_tree(leaf_tree(1.0), "value", -1.0), "leaf value"),
+        # rounds to 0 mW, yet is below 0 W
+        (lambda: edited_tree(leaf_tree(1.0), "value", -0.0004), "leaf value"),
+        (lambda: leaf_tree(65.5355), "value"),  # rounds to 2**16 mW
+        (lambda: edited_tree(split_tree(2), "threshold", -0.5), "threshold"),
+        (lambda: split_tree(1 << 21), "threshold"),  # threshold 2**20
+        (lambda: chain_tree(1, feature=1 << FEATURE_BITS), "feature"),
+        (lambda: chain_tree(1 << 13), "child-address"),  # 2**14 + 1 nodes
+    ])
+    def test_out_of_range_field_rejected(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            pt.quantize(make())
+
+    @pytest.mark.parametrize("make, field, largest", [
+        (lambda: leaf_tree(0.0), "value", 0),
+        (lambda: leaf_tree(65.5354), "value", (1 << VALUE_BITS) - 1),
+        (lambda: split_tree((1 << 21) - 1), "threshold",
+         (1 << THRESHOLD_BITS) - 1),
+        (lambda: chain_tree(1, feature=(1 << FEATURE_BITS) - 1), "feature",
+         (1 << FEATURE_BITS) - 1),
+        # 2**14 - 1 nodes, the last word a right child
+        (lambda: chain_tree((1 << 13) - 1), "right", (1 << CHILD_BITS) - 2),
+    ])
+    def test_boundary_fields_accepted(self, make, field, largest):
+        image = pt.quantize(make())
+        assert max(getattr(pt.node_decode(int(w)), field)
+                   for w in image.words) == largest
 
 
 class TestEngine:
@@ -291,6 +383,27 @@ class TestEngine:
         image, _ = fitted_image(seed=3, depth=3)
         with pytest.raises(ValueError):
             pt.engine_invoke(image, [1])
+
+    @pytest.mark.parametrize("bad", [
+        lambda x: x + 0.7,
+        lambda x: [str(v) for v in x],
+        lambda x: [True] * len(x),
+        lambda x: [*x[:-1].tolist(), np.True_],
+    ], ids=["float", "str", "bool", "numpy bool"])
+    def test_non_integer_features_rejected(self, bad):
+        # each would otherwise be truncated to an integer row
+        image, _ = fitted_image(seed=3, depth=3)
+        with pytest.raises(ValueError, match="features must be integers"):
+            pt.engine_invoke(image, bad(np.arange(6)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32,
+                                       np.int64, np.uint64, object])
+    def test_every_integer_dtype_walks_alike(self, dtype):
+        image, _ = fitted_image(seed=3, depth=3)
+        rng = np.random.default_rng(3)
+        for x in rng.integers(0, 256, (50, 6)):
+            assert pt.engine_invoke(image, x.astype(dtype)) \
+                == pt.engine_invoke(image, x.tolist())
 
     def test_cycle_in_memory_detected(self):
         words = np.array([
@@ -346,21 +459,18 @@ def engine_outcome(engine, image, x):
 
 def corrupt_word(rng, word, n_features):
     """A decision word with one field redrawn over its whole range, so the
-    walk can dangle, loop or read past the feature buffer."""
-    node = pt.node_decode(word)
-    field = rng.choice(["left", "right", "feature"])
+    walk can dangle, loop, read past the feature buffer or turn the other
+    way; together the draws cover every field a decision word holds."""
+    field = str(rng.choice(["left", "right", "feature", "threshold"]))
     if field == "feature":
-        feature = int(rng.integers(0, n_features + 3))
-        return pt.node_encode(MemNode(False, feature=feature,
-                                      threshold=node.threshold,
-                                      left=node.left, right=node.right))
-    child = int(rng.integers(0, 1 << CHILD_BITS)) if rng.random() < 0.3 \
-        else int(rng.integers(0, 8))
-    left, right = (child, node.right) if field == "left" \
-        else (node.left, child)
-    return pt.node_encode(MemNode(False, feature=node.feature,
-                                  threshold=node.threshold,
-                                  left=left, right=right))
+        value = int(rng.integers(0, n_features + 3))
+    elif field == "threshold":
+        value = int(rng.integers(0, 1 << THRESHOLD_BITS))
+    elif rng.random() < 0.3:
+        value = int(rng.integers(0, 1 << CHILD_BITS))
+    else:
+        value = int(rng.integers(0, 8))
+    return pt.node_encode(replace(pt.node_decode(word), **{field: value}))
 
 
 class TestEngineMatchesOracle:
