@@ -252,7 +252,10 @@ def _split_dataset(ctx: Context) -> tuple[workload.Dataset, workload.Dataset]:
 
 def _load_selection(ctx: Context) -> tuple[str, ...]:
     doc = _json_doc(ctx.read("selection.json"), None, "selection.json")
-    return _field(doc, "retained", [str], "selection.json")
+    retained = _field(doc, "retained", [str], "selection.json")
+    if len(set(retained)) != len(retained):
+        raise ValueError("selection.json: field 'retained' repeats a name")
+    return retained
 
 
 def _load_best_params(ctx: Context) -> model.HyperParams:

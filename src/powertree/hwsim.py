@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecisionTree
-from .workload import ToggleTrace
+from .model import DecisionTree, _preorder
+from .workload import ToggleTrace, _value
 
 __all__ = [
     "LEAF_FLAG_BIT",
@@ -177,29 +177,23 @@ class TreeMemoryImage:
             raise ValueError("words must hold n_nodes >= 1 entries")
         if self.words.dtype != np.uint64:
             raise ValueError(f"words must be uint64, not {self.words.dtype}")
-        if self.leaf_unit <= 0:
-            raise ValueError("leaf_unit must be positive")
+        # image_bytes stores leaf_unit as a u32 of whole microwatts
+        unit = _value(self.leaf_unit, float, "leaf_unit")
+        uw = round(min(abs(unit), 1 << 32) * 1000)
+        if not (1 <= uw < 1 << 32 and uw / 1000 == unit):
+            raise ValueError(f"leaf_unit must be a whole number of microwatts "
+                             f"in [1, 2**32), not {unit!r} mW")
         object.__setattr__(self, "words", self.words.copy())
         self.words.flags.writeable = False
         # the fields the engine walks, always decoded from the words
         object.__setattr__(self, "_fields",
                            tuple(v.tolist() for v in _unpack(self.words)))
         leaf, _, _, left, right, _ = self._fields
-        reached = [True] + [False] * (self.n_nodes - 1)
-        level, depth = [0], -1
-        while level:  # breadth-first, one level per pass
-            depth += 1
-            level = [c for a in level if not leaf[a]
-                     for c in (left[a], right[a])]
-            for c in level:
-                if c >= self.n_nodes:
-                    raise MalformedImageError(f"dangling child address {c}")
-                if reached[c]:
-                    raise MalformedImageError(f"node {c} reachable twice")
-                reached[c] = True
-        if not all(reached):
-            raise MalformedImageError(
-                f"unreachable node {reached.index(False)}")
+        try:
+            depth = max(d for _, d in _preorder([
+                () if f else (a, b) for f, a, b in zip(leaf, left, right)]))
+        except ValueError as e:
+            raise MalformedImageError(str(e)) from None
         if depth != self.max_depth:
             raise MalformedImageError(f"deepest leaf at depth {depth}, but "
                                       f"max_depth is {self.max_depth}")
@@ -246,6 +240,8 @@ class MonitorConfig:
     counter_width: int = 20
 
     def __post_init__(self) -> None:
+        for name in ("n_counters", "estimation_period", "counter_width"):
+            _value(getattr(self, name), int, name)
         if self.n_counters < 1:
             raise ValueError("n_counters must be >= 1")
         if not (1 <= self.counter_width <= 64):

@@ -7,7 +7,6 @@ per-component trees, and the MAE% metric used throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -502,97 +501,88 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
     }
 
 
-def _tree_from_doc(doc: dict) -> DecisionTree:
-    """Rebuild a tree from its document, its nodes in preorder whatever
-    their order in the document.
-
-    A malformed document raises ValueError naming the node or field at
-    fault: a missing field or one not of its kind by ``workload._value``
-    (an integer, a finite number or a list of strings), feature_ids of a
-    length other than n_features, an unknown kind, a negative n_samples, a
-    child index outside the node list, a node reached twice (which also
-    rules out cycles) or never reached, a feature index outside
-    [0, n_features), or a recorded depth the nodes do not reach.
-    """
-    if not isinstance(doc, dict) or doc.get("format") != "powertree-tree-v1":
-        raise ValueError("not a decision-tree document")
-    try:
-        raw = doc["nodes"]
-        depth = _value(doc["depth"], int, "depth")
-        n_features = _value(doc["n_features"], int, "n_features")
-        model_freq = _value(doc["model_freq_hz"], float, "model_freq_hz")
-        feature_ids = _value(doc["feature_ids"], [str], "feature_ids")
-    except KeyError as e:
-        raise ValueError(f"tree document lacks {e}") from None
-    except ValueError as e:
-        raise ValueError(f"tree document: {e}") from None
-    if len(feature_ids) != n_features:
-        raise ValueError(f"tree document: {len(feature_ids)} feature_ids "
-                         f"for n_features {n_features}")
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("tree document has no nodes")
-
-    visited: list[tuple[int, list, tuple[int, ...]]] = []  # preorder
-    seen = {0}
-    stack = [(0, 0)]
-    reached = 0
+def _preorder(children):
+    """(node, depth) of each node in preorder from node 0, of the tree in
+    which node i has the children ``children[i]``: ``()`` or ``(left,
+    right)``.  A child outside the list, a node reached twice (which also
+    rules out cycles) or never reached raises ValueError."""
+    n, seen, stack = len(children), {0}, [(0, 0)]
     while stack:
-        i, node_depth = stack.pop()
-        reached = max(reached, node_depth)
-        node = raw[i]
-        try:
-            kind = node["kind"]
-            n_samples = _value(node["n_samples"], int, "n_samples")
-            impurity = _value(node["impurity"], float, "impurity")
-            value, feature, threshold, reduction = np.nan, 0, 0.0, 0.0
-            children: tuple[int, ...] = ()
-            if kind == "leaf":
-                value = _value(node["value"], float, "value")
-            elif kind == "decision":
-                feature = _value(node["feature"], int, "feature")
-                threshold = _value(node["threshold"], float, "threshold")
-                reduction = _value(node["reduction"], float, "reduction")
-                children = tuple(_value(node[side], int, side)
-                                 for side in ("left", "right"))
-            else:
-                raise ValueError(f"kind {kind!r} is neither 'leaf' nor "
-                                 "'decision'")
-        except KeyError as e:
-            raise ValueError(f"tree node {i} lacks {e}") from None
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"tree node {i}: {e}") from None
-        if n_samples < 0:
-            raise ValueError(f"tree node {i}: n_samples {n_samples} is negative")
-        if children and not 0 <= feature < n_features:
-            raise ValueError(f"tree node {i}: feature {feature} "
-                             f"outside [0, {n_features})")
-        for c in children:
-            if not 0 <= c < len(raw):
-                raise ValueError(f"tree node {i}: child index {c} outside "
-                                 f"[0, {len(raw)})")
+        i, depth = stack.pop()
+        yield i, depth
+        for c in children[i]:
+            if not 0 <= c < n:
+                raise ValueError(f"node {i}: child index {c} outside [0, {n})")
             if c in seen:
-                raise ValueError(f"tree node {i}: child {c} is reached twice")
+                raise ValueError(f"node {i}: child {c} is reached twice")
             seen.add(c)
-        stack.extend((c, node_depth + 1) for c in reversed(children))
-        visited.append((i, [n_samples, impurity, value, node_depth, feature,
-                            threshold, reduction], children))
-    if len(visited) < len(raw):
-        lost = min(set(range(len(raw))) - seen)
-        raise ValueError(f"tree node {lost} is not reached from the root")
-    if reached != depth:
-        raise ValueError(f"tree document records depth {depth}, its nodes "
-                         f"reach depth {reached}")
+        stack.extend((c, depth + 1) for c in reversed(children[i]))
+    if len(seen) < n:
+        raise ValueError(f"node {min(set(range(n)) - seen)} is not reached "
+                         "from the root")
 
-    # re-index the children from document order to preorder
-    position = {i: p for p, (i, _, _) in enumerate(visited)}
-    records = [record + ([position[c] for c in children] or [-1, -1])
-               for _, record, children in visited]
+
+def _tree_from_doc(doc: dict, source) -> DecisionTree:
+    """Rebuild a tree from its document, its nodes in preorder whatever
+    their order in the document.  A malformed document raises ValueError
+    naming ``source`` and the node or field at fault: a field missing or
+    not of its kind by ``workload._value``, feature_ids not one per
+    feature, no nodes, a node that is not an object or of no known kind,
+    an n_samples outside [0, 2**63), a feature outside
+    [0, n_features), nodes that are not one tree by ``_preorder``, or a
+    recorded depth the nodes do not reach."""
+    n_features = _field(doc, "n_features", int, source)
+    feature_ids = _field(doc, "feature_ids", [str], source)
+    model_freq = _field(doc, "model_freq_hz", float, source)
+    depth = _field(doc, "depth", int, source)
+    if len(feature_ids) != n_features:
+        raise ValueError(f"{source}: {len(feature_ids)} feature_ids for "
+                         f"n_features {n_features}")
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError(f"{source}: tree document has no nodes")
+    records, children = [], []  # in document order
+    for i, node in enumerate(nodes):
+        at = f"{source}: tree node {i}"
+        if not isinstance(node, dict):
+            raise ValueError(f"{at} is not an object")
+        kind = _field(node, "kind", str, at)
+        n_samples = _field(node, "n_samples", int, at)
+        if not 0 <= n_samples < 1 << 63:  # an int64 column
+            raise ValueError(f"{at}: n_samples {n_samples} outside [0, 2**63)")
+        record = [n_samples, _field(node, "impurity", float, at)]
+        if kind == "leaf":
+            records.append(record + [_field(node, "value", float, at), 0,
+                                     0.0, 0.0])
+            children.append(())
+        elif kind == "decision":
+            feature = _field(node, "feature", int, at)
+            if not 0 <= feature < n_features:
+                raise ValueError(f"{at}: feature {feature} outside "
+                                 f"[0, {n_features})")
+            records.append(record + [np.nan, feature,
+                                     _field(node, "threshold", float, at),
+                                     _field(node, "reduction", float, at)])
+            children.append((_field(node, "left", int, at),
+                             _field(node, "right", int, at)))
+        else:
+            raise ValueError(f"{at}: kind {kind!r} is neither 'leaf' nor "
+                             "'decision'")
     try:
-        arrays = _node_arrays(records)
-    except OverflowError:
-        raise ValueError("tree document: an n_samples is outside the int64 "
-                         "range") from None
-    return DecisionTree(*arrays, n_features, model_freq, feature_ids)
+        order = list(_preorder(children))
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
+    reached = max(d for _, d in order)
+    if reached != depth:
+        raise ValueError(f"{source}: tree document records depth {depth}, "
+                         f"its nodes reach depth {reached}")
+    # re-index the children from document order to preorder
+    position = {i: p for p, (i, _) in enumerate(order)}
+    rows = [[*records[i][:3], d, *records[i][3:],
+             *([position[c] for c in children[i]] or (-1, -1))]
+            for i, d in order]
+    return DecisionTree(*_node_arrays(rows), n_features, model_freq,
+                        feature_ids)
 
 
 def tree_text(tree: DecisionTree) -> str:
@@ -600,10 +590,7 @@ def tree_text(tree: DecisionTree) -> str:
 
 
 def parse_tree(text: str | bytes, source="tree") -> DecisionTree:
-    try:
-        return _tree_from_doc(json.loads(text))
-    except ValueError as e:
-        raise ValueError(f"{source}: {e}") from None
+    return _tree_from_doc(_json_doc(text, "powertree-tree-v1", source), source)
 
 
 def save_tree(tree: DecisionTree, path: str | Path) -> None:

@@ -46,6 +46,9 @@ class PdnModel:
 
     def __post_init__(self) -> None:
         _value(self.max_phases, int, "max_phases")
+        for name in ("per_phase_fixed_loss", "conduction_resistance",
+                     "output_voltage", "transition_loss", "nominal_power"):
+            _value(getattr(self, name), float, name)
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if min(self.per_phase_fixed_loss, self.conduction_resistance,

@@ -98,6 +98,8 @@ class DesignSpec:
         for name in ("n_linear_nets", "n_nonlinear_units",
                      "correlation_groups", "seed"):
             _value(getattr(self, name), int, name)
+        for name in ("vdd", "clock_freq", "static_power", "nonlinear_strength"):
+            _value(getattr(self, name), float, name)
         cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
@@ -272,6 +274,8 @@ class Dataset:
             raise ValueError("features must be (n, F) with matching powers (n,)")
         if f.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ValueError("feature_names must be unique")
         if _value(self.period_cycles, int, "period_cycles") < 1:
             raise ValueError(f"period_cycles must be >= 1, not {self.period_cycles}")
         if not (self.clock_freq > 0 and np.isfinite(self.clock_freq)):
@@ -455,14 +459,11 @@ def compose_datasets(parts: list[tuple[str, Dataset]]) -> Dataset:
     for _, ds in parts:
         if len(ds) != n or ds.period_cycles != period or ds.clock_freq != freq:
             raise ValueError("parts must share sample count, period and clock")
-    names: list[str] = []
-    for prefix, ds in parts:
-        names.extend(f"{prefix}.{f}" for f in ds.feature_names)
-    if len(set(names)) != len(names):
-        raise ValueError("prefixes must make feature names unique")
+    names = tuple(f"{prefix}.{f}" for prefix, ds in parts
+                  for f in ds.feature_names)
     features = np.hstack([ds.features for _, ds in parts])
     powers = np.sum([ds.powers for _, ds in parts], axis=0)
-    return Dataset(features, powers, tuple(names), period, freq)
+    return Dataset(features, powers, names, period, freq)
 
 
 def hybrid_design_spec(seed: int = 1) -> DesignSpec:

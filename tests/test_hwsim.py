@@ -376,7 +376,8 @@ class TestEngine:
                                                  threshold=5, left=1,
                                                  right=9))], dtype=np.uint64)
         with pytest.raises(MalformedImageError,
-                           match="dangling child address 1"):
+                           match=re.escape("node 0: child index 1 outside "
+                                           "[0, 1)")):
             pt.TreeMemoryImage(words, 1, 1)
 
     def test_missing_feature_rejected(self):
@@ -413,7 +414,7 @@ class TestEngine:
                                    left=0, right=0)),
         ], dtype=np.uint64)
         with pytest.raises(MalformedImageError,
-                           match="node 1 reachable twice"):
+                           match="node 0: child 1 is reached twice"):
             pt.TreeMemoryImage(words, 2, 1)
 
     def test_words_are_read_only(self):
@@ -445,7 +446,8 @@ class TestEngine:
             MemNode(True, value=1), MemNode(True, value=2),
             MemNode(False, feature=0, threshold=5, left=9, right=9))],
             dtype=np.uint64)
-        with pytest.raises(MalformedImageError, match="unreachable node 3"):
+        with pytest.raises(MalformedImageError,
+                           match="node 3 is not reached from the root"):
             pt.TreeMemoryImage(words, 4, 1)
 
 
@@ -550,7 +552,7 @@ class TestEngineMatchesOracle:
                 is error
             assert depth is None
             with pytest.raises(MalformedImageError,
-                               match="dangling|reachable twice"):
+                               match="child index|reached twice"):
                 pt.TreeMemoryImage(words, len(words), 1)
             return
         image = pt.TreeMemoryImage(words, len(words), depth)
@@ -729,6 +731,20 @@ class TestMonitorConfig:
 
 
 class TestImageFile:
+    LEAF = np.array([pt.node_encode(MemNode(True, value=7))], dtype=np.uint64)
+
+    @pytest.mark.parametrize("unit", [1.0, 0.001, 1.001])
+    def test_leaf_unit_round_trips_exactly(self, unit):
+        image = pt.TreeMemoryImage(self.LEAF, 1, 0, unit)
+        assert pt.parse_image(pt.image_bytes(image)).leaf_unit == unit
+
+    # below one microwatt, between two, and past the header's u32
+    @pytest.mark.parametrize("unit", [0.0004, 1.0004, 5e6])
+    def test_leaf_unit_not_whole_microwatts_rejected(self, unit):
+        with pytest.raises(ValueError, match="leaf_unit must be a whole "
+                                             "number of microwatts"):
+            pt.TreeMemoryImage(self.LEAF, 1, 0, unit)
+
     def test_round_trip_bit_exact(self, tmp_path):
         image, _ = fitted_image(seed=4, depth=5)
         path = tmp_path / "tree.img"

@@ -872,60 +872,104 @@ class TestSerialization:
         pt.save_tree(pt.parse_tree(a.read_text(), a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    # an explicit id names a case by its fault, apart from its message
     @pytest.mark.parametrize("mutate, message", [
-        (lambda doc: doc["nodes"][0].update(left=999),
-         "tree node 0: child index 999 outside [0, 7)"),
+        pytest.param(lambda doc: doc["nodes"][0].update(left=999),
+                     "node 0: child index 999 outside [0, 7)",
+                     id="<lambda>-tree node 0: child index 999 outside "
+                        "[0, 7)"),
         (lambda doc: doc.update(nodes=[]), "tree document has no nodes"),
-        (lambda doc: doc["nodes"][1].pop("kind"), "tree node 1 lacks 'kind'"),
-        (lambda doc: doc["nodes"][2].pop("value"), "tree node 2 lacks 'value'"),
-        (lambda doc: doc["nodes"][1].update(left=0),
-         "tree node 1: child 0 is reached twice"),
-        (lambda doc: doc["nodes"][0].update(right=1),
-         "tree node 0: child 1 is reached twice"),
+        pytest.param(lambda doc: doc["nodes"][1].pop("kind"),
+                     "tree node 1: missing field 'kind'",
+                     id="<lambda>-tree node 1 lacks 'kind'"),
+        pytest.param(lambda doc: doc["nodes"][2].pop("value"),
+                     "tree node 2: missing field 'value'",
+                     id="<lambda>-tree node 2 lacks 'value'"),
+        pytest.param(lambda doc: doc["nodes"][1].update(left=0),
+                     "node 1: child 0 is reached twice",
+                     id="<lambda>-tree node 1: child 0 is reached twice"),
+        pytest.param(lambda doc: doc["nodes"][0].update(right=1),
+                     "node 0: child 1 is reached twice",
+                     id="<lambda>-tree node 0: child 1 is reached twice"),
         (lambda doc: doc["nodes"][1].update(feature=1),
          "tree node 1: feature 1 outside [0, 1)"),
-        # an explicit id names the case by its fault, apart from its message
         pytest.param(lambda doc: doc["nodes"][0].update(threshold="high"),
-                     "tree node 0: threshold must be a finite number, "
-                     "not 'high'", id="<lambda>-tree node 0: could not convert"),
+                     "tree node 0: field 'threshold' must be a finite "
+                     "number, not 'high'",
+                     id="<lambda>-tree node 0: could not convert"),
         (lambda doc: doc["nodes"][3].update(kind="branch"),
          "tree node 3: kind 'branch' is neither"),
         (lambda doc: doc.update(depth=3),
          "records depth 3, its nodes reach depth 2"),
-        (lambda doc: doc.pop("n_features"), "lacks 'n_features'"),
+        pytest.param(lambda doc: doc.pop("n_features"),
+                     "missing field 'n_features'",
+                     id="<lambda>-lacks 'n_features'"),
         (lambda doc: doc.update(feature_ids=["f0", "f1"]),
          "2 feature_ids for n_features 1"),
-        (lambda doc: doc["nodes"].append(dict(doc["nodes"][2])),
-         "tree node 7 is not reached from the root"),
-        (lambda doc: doc["nodes"][5].update(n_samples=-1),
-         "tree node 5: n_samples -1 is negative"),
+        pytest.param(lambda doc: doc["nodes"].append(dict(doc["nodes"][2])),
+                     "node 7 is not reached from the root",
+                     id="<lambda>-tree node 7 is not reached from the root"),
+        pytest.param(lambda doc: doc["nodes"][5].update(n_samples=-1),
+                     "tree node 5: n_samples -1 outside [0, 2**63)",
+                     id="<lambda>-tree node 5: n_samples -1 is negative"),
         pytest.param(lambda doc: doc["nodes"][2].update(value=float("nan")),
-                     "tree node 2: value must be a finite number, not nan",
+                     "tree node 2: field 'value' must be a finite number, "
+                     "not nan",
                      id="<lambda>-tree node 2: leaf value nan is not finite"),
         pytest.param(lambda doc: doc["nodes"][6].update(value=float("-inf")),
-                     "tree node 6: value must be a finite number, not -inf",
+                     "tree node 6: field 'value' must be a finite number, "
+                     "not -inf",
                      id="<lambda>-tree node 6: leaf value -inf is not finite"),
-        (lambda doc: doc["nodes"][0].update(feature=0.9),
-         "tree node 0: feature must be an integer, not 0.9"),
-        (lambda doc: doc["nodes"][1].update(feature=True),
-         "tree node 1: feature must be an integer, not True"),
-        (lambda doc: doc["nodes"][5].update(n_samples=4.5),
-         "tree node 5: n_samples must be an integer, not 4.5"),
-        (lambda doc: doc.update(n_features=2.7),
-         "tree document: n_features must be an integer, not 2.7"),
-        (lambda doc: doc.update(depth=True),
-         "tree document: depth must be an integer, not True"),
-        (lambda doc: doc["nodes"][0].update(left=1.0),
-         "tree node 0: left must be an integer, not 1.0"),
-        (lambda doc: doc["nodes"][0].update(impurity=float("nan")),
-         "tree node 0: impurity must be a finite number, not nan"),
-        (lambda doc: doc["nodes"][1].update(reduction="0.5"),
-         "tree node 1: reduction must be a finite number, not '0.5'"),
-        (lambda doc: doc.update(model_freq_hz="1e8"),
-         "tree document: model_freq_hz must be a finite number, not '1e8'"),
+        pytest.param(lambda doc: doc["nodes"][0].update(feature=0.9),
+                     "tree node 0: field 'feature' must be an integer, "
+                     "not 0.9",
+                     id="<lambda>-tree node 0: feature must be an integer, "
+                        "not 0.9"),
+        pytest.param(lambda doc: doc["nodes"][1].update(feature=True),
+                     "tree node 1: field 'feature' must be an integer, "
+                     "not True",
+                     id="<lambda>-tree node 1: feature must be an integer, "
+                        "not True"),
+        pytest.param(lambda doc: doc["nodes"][5].update(n_samples=4.5),
+                     "tree node 5: field 'n_samples' must be an integer, "
+                     "not 4.5",
+                     id="<lambda>-tree node 5: n_samples must be an integer, "
+                        "not 4.5"),
+        pytest.param(lambda doc: doc.update(n_features=2.7),
+                     "field 'n_features' must be an integer, not 2.7",
+                     id="<lambda>-tree document: n_features must be an "
+                        "integer, not 2.7"),
+        pytest.param(lambda doc: doc.update(depth=True),
+                     "field 'depth' must be an integer, not True",
+                     id="<lambda>-tree document: depth must be an integer, "
+                        "not True"),
+        pytest.param(lambda doc: doc["nodes"][0].update(left=1.0),
+                     "tree node 0: field 'left' must be an integer, not 1.0",
+                     id="<lambda>-tree node 0: left must be an integer, "
+                        "not 1.0"),
+        pytest.param(lambda doc: doc["nodes"][0].update(impurity=float("nan")),
+                     "tree node 0: field 'impurity' must be a finite number, "
+                     "not nan",
+                     id="<lambda>-tree node 0: impurity must be a finite "
+                        "number, not nan"),
+        pytest.param(lambda doc: doc["nodes"][1].update(reduction="0.5"),
+                     "tree node 1: field 'reduction' must be a finite "
+                     "number, not '0.5'",
+                     id="<lambda>-tree node 1: reduction must be a finite "
+                        "number, not '0.5'"),
+        pytest.param(lambda doc: doc.update(model_freq_hz="1e8"),
+                     "field 'model_freq_hz' must be a finite number, "
+                     "not '1e8'",
+                     id="<lambda>-tree document: model_freq_hz must be a "
+                        "finite number, not '1e8'"),
         # a float64 column would save every n_samples as a float
-        (lambda doc: doc["nodes"][3].update(n_samples=10**19),
-         "tree document: an n_samples is outside the int64 range"),
+        pytest.param(lambda doc: doc["nodes"][3].update(n_samples=10**19),
+                     "tree node 3: n_samples 10000000000000000000 outside "
+                     "[0, 2**63)",
+                     id="<lambda>-tree document: an n_samples is outside "
+                        "the int64 range"),
+        (lambda doc: doc["nodes"].__setitem__(4, [1]),
+         "tree node 4 is not an object"),
     ])
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         X = np.arange(1, 9)[:, None]
@@ -954,10 +998,10 @@ class TestSerialization:
 
 
 def _mutant(data, text: str) -> bytes:
-    """text with bit flips, truncated, or with one JSON value (a scalar
-    after a key or on a list line) replaced by another value of the same
-    document or by an odd one: a wrong type, a non-finite or an out-of-range
-    number."""
+    """text with bit flips, truncated, or with one value (a JSON scalar
+    after a key or on a list line, or a CSV cell after a comma or a line
+    break) replaced by another value of the same document or by an odd one:
+    a wrong type, a non-finite or an out-of-range number."""
     raw = bytearray(text.encode())
     kind = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
     if kind == "flip":
@@ -967,7 +1011,8 @@ def _mutant(data, text: str) -> bytes:
         return bytes(raw)
     if kind == "truncate":
         return bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
-    values = list(re.finditer(rb'(?:": |\n +)(-?[\w.+]+|"[^"\n]*"(?!:))', raw))
+    values = list(re.finditer(rb'(?:": |\n *|,)(-?[\w.+]+|"[^"\n]*"(?!:))',
+                              raw))
     at = data.draw(st.sampled_from(values)).span(1)
     new = data.draw(st.one_of(
         st.sampled_from(values).map(lambda m: m.group(1)),

@@ -396,7 +396,7 @@ def datasets(draw, min_features=0, max_value=None):
     powers = np.array(draw(st.lists(power, min_size=n_rows,
                                     max_size=n_rows)), dtype=np.float64)
     names = tuple(draw(st.lists(NAME, min_size=n_features,
-                                max_size=n_features)))
+                                max_size=n_features, unique=True)))
     return Dataset(features, powers, names, period, 1e8)
 
 
@@ -483,6 +483,12 @@ class TestDatasetCodec:
         assert text == "power_w\n1.0\n0.5\n0.002\n"
         assert same_dataset(pt.parse_dataset(text, META), ds)
 
+    def test_repeated_header_name_rejected(self):
+        # select_features(["a"]) would otherwise read the second column
+        with pytest.raises(ValueError,
+                           match="data.csv: feature_names must be unique"):
+            pt.parse_dataset("a,a,power_w\n1,2,0.5\n", META, "data.csv")
+
     def test_empty_and_header_only(self):
         with pytest.raises(ValueError, match="data.csv: empty file"):
             pt.parse_dataset(b"", META, "data.csv")
@@ -500,6 +506,11 @@ class TestCompose:
         assert comp.feature_names[0] == "x." + a.feature_names[0]
         assert np.allclose(comp.powers, a.powers + b.powers)
 
+    def test_repeated_prefix_rejected(self):
+        a = pt.simulate_dataset(small_design(seed=1), 10, 300, 1)
+        with pytest.raises(ValueError, match="feature_names must be unique"):
+            pt.compose_datasets([("x", a), ("x", a)])
+
     def test_sample_count_mismatch_rejected(self):
         a = pt.simulate_dataset(small_design(seed=1), 10, 300, 1)
         b = pt.simulate_dataset(small_design(seed=2), 11, 300, 2)
@@ -510,6 +521,35 @@ class TestCompose:
 class TestInvariants:
     def test_rates_stay_probabilities(self):
         assert all(0 < m < 1 for m in RATE_MODES)
+
+    def test_select_features_rejects_a_repeat(self):
+        ds = Dataset(np.array([[1, 2]]), np.array([0.5]), ("a", "b"), 300, 1e8)
+        assert ds.select_features(["b"]).features.tolist() == [[2]]
+        with pytest.raises(ValueError, match="feature_names must be unique"):
+            ds.select_features(["b", "b"])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DesignSpec(4, vdd=float("nan")),
+         "vdd must be a finite number, not nan"),
+        (lambda: DesignSpec(4, static_power=float("inf")),
+         "static_power must be a finite number, not inf"),
+        (lambda: DesignSpec(4, nonlinear_strength="8"),
+         "nonlinear_strength must be a finite number, not '8'"),
+        (lambda: pt.PdnModel(conduction_resistance=float("nan")),
+         "conduction_resistance must be a finite number, not nan"),
+        (lambda: pt.PdnModel(output_voltage=float("inf")),
+         "output_voltage must be a finite number, not inf"),
+        (lambda: pt.MonitorConfig(3, 2.5),
+         "estimation_period must be an integer, not 2.5"),
+        (lambda: pt.MonitorConfig(True, 300),
+         "n_counters must be an integer, not True"),
+    ], ids=["DesignSpec-vdd", "DesignSpec-static_power",
+            "DesignSpec-nonlinear_strength", "PdnModel-conduction_resistance",
+            "PdnModel-output_voltage", "MonitorConfig-estimation_period",
+            "MonitorConfig-n_counters"])
+    def test_config_number_follows_the_value_rule(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -574,14 +614,17 @@ class TestInvariants:
 
 
 class TestWorkloadFuzz:
-    """Mutants of a small design.json and dataset meta file, by the fuzz of
-    test_model: each parses or raises ValueError, and what parses holds
-    plain finite floats and ints in its number fields."""
+    """Mutants of a small design.json, dataset.csv and its meta file, by
+    the fuzz of test_model: each parses or raises ValueError, and what
+    parses holds plain finite floats and ints in its number fields."""
 
     DESIGN = pt.design_text(small_design(n_linear_nets=6, n_nonlinear_units=1,
                                          correlation_groups=2))
     META = pt.dataset_meta_text(
         Dataset(np.array([[3]]), np.array([0.5]), ("a",), 300, 1e8), 1.0)
+    CSV = pt.dataset_csv_text(Dataset(
+        np.array([[3, 0, 300], [12, 7, 1]]), np.array([0.5, 1.25]),
+        ("a", "b", "c"), 300, 1e8))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -596,6 +639,23 @@ class TestWorkloadFuzz:
         assert_plain([n.group for n in design.nets], int)
         assert_plain([n.id for n in design.nets] + [
             s for u in design.nonlinear_units for s in u.inputs], str)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dataset_mutant_parses_or_fails_cleanly(self, data):
+        csv, meta = self.CSV, self.META
+        if data.draw(st.booleans()):
+            csv = _mutant(data, csv)
+        else:
+            meta = _mutant(data, meta)
+        try:
+            ds = pt.parse_dataset(csv, meta)
+        except ValueError:
+            return
+        assert ds.features.dtype == np.int64
+        assert_plain(ds.powers.tolist() + [ds.clock_freq], float)
+        assert_plain([ds.period_cycles], int)
+        assert_plain(ds.feature_names, str)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
