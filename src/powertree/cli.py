@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import _field, _json_doc, _json_text, _table_text, _value
+from .workload import (_field, _json_doc, _json_text, _table_rows,
+                       _table_text, _value)
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -395,15 +396,10 @@ def cmd_shed(ctx: Context) -> int:
     """Choose regulator phases per period from the monitor estimates."""
     inputs = ctx.inputs("design.json", "monitor.csv")
     design = workload.parse_design(ctx.read("design.json"), "design.json")
-    powers = []
-    lines = ctx.read("monitor.csv").decode().splitlines()
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            mw = _value(float(line.split(",")[2]), float, "estimate_mw")
-        except (IndexError, ValueError):
-            raise ValueError(f"monitor.csv, line {lineno}: no estimate_mw "
-                             f"in {line!r}") from None
-        powers.append(design.static_power + mw / 1000.0)
+    estimates = _table_rows(ctx.read("monitor.csv"), [
+        ("period", int), ("cycles", int), ("estimate_mw", float)], int,
+        "monitor.csv")
+    powers = [design.static_power + mw / 1000.0 for _, _, mw, *_ in estimates]
     regulator = ctx.cfg["pdn"]
     lo, hi, n = ctx.cfg["lut_grid_watts"] or (
         0.25, 2.0 * regulator.nominal_power, 128)

@@ -173,6 +173,8 @@ class TreeMemoryImage:
     leaf_unit: float = 1.0  # milliwatts per LSB
 
     def __post_init__(self) -> None:
+        for name in ("n_nodes", "max_depth"):
+            _value(getattr(self, name), int, name)
         if self.n_nodes < 1 or self.words.shape != (self.n_nodes,):
             raise ValueError("words must hold n_nodes >= 1 entries")
         if self.words.dtype != np.uint64:

@@ -161,7 +161,8 @@ def _ranks_by_table(X: np.ndarray,
     table += (np.arange(n_feat, dtype=table.dtype) * n_bins - 1)[:, None]
     keys = table.reshape(-1)[flat]
     del flat  # freed before keys' intp copy is made
-    return keys.astype(np.intp), values
+    # row-major whatever X's layout, so a row's keys are one run of memory
+    return keys.astype(np.intp, order="C"), values
 
 
 def _ranks_by_sort(X: np.ndarray,
@@ -351,8 +352,9 @@ def _grow(dataset: Dataset, hp: HyperParams, prior: DecisionTree | None = None,
             if ranked is None:
                 ranked = _ranks(X)
             keys, values = ranked
-            found = _best_split_all(keys[rows], values, yy,
-                                    hp.min_leaf_sample, var)
+            # the root's rows are every row in order: its keys are all keys
+            found = _best_split_all(keys if m == len(X) else keys[rows],
+                                    values, yy, hp.min_leaf_sample, var)
             if found is None:
                 continue
             j, thr, red = found
@@ -392,7 +394,11 @@ def predict_tree(tree: DecisionTree, features) -> float:
 
 
 def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    # an integer compared with a float64 threshold is promoted exactly as
+    # astype(np.float64) would, so integer counts are read as they are
+    if not np.issubdtype(X.dtype, np.integer):
+        X = X.astype(np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected (n, {tree.n_features}) features")
     return tree.value[_paths(tree, X)[-1]]

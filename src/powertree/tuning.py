@@ -108,7 +108,7 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     combos = grid.combinations()
     folds = kfold_split(len(dataset), k, seed)
     pools = _fold_pools(folds)
-    X = dataset.features.astype(np.float64)
+    X = dataset.features
     scores: list[list[float]] = [[] for _ in combos]
     for leaf in sorted(set(grid.min_leaf_sample)):
         members = [c for c, hp in enumerate(combos)

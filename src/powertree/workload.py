@@ -100,7 +100,8 @@ class DesignSpec:
             _value(getattr(self, name), int, name)
         for name in ("vdd", "clock_freq", "static_power", "nonlinear_strength"):
             _value(getattr(self, name), float, name)
-        cmin, cmax = self.capacitance_range
+        cmin, cmax = _value(list(self.capacitance_range), (float, float),
+                            "capacitance_range")
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
         if self.vdd <= 0:
@@ -260,8 +261,22 @@ def _value(value, kind, name: str):
     raise ValueError(f"{name} must be {want}, not {value!r}")
 
 
+def _count_dtype(period_cycles: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every count in
+    [0, period_cycles]; a period past the uint64 range needs no more than
+    uint64, as no integer array holds a larger count."""
+    return np.min_scalar_type(min(period_cycles, np.iinfo(np.uint64).max))
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Activity counts labelled with their true dynamic power.
+
+    features holds the counts in the narrowest unsigned dtype that holds
+    period_cycles (uint16 for a 300-cycle period): every count is checked
+    to lie in [0, period_cycles] before it is cast, so none can wrap.
+    """
+
     features: np.ndarray  # (n_samples, n_features) integer counts
     powers: np.ndarray  # (n_samples,) watts
     feature_names: tuple[str, ...]
@@ -290,6 +305,8 @@ class Dataset:
                 raise ValueError("activity counts must lie in [0, period_cycles]")
             if p.min() < 0:
                 raise ValueError("true dynamic power must be >= 0")
+        object.__setattr__(self, "features", f.astype(
+            _count_dtype(self.period_cycles), copy=False))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -408,11 +425,12 @@ def simulate_dataset(design: SyntheticDesign, n_samples: int,
     n_groups = int(group.max()) + 1 if group.size else 1
     half = period_cycles // 2
     rates = _draw_rates(rng, (n_samples, n_groups))
-    counts = rng.binomial(half, rates[:, group]) if design.n_nets else \
-        np.zeros((n_samples, 0), dtype=np.int64)
+    counts = (rng.binomial(half, rates[:, group]) if design.n_nets else
+              np.zeros((n_samples, 0), dtype=np.int64))
+    counts = counts.astype(_count_dtype(period_cycles))  # each <= half
     powers = _dynamic_power_batch(design, counts, period_cycles)
-    return Dataset(counts.astype(np.int64), powers, design.net_ids,
-                   period_cycles, design.clock_freq)
+    return Dataset(counts, powers, design.net_ids, period_cycles,
+                   design.clock_freq)
 
 
 def synthesize_trace(design: SyntheticDesign, n_periods: int,
@@ -507,6 +525,48 @@ def _table_text(header, rows) -> str:
     """The one layout of every table artifact: the header line, then one
     line per row, its cells comma-separated as ``str(cell)``."""
     return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
+
+
+def _cell(text: str, kind):
+    """The ``kind`` whose ``str`` is ``text``, else ``text`` itself."""
+    try:
+        value = kind(text)
+    except ValueError:
+        return text
+    return value if str(value) == text else text
+
+
+def _table_rows(text: str | bytes, columns, rest, source) -> list[tuple]:
+    """The rows of a table in ``_table_text``'s layout, as tuples of values.
+
+    The header must begin with the names of ``columns``, pairs of a name and
+    a ``_value`` kind; ``rest`` is the kind of every further column.  Each
+    later line must hold one cell per header name, each cell the text
+    ``str`` gives a value of its column's kind, an int or a finite float (so
+    not ``" 1.5"``, ``"1_0"`` or ``"1e3"``); anything else raises ValueError
+    naming ``source`` and the line."""
+    try:
+        lines = (text.decode() if isinstance(text, bytes) else text).split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{source}: {e}") from None
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
+    header = lines[0].split(",") if lines else []
+    names = [name for name, _ in columns]
+    if header[:len(names)] != names:
+        raise ValueError(f"{source}, line 1: the header must begin with "
+                         f"{','.join(names)!r}")
+    kinds = [kind for _, kind in columns] + [rest] * (len(header) - len(names))
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{source}, line {lineno}: {len(cells)} cells, "
+                             f"header has {len(header)}")
+        rows.append(tuple(
+            _value(_cell(cell, kind), kind, f"{source}, line {lineno}: {name}")
+            for cell, kind, name in zip(cells, kinds, header)))
+    return rows
 
 
 def _field(doc: dict, key: str, kind, source):
@@ -657,7 +717,8 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
     reads.  Every line ends in ``\\n`` (the last one's is optional); a blank
     line or a ``\\r`` is an error.  Rows are checked and converted in
     blocks; a block that fails is walked line by line only to name its
-    first bad line.
+    first bad line.  A block's counts are written straight into the
+    Dataset's narrow dtype once none exceeds period_cycles.
     """
     meta = _json_doc(meta_text, None, f"{source} meta")
     period = _field(meta, "period_cycles", int, f"{source} meta")
@@ -681,8 +742,14 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
     if names[-1] != "power_w":
         raise ValueError(f"{source}: last column must be power_w")
     n_features = len(names) - 1
+    try:
+        # the meta and the header are checked before any row is read
+        empty = Dataset(np.empty((0, n_features), np.uint8), np.empty(0),
+                        tuple(names[:-1]), period, freq)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
     starts, stops = starts[1:], stops[1:]
-    features = np.empty((len(stops), n_features), dtype=np.int64)
+    features = np.empty((len(stops), n_features), empty.features.dtype)
     powers = np.empty(len(stops), dtype=np.float64)
     for rows in _row_blocks(len(stops), n_features + 1):
         block = slice(rows.start, rows.stop)
@@ -693,9 +760,14 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
                 fault = _line_fault(data[starts[r]:stops[r]], len(names))
                 if fault:
                     raise ValueError(f"{source}, line {r + 2}: {fault}")
-        features[block], powers[block] = parsed
+        counts, powers[block] = parsed
+        # checked before the narrow store, which would wrap a larger count
+        if counts.max(initial=0) > period:
+            raise ValueError(f"{source}: activity counts must lie in "
+                             "[0, period_cycles]")
+        features[block] = counts
     try:
-        return Dataset(features, powers, tuple(names[:-1]), period, freq)
+        return replace(empty, features=features, powers=powers)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
 

@@ -109,7 +109,7 @@ BAD_INPUTS = [
     ("linear.json", json_edit(lambda d: d.pop("intercept")), "report",
      "linear.json: missing field 'intercept'"),
     ("monitor.csv", lambda t: t.splitlines()[0] + "\n1\n", "shed",
-     "monitor.csv, line 2: no estimate_mw"),
+     "monitor.csv, line 2: 1 cells, header has "),
     ("design.json", json_edit(lambda d: d.pop("vdd_v")), "monitor",
      "design.json: missing field 'vdd_v'"),
     ("split.json", json_edit(lambda d: d["train"].append(10 ** 6)), "select",
@@ -132,6 +132,9 @@ BAD_INPUTS = [
     ("selection.json", json_edit(
         lambda d: d["retained"].__setitem__(1, d["retained"][0])), "train",
      "selection.json: field 'retained' repeats a name"),
+    ("monitor.csv", lambda t: t.replace("estimate_mw", "estimate_w", 1),
+     "shed", "monitor.csv, line 1: the header must begin with "
+     "'period,cycles,estimate_mw'"),
 ]
 
 # Values outside their field's domain or kind, as above: a bool, a string
@@ -167,7 +170,20 @@ BAD_VALUES = [
      "not '0.01'"),
     ("monitor.csv", lambda t: re.sub(r"^(\d+,\d+,)[^,]+", r"\1nan", t,
                                      count=1, flags=re.M), "shed",
-     "monitor.csv, line 2: no estimate_mw"),
+     "monitor.csv, line 2: estimate_mw must be a finite number, not nan"),
+    # text float() reads but the writer never makes: a space, an
+    # underscore, a missing cell
+    ("monitor.csv", lambda t: re.sub(r"^(\d+,\d+,)", r"\1 ", t, count=1,
+                                     flags=re.M), "shed",
+     "monitor.csv, line 2: estimate_mw must be a finite number, not ' "),
+    ("monitor.csv", lambda t: re.sub(r"^(\d+,\d+,)[^,]+", r"\g<1>1_0", t,
+                                     count=1, flags=re.M), "shed",
+     "monitor.csv, line 2: estimate_mw must be a finite number, not '1_0'"),
+    ("monitor.csv", lambda t: re.sub(r"^(\d+),(\d+),", r"\1,\g<2>0_0,", t,
+                                     count=1, flags=re.M), "shed",
+     "monitor.csv, line 2: cycles must be an integer, not '"),
+    ("monitor.csv", lambda t: re.sub(r",\d+$", "", t, count=1, flags=re.M),
+     "shed", "monitor.csv, line 2: 6 cells, header has 7"),
 ]
 
 # Integer fields holding a JSON true, as above: a bool is not an integer.
@@ -779,6 +795,20 @@ class TestPipelineFuzz:
         refresh_provenance(path)
         try:
             assert main(["train", "--config", str(trained)]) in (0, 2)
+        finally:
+            path.write_text(original)
+            refresh_provenance(path)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_monitor_mutant_is_read_or_rejected(self, trained, data):
+        # shed reads monitor.csv only through workload._table_rows
+        path = trained.parent / "out" / "monitor.csv"
+        original = path.read_text()
+        path.write_bytes(_mutant(data, original))
+        refresh_provenance(path)
+        try:
+            assert main(["shed", "--config", str(trained)]) in (0, 2)
         finally:
             path.write_text(original)
             refresh_provenance(path)

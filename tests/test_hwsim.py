@@ -745,6 +745,15 @@ class TestImageFile:
                                              "number of microwatts"):
             pt.TreeMemoryImage(self.LEAF, 1, 0, unit)
 
+    # each compares equal to the right int, so only the integer rule stops
+    # it before image_bytes' struct.pack
+    @pytest.mark.parametrize("field, sizes", [
+        ("max_depth", (1, 0.0)), ("max_depth", (1, False)),
+        ("n_nodes", (1.0, 0)), ("n_nodes", (True, 0))])
+    def test_non_integer_size_rejected(self, field, sizes):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pt.TreeMemoryImage(self.LEAF, *sizes)
+
     def test_round_trip_bit_exact(self, tmp_path):
         image, _ = fitted_image(seed=4, depth=5)
         path = tmp_path / "tree.img"

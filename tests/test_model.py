@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -538,6 +539,88 @@ class TestRanks:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1]
+
+
+    @pytest.mark.parametrize("width", [8, 2**17])  # the table, the sort
+    def test_keys_row_major_whatever_the_layout(self, width):
+        # select_features returns column-major counts
+        X = np.asfortranarray(np.random.default_rng(3).integers(
+            0, width, (50, 4)).astype(np.uint16 if width < 2**16 else
+                                     np.uint32))
+        for keys in (model._ranks(X)[0], model._ranks(np.ascontiguousarray(
+                X))[0]):
+            assert keys.dtype == np.intp and keys.flags.c_contiguous
+
+    def test_root_search_reads_the_keys_uncopied(self, monkeypatch):
+        ranked, searched = [], []
+        ranks, search = model._ranks, model._best_split_all
+        monkeypatch.setattr(model, "_ranks",
+                            lambda X: ranked.append(ranks(X)) or ranked[-1])
+        monkeypatch.setattr(model, "_best_split_all", lambda keys, *a: (
+            searched.append(keys), search(keys, *a))[1])
+        rng = np.random.default_rng(5)
+        ds = make_dataset(rng.integers(0, 30, (60, 3)), rng.uniform(0, 9, 60))
+        pt.fit_tree(ds.select_features(["f2", "f0"]),
+                    pt.HyperParams(3, 2, 1, 0.0))
+        assert searched[0] is ranked[0][0]
+        assert len(searched) > 1 and all(
+            not np.shares_memory(k, ranked[0][0]) for k in searched[1:])
+
+
+@st.composite
+def narrow_and_wide(draw):
+    """A small dataset, its counts up to a period on either side of a
+    dtype's bound, and the same dataset with int64 counts forced in past
+    Dataset's cast: the storage every Dataset had before the narrow rule."""
+    period = draw(st.sampled_from([1, 255, 256, 300, 2**16, 2**33]))
+    m, n_feat = draw(st.integers(12, 30)), draw(st.integers(2, 4))
+    high = draw(st.sampled_from([period, min(period, 6)]))
+    X = draw(arrays(np.int64, (m, n_feat), elements=st.integers(0, high)))
+    # positive, so that every MAE% is defined; tied or spread
+    y = draw(arrays(np.float64, m, elements=st.one_of(
+        st.integers(1, 4).map(float), st.floats(0.5, 10.0))))
+    narrow = Dataset(X, y, tuple(f"f{j}" for j in range(n_feat)), period,
+                     1e8)
+    wide = dataclasses.replace(narrow)
+    object.__setattr__(wide, "features", X)
+    return narrow, wide
+
+
+class TestNarrowCountsMatchInt64:
+    """Every function that reads a Dataset's counts gives the same bits on
+    the narrow storage as on int64 counts."""
+
+    @given(narrow_and_wide(), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal(self, pair, depth, leaf):
+        narrow, wide = pair
+        assert narrow.features.dtype == np.min_scalar_type(
+            narrow.period_cycles)
+        assert wide.features.dtype == np.int64
+        assert np.array_equal(narrow.features, wide.features)
+        hp = pt.HyperParams(depth, 2, leaf, 0.0)
+        tree = pt.fit_tree(narrow, hp)
+        assert_growths_identical(tree, pt.fit_tree(wide, hp))
+        # predict_tree_batch read every count as float64 before
+        for X in (narrow.features, wide.features,
+                  wide.features.astype(np.float64)):
+            assert pt.predict_tree_batch(tree, X).tobytes() == \
+                pt.predict_tree_batch(tree, narrow.features).tobytes()
+        # repr round-trips floats exactly, so equal text means equal bits
+        assert repr(pt.rfe(narrow, hp)) == repr(pt.rfe(wide, hp))
+        grid = pt.Grid((1, depth), (2, 5), (leaf,), (0.0, 0.01))
+        a, b = (pt.grid_search_cv(ds, grid, 3, 1) for ds in (narrow, wide))
+        assert repr(a) == repr(b)
+        assert_growths_identical(a.best_model, b.best_model)
+        sizes = [len(narrow) // 2]  # above the 4 features, within a pool
+        assert repr(pt.learning_curve(narrow, hp, sizes, 2, 1)) == \
+            repr(pt.learning_curve(wide, hp, sizes, 2, 1))
+        a, b = pt.fit_linear(narrow), pt.fit_linear(wide)
+        assert (a.weights.tobytes(), repr(a.intercept)) == \
+            (b.weights.tobytes(), repr(b.intercept))
+        assert pt.rank_signals_by_activity(narrow, narrow.n_features) == \
+            pt.rank_signals_by_activity(wide, wide.n_features)
+        assert pt.dataset_csv_text(narrow) == pt.dataset_csv_text(wide)
 
 
 class TestPredict:

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertree as pt
-from powertree.workload import RATE_MODES, DesignSpec, Dataset, ToggleTrace
+from powertree.workload import (RATE_MODES, DesignSpec, Dataset, ToggleTrace,
+                                _table_rows, _table_text)
 from test_model import _mutant, assert_plain
 
 
@@ -39,6 +41,16 @@ class TestDesignSpec:
     def test_invalid_fields(self, field, value):
         with pytest.raises(ValueError):
             DesignSpec(n_linear_nets=10, **{field: value})
+
+    # numpy's uniform overflowed on an infinite end
+    @pytest.mark.parametrize("bounds, message", [
+        ((1e-10, float("inf")), r"capacitance_range\[1\] must be a finite"),
+        ((float("nan"), 1e-9), r"capacitance_range\[0\] must be a finite"),
+        ((1e-10,), "capacitance_range must be a list of 2 entries")])
+    def test_capacitance_range_must_be_two_finite_numbers(self, bounds,
+                                                          message):
+        with pytest.raises(ValueError, match=message):
+            pt.generate_design(DesignSpec(4, capacitance_range=bounds))
 
     # Integer fields of DesignSpec and PdnModel follow HyperParams's rule: a
     # fraction, an integral float or a bool is not an integer.
@@ -613,6 +625,114 @@ class TestInvariants:
         assert len(ds) == 2
 
 
+class TestNarrowStorage:
+    """A Dataset stores its counts in the narrowest unsigned dtype that
+    holds period_cycles, and checks every count before it narrows it."""
+
+    @pytest.mark.parametrize("period, dtype", [
+        (1, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16),
+        (2**16, np.uint32), (2**40, np.uint64), (2**70, np.uint64)])
+    def test_dtype_follows_the_period(self, period, dtype):
+        ds = Dataset(np.array([[0], [1]]), np.array([1.0, 2.0]), ("a",),
+                     period, 1e8)
+        assert ds.features.dtype == dtype
+        assert ds.features.tolist() == [[0], [1]]
+
+    def test_narrow_counts_kept_as_they_are(self):
+        f = np.array([[3, 1], [4, 300]], dtype=np.uint16)
+        ds = Dataset(f, np.array([1.0, 2.0]), ("a", "b"), 300, 1e8)
+        assert ds.features is f
+        for derived in (ds.take([1, 0]), ds.select_features(["b", "a"]),
+                        pt.compose_datasets([("x", ds), ("y", ds)])):
+            assert derived.features.dtype == np.uint16
+
+    def test_simulated_and_parsed_counts_are_narrow(self):
+        ds = pt.simulate_dataset(small_design(), 30, 300, seed=1)
+        back = pt.parse_dataset(pt.dataset_csv_text(ds),
+                                pt.dataset_meta_text(ds))
+        assert ds.features.dtype == back.features.dtype == np.uint16
+        assert np.array_equal(back.features, ds.features)
+
+    # 65541 would be stored as 5 in uint16
+    @pytest.mark.parametrize("count", [301, 2**16 + 5])
+    def test_count_above_the_period_is_never_stored(self, count):
+        meta = pt.dataset_meta_text(Dataset(np.zeros((1, 1), np.int64),
+                                            np.ones(1), ("a",), 300, 1e8))
+        with pytest.raises(ValueError, match=re.escape(
+                "dataset: activity counts must lie in [0, period_cycles]")):
+            pt.parse_dataset(f"a,power_w\n3,0.5\n{count},1.0\n", meta)
+
+    def test_parse_peaks_below_an_int64_matrix(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.integers(0, 301, (20000, 100)),
+                     rng.uniform(0.0, 2.0, 20000),
+                     tuple(f"n{j}" for j in range(100)), 300, 1e8)
+        csv, meta = pt.dataset_csv_text(ds).encode(), pt.dataset_meta_text(ds)
+        del ds
+        tracemalloc.start()
+        try:
+            back = pt.parse_dataset(csv, meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the counts as int64 would take 15.3 MB alone; as uint16 they take
+        # 3.8 MB beside the line index of the 7.3 MB text
+        assert back.features.dtype == np.uint16
+        assert peak < 12 * 2**20
+
+
+class TestTableRows:
+    """workload._table_rows reads back what _table_text writes, and nothing
+    else."""
+
+    COLUMNS = [("period", int), ("estimate_mw", float)]
+    TEXT = _table_text(["period", "estimate_mw", "net_a"],
+                       [(0, 1.5, 3), (1, 1e-05, 0), (2, 7.0, 12)])
+
+    def test_round_trip(self):
+        rows = _table_rows(self.TEXT, self.COLUMNS, int, "t.csv")
+        assert rows == [(0, 1.5, 3), (1, 1e-05, 0), (2, 7.0, 12)]
+        assert_plain([r[1] for r in rows], float)
+        assert _table_rows(self.TEXT.rstrip("\n").encode(), self.COLUMNS,
+                           int, "t.csv") == rows
+
+    @pytest.mark.parametrize("text, message", [
+        ("period,estimate_mw,net_a\n0,1.5\n", "line 2: 2 cells, header has 3"),
+        ("period,estimate_mw,net_a\n0,1.5,3\n\n", "line 3: 1 cells"),
+        ("period,estimate_mw,net_a\n0,1.5,3\r\n", "line 2: net_a must be an "
+                                                  "integer, not '3\\r'"),
+        ("period,estimate_mw,net_a\n0, 1.5,3\n", "line 2: estimate_mw must "
+                                                 "be a finite number, not ' "),
+        ("period,estimate_mw,net_a\n1_0,1.5,3\n", "line 2: period must be an "
+                                                  "integer, not '1_0'"),
+        ("period,estimate_mw,net_a\n0.0,1.5,3\n", "line 2: period must be an "
+                                                  "integer, not '0.0'"),
+        ("period,estimate_mw,net_a\n0,2,3\n", "line 2: estimate_mw must be "
+                                              "a finite number, not '2'"),
+        ("period,estimate_mw,net_a\n0,inf,3\n", "line 2: estimate_mw must be "
+                                                "a finite number, not inf"),
+        ("period,estimate_mw,net_a\n0,1e3,3\n", "line 2: estimate_mw must be "
+                                                "a finite number, not '1e3'"),
+        ("period,estimate,net_a\n", "line 1: the header must begin with "
+                                    "'period,estimate_mw'"),
+        ("", "line 1: the header must begin with"),
+    ])
+    def test_text_the_writer_never_makes_is_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(f"t.csv, {message}")):
+            _table_rows(text, self.COLUMNS, int, "t.csv")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutant_read_is_what_the_writer_makes(self, data):
+        text = _mutant(data, self.TEXT)
+        try:
+            rows = _table_rows(text, self.COLUMNS, int, "t.csv")
+        except ValueError:
+            return
+        header = text.decode().split("\n", 1)[0].split(",")
+        assert _table_text(header, rows) == text.decode().rstrip("\n") + "\n"
+
+
 class TestWorkloadFuzz:
     """Mutants of a small design.json, dataset.csv and its meta file, by
     the fuzz of test_model: each parses or raises ValueError, and what
@@ -652,7 +772,8 @@ class TestWorkloadFuzz:
             ds = pt.parse_dataset(csv, meta)
         except ValueError:
             return
-        assert ds.features.dtype == np.int64
+        assert ds.features.dtype == np.min_scalar_type(
+            min(ds.period_cycles, 2**64 - 1))
         assert_plain(ds.powers.tolist() + [ds.clock_freq], float)
         assert_plain([ds.period_cycles], int)
         assert_plain(ds.feature_names, str)
