@@ -142,7 +142,11 @@ class Context:
         self._config = {c: {k: sha[k] for k, (_, _, r) in _KEYS.items()
                             if c in r} for c in _COMMANDS}  # by command
         self.out = Path(args.out or self.base / self.cfg["out_dir"])
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot make the output directory {self.out}: "
+                              f"{e.strerror}") from None
         self._digests: dict[str, str] = {}  # artifact name -> SHA-256
         self._checked: dict[str, bytes] = {}  # checked inputs, until read
 

@@ -183,95 +183,164 @@ def _ranks_by_sort(X: np.ndarray,
     return (col * n_bins + rank)[inverse.reshape(X.shape)], values
 
 
-def _best_split_all(keys: np.ndarray, values: np.ndarray, y: np.ndarray,
-                    min_leaf: int, var: float):
-    """Best (feature, threshold, impurity_decrease) over all features.
+# A chunk of nodes searched together holds at most _CHUNK_CELLS (node,
+# feature, bin) histogram cells, or one node with more, and is binned in
+# blocks of at most _CHUNK_ENTRIES (row, feature) key entries, or of as
+# many as the chunk has cells.
+_CHUNK_ENTRIES = 2**15
+_CHUNK_CELLS = 2**14
 
-    The node's m samples, in ascending row order, have the _ranks keys
-    keys (m, F) and the targets y (m,); var is np.var(y).
 
-    A candidate is a midpoint of consecutive distinct values of one feature
-    in the node that leaves at least min_leaf samples on each side.  Its
-    score is the decrease of mean squared deviation, var(parent) - weighted
-    var(children), taken from the two children's variances in ascending
-    row order (_exact_decrease), which depends on the partition alone.  The
-    highest score wins; among equal scores the lowest feature, then the
-    lowest threshold.  Returns None when no candidate scores strictly above
-    zero.  That is the rule an exhaustive scan applies.
+def _moments(y: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of y, bitwise np.mean(y) and np.var(y): the same
+    pairwise sums, taken in the same order."""
+    mean = np.add.reduce(y) / y.size
+    d = y - mean
+    d *= d
+    return float(mean), float(np.add.reduce(d) / y.size)
 
-    Every candidate first gets a fast score from the count, sum(y) and
-    sum(y**2) of each (feature, rank) bin, summed cumulatively over the
-    bins; only the candidates whose fast score is at least top - tol are
-    scored exactly, top being the best fast score.  A candidate whose
-    partition a lower one already had scores the same and is not scored
-    again.  Let S = sum(y**2) over the node's m samples.  A sum of k terms,
-    in any order and grouping (here within each bin, then over the bins),
-    errs by at most (k - 1) eps / 2 times the sum of its terms' magnitudes,
-    to first order, and sum|y| <= sqrt(m S).  The largest error of a fast
-    score is in the right child's sr**2 / nr, where sr = sum(y) - sl
+
+def _best_splits(keys: np.ndarray, values: np.ndarray, nodes: list,
+                 min_leaf: int) -> list:
+    """The best split of each node, or None where no candidate scores
+    strictly above zero: (feature, threshold, impurity_decrease, left, and
+    the (targets, mean, variance) of each side), left marking the node's
+    rows that go left.
+
+    keys and values are _ranks of the counts; a node is (rows, y, var):
+    its rows of the counts in their order, its targets y in that order,
+    and var = np.var(y).  A candidate is a midpoint of consecutive distinct
+    counts of one feature in the node that leaves at least min_leaf rows on
+    each side.  Its score is the decrease of mean squared deviation,
+    var(parent) - weighted var(children), taken from the two children's
+    variances over their targets in the node's order (_moments), which
+    depends on the partition alone.  The highest score wins; among equal
+    scores the lowest feature, then the lowest threshold.  That is the rule
+    an exhaustive scan applies.
+
+    Every candidate first gets a fast score from the count and sum(y) of
+    each (node, feature, rank) cell, summed cumulatively over the ranks:
+    with nl rows and the sum sl on its left, nr = m - nl rows and
+    sr = sum(y) - sl on its right,
+    fast = (sl**2 / nl + sr**2 / nr - sum(y)**2 / m) / m, the decrease with
+    the sums of squares of the parent and its children cancelled.  Only the
+    candidates whose fast score is at least top - tol are scored exactly,
+    top being the node's best fast score.  A candidate whose partition a
+    lower one already had scores the same and is not scored again.  Let
+    S = sum(y**2) over the node's m rows.  A sum of k terms, in any order
+    and grouping (here within each block of rows, then over the blocks,
+    then over the ranks), errs by at most (k - 1) eps / 2 times the sum of
+    its terms' magnitudes, to first order, and sum|y| <= sqrt(m S).  The
+    largest error of a fast score is in sr**2 / nr, where sr = sum(y) - sl
     cancels: sr errs by up to m eps sqrt(m S), and |sr| / nr <= sqrt(S), so
     the term errs by up to 2 m eps sqrt(m) S, or 2 eps sqrt(m) S after the
-    final division by m.  With the other terms, a fast score lies within
-    E_fast = (3 sqrt(m) + 8) eps S of the exact decrease of its candidate,
-    and the exact score (pairwise sums of squared deviations from a rounded
-    mean) within E_exact = (1 + 6 / m) eps S of it.  Were a candidate k
-    outside the band to score at least as high as the fast winner f, then
+    final division by m.  sl**2 / nl errs by half as much and
+    sum(y)**2 / m by eps S, and with the rounding of the operations
+    themselves a fast score lies within E_fast = (3 sqrt(m) + 8) eps S of
+    the exact decrease of its candidate, and the exact score (pairwise sums
+    of squared deviations from a rounded mean) within
+    E_exact = (1 + 6 / m) eps S of it.  Were a candidate k outside the band
+    to score at least as high as the fast winner f, then
     top - E_fast - E_exact <= score(f) <= score(k)
     <= fast(k) + E_fast + E_exact < top - tol + E_fast + E_exact, that is
     tol < 2 (E_fast + E_exact) <= (6 sqrt(m) + 30) eps S.  So with
     tol = 16 (sqrt(m) + 4) eps S = 16 m (sqrt(m) + 4) eps (S / m), over
-    twice that first-order bound (the margin covers the second-order terms
-    for any m up to 2**32), no candidate outside the band can beat or tie
-    the winner, and the result is the one scoring every candidate exactly
-    would give, whatever order the fast sums took.
+    twice that first-order bound (the margin covers the second-order terms,
+    and the rounding of S itself, for any m up to 2**32), no candidate
+    outside the band can beat or tie the winner, and the result is the one
+    scoring every candidate exactly would give, whatever order and grouping
+    the fast sums took.
+
+    The nodes are searched in chunks of at most _CHUNK_CELLS cells, and a
+    chunk's rows are binned in blocks of at most _CHUNK_ENTRIES entries or
+    the chunk's cells, whichever is more, so no temporary grows with the
+    rows times the features beyond the histogram itself.
     """
-    m, (n_feat, n_bins) = y.size, values.shape
-    flat, size = keys.ravel(), n_feat * n_bins
-    count = np.bincount(flat, minlength=size).reshape(n_feat, n_bins)
-    nl = np.cumsum(count, axis=1)
-    cy, cyy = (np.cumsum(np.bincount(flat, np.repeat(w, n_feat), size)
-                         .reshape(n_feat, n_bins), axis=1) for w in (y, y * y))
+    if values.size == 0:  # no feature, no candidate
+        return [None] * len(nodes)
+    per_chunk = max(1, _CHUNK_CELLS // values.size)
+    return [found for lo in range(0, len(nodes), per_chunk)
+            for found in _search_chunk(keys, values,
+                                       nodes[lo:lo + per_chunk], min_leaf)]
+
+
+def _search_chunk(keys: np.ndarray, values: np.ndarray, nodes: list,
+                  min_leaf: int) -> list:
+    """_best_splits of one chunk of nodes, binned together by one pair of
+    np.bincount calls per block of rows over node-offset keys; a node's
+    rows may span blocks, whose sums add up in its cells."""
+    n_feat, n_bins = values.shape
+    k_nodes, cells = len(nodes), values.size
+    rows = np.concatenate([r for r, _, _ in nodes])
+    ys = np.concatenate([y for _, y, _ in nodes])
+    m = np.array([r.size for r, _, _ in nodes])
+    starts = np.cumsum(m) - m
+    shift = np.repeat(np.arange(k_nodes) * cells, m)[:, None]
+    # a block's temporaries are no larger than the chunk's cells, which
+    # exist anyway, so binning costs O(entries + cells)
+    step = max(1, max(_CHUNK_ENTRIES, k_nodes * cells) // n_feat)
+
+    def binned(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """The count and sum(y) of each (node, feature, rank) cell over
+        the rows [lo, lo + step) of the chunk."""
+        flat = keys[rows[lo:lo + step]]
+        flat += shift[lo:lo + step]
+        flat = flat.ravel()
+        return (np.bincount(flat, minlength=k_nodes * cells),
+                np.bincount(flat, np.repeat(ys[lo:lo + step], n_feat),
+                            k_nodes * cells))
+
+    count, sy = binned(0)
+    for lo in range(step, rows.size, step):
+        more = binned(lo)
+        count += more[0]
+        sy += more[1]
+    # one row of ranks per (node, feature), summed cumulatively in place
+    count, cy = count.reshape(-1, n_bins), sy.reshape(-1, n_bins)
+    filled = count > 0
+    nl = np.cumsum(count, axis=1, out=count)
+    np.cumsum(cy, axis=1, out=cy)
     # cutting after a non-empty bin leaves nl samples on the left
-    j, b = np.nonzero((count > 0) & (nl >= min_leaf) & (nl <= m - min_leaf))
-    if j.size == 0:
-        return None
-    tot_y, tot_yy = cy[j, -1], cyy[j, -1]
-    nl, sl, ql = nl[j, b], cy[j, b], cyy[j, b]
-    sr, qr = tot_y - sl, tot_yy - ql
-    sse_p = tot_yy - tot_y * tot_y / m
-    red = (sse_p - (ql - sl * sl / nl) - (qr - sr * sr / (m - nl))) / m
-    top = red.max()
-    # cyy[:, -1].max() is S up to its own rounding, which the margin covers
-    tol = (16.0 * (np.sqrt(m) + 4.0) * np.finfo(np.float64).eps
-           * cyy[:, -1].max())
-    best = None
-    scored: set[bytes] = set()
-    # candidates in (feature, threshold) order, so the first of equal
+    cand = (filled & (nl >= min_leaf) & (
+        nl <= np.repeat(m - min_leaf, n_feat)[:, None])).ravel().nonzero()[0]
+    out: list = [None] * k_nodes
+    if cand.size == 0:
+        return out
+    row = cand // n_bins
+    node = row // n_feat
+    tot, mk = cy[:, -1][row], m[node]
+    nl, sl = nl.ravel()[cand], cy.ravel()[cand]
+    sr = tot - sl
+    red = (sl * sl / nl + sr * sr / (mk - nl) - tot * tot / mk) / mk
+    # the candidates of a node are a run of cand
+    per = np.bincount(node, minlength=k_nodes)
+    has = per > 0
+    tol = (16.0 * (np.sqrt(m[has]) + 4.0) * np.finfo(np.float64).eps
+           * np.add.reduceat(ys * ys, starts)[has])
+    floor = np.maximum.reduceat(red, (np.cumsum(per) - per)[has]) - tol
+    band = cand[red >= np.repeat(floor, per[has])]
+    node, f = np.divmod(band // n_bins, n_feat)
+    scored: set[tuple[int, bytes]] = set()
+    # candidates in (node, feature, threshold) order, so the first of equal
     # scores is the lowest
-    for c in np.flatnonzero(red >= top - tol):
-        f, r = int(j[c]), int(b[c])
-        left = keys[:, f] <= f * n_bins + r
+    for i, j, r in zip(node.tolist(), f.tolist(), (band % n_bins).tolist()):
+        node_rows, y, var = nodes[i]
+        left = keys[:, j][node_rows] <= j * n_bins + r
         # a partition already scored for a lower candidate scores the same
         # and cannot win
-        key = left.tobytes()
+        key = (i, left.tobytes())
         if key in scored:
             continue
         scored.add(key)
-        score = _exact_decrease(y, left, var * m)
-        if score > 0.0 and (best is None or score > best[2]):
-            above = r + 1 + int(np.flatnonzero(count[f, r + 1:])[0])
-            best = (f, float(0.5 * (values[f, r] + values[f, above])),
-                    float(score))
-    return best
-
-
-def _exact_decrease(y: np.ndarray, left: np.ndarray,
-                    parent_sse: float) -> float:
-    """Impurity decrease of sending y[left] left and y[~left] right, from
-    the children's variances taken in the order of y."""
-    yl, yr = y[left], y[~left]
-    sse = np.var(yl) * yl.size + np.var(yr) * yr.size
-    return (parent_sse - sse) / y.size
+        yl, yr = y[left], y[~left]
+        (ml, vl), (mr, vr) = _moments(yl), _moments(yr)
+        score = (var * y.size - (vl * yl.size + vr * yr.size)) / y.size
+        if score > 0.0 and (out[i] is None or score > out[i][2]):
+            above = r + 1 + int(np.flatnonzero(filled[i * n_feat + j,
+                                                      r + 1:])[0])
+            out[i] = (j, float(0.5 * (values[j, r] + values[j, above])),
+                      score, left, (yl, ml, vl), (yr, mr, vr))
+    return out
 
 
 def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
@@ -282,24 +351,44 @@ def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     variance fraction, or no candidate split reduces variance (candidates
     that would starve a child below min_leaf_sample are skipped).
 
-    Each column's counts are ranked once, and each node bins its rows by
-    rank.  Nodes are grown from a stack, left subtree first, in preorder.
+    Each column's counts are ranked once, and the tree is grown level by
+    level, each level's nodes binned by rank together (_grow_many).
     """
-    return _grow(dataset, hp)
+    return _grow_many(dataset, [np.arange(len(dataset))], hp)[0]
 
 
-def _grow(dataset: Dataset, hp: HyperParams, prior: DecisionTree | None = None,
-          remap: np.ndarray | None = None) -> DecisionTree:
-    """fit_tree(dataset, hp), reusing prior where it still holds.
+def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
+               prior: DecisionTree | None = None,
+               remap: np.ndarray | None = None) -> list[DecisionTree]:
+    """[fit_tree(dataset.take(rows), hp) for rows in row_sets], bit for bit,
+    grown together level by level over the ranks of dataset's counts, taken
+    once.
 
-    prior is the tree fit_tree (or _grow) grew with hp on the same rows and
-    targets over wider columns, of which dataset keeps some in their order;
-    remap[f] is the new index of prior's feature f, or -1 if it was dropped.
-    A prior leaf stays a leaf, and a prior split on a kept feature keeps its
-    threshold, reduction, n_samples, impurity and value, its feature index
-    remapped, its children mirroring prior's children.  A prior split on a
-    dropped feature, and every node below it, is searched afresh.  That
-    gives fit_tree's tree bit for bit:
+    Each row set keeps its order, and a split partitions its node's rows
+    stably, so every node's targets are in the order fit_tree takes them
+    in.  The stopping rules use fit_tree's float expressions.  A child's
+    n_samples, impurity and value are the ones its parent's winning split
+    was scored with (_moments over the same targets in the same order), so
+    only the roots take a variance of their own.  At each level the nodes
+    of all trees that no rule stops are searched together (_best_splits),
+    and each tree is emitted in preorder at the end.
+
+    Sharing one rank table across row sets is exact.  A rank that none of
+    a node's rows hold adds an exact 0.0 to every cumulative sum after it,
+    and a candidate sits only after a rank that some row holds, between
+    two counts the node holds.  So a node has the candidates, thresholds
+    and partitions that ranks of its own rows would give it; only the
+    grouping of its fast sums differs, which the band of _best_splits
+    covers.
+
+    prior, if given, is the tree fit_tree grew with hp on the one row
+    set's rows and targets over wider columns, of which dataset keeps some
+    in their order; remap[f] is the new index of prior's feature f, or -1
+    if it was dropped.  A prior leaf stays a leaf, and a prior split on a
+    kept feature keeps its threshold, reduction, n_samples, impurity and
+    value, its feature index remapped, its children mirroring prior's
+    children.  A prior split on a dropped feature, and every node below
+    it, is searched afresh.  That gives fit_tree's tree bit for bit:
     * a node's rows depend only on its ancestors' splits, which it shares
       with its prior node, so n_samples, impurity and value are the same;
     * the stopping rules read only the node's rows, so a node stopped by one
@@ -311,60 +400,87 @@ def _grow(dataset: Dataset, hp: HyperParams, prior: DecisionTree | None = None,
       split's column alone;
     * a node with no candidate scoring above zero has none in a subset.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit on an empty dataset")
     X = dataset.features
     y = dataset.powers.astype(np.float64)
-    root_var = float(np.var(y))
+    min_rows = max(hp.min_split_sample, 2 * hp.min_leaf_sample)
     ranked = None  # _ranks(X), taken on the first search
-    # one record per node in preorder, in DecisionTree's field order
-    nodes: list[list] = []
-    # (ascending rows, depth, -1 or the node whose right child they are,
-    # -1 or the prior node they mirror); a left child directly follows its
-    # parent in preorder
-    stack = [(np.arange(len(dataset), dtype=np.intp), 0, -1,
-              -1 if prior is None else 0)]
-    while stack:
-        rows, depth, parent, p = stack.pop()
-        i = len(nodes)
-        if parent >= 0:
-            nodes[parent][8] = i
-        if p >= 0 and (prior.left[p] < 0 or remap[prior.feature[p]] >= 0):
-            nodes.append([prior.n_samples[p], prior.impurity[p],
-                          prior.value[p], depth, 0, 0.0, 0.0, -1, -1])
-            if prior.left[p] < 0:
+    # per tree, one [n_samples, impurity, value, feature, threshold,
+    # reduction] record and one () or (left, right) per node, in the order
+    # the nodes were made
+    records: list[list[list]] = [[] for _ in row_sets]
+    children: list[list[tuple]] = [[] for _ in row_sets]
+    opened: list[tuple] = []  # (tree, node, rows, targets, prior node)
+
+    def make(t: int, rows: np.ndarray, stats: tuple, ys: np.ndarray,
+             p: int) -> int:
+        """Node of tree t over rows, with (n_samples, impurity, value) stats
+        and the rows' targets ys, mirroring prior node p (-1 for none): its
+        index.  Unless it mirrors a prior leaf, it is open on the next
+        level."""
+        i = len(records[t])
+        records[t].append([*stats, 0, 0.0, 0.0])
+        children[t].append(())
+        if p < 0 or prior.left[p] >= 0:  # a prior leaf stays a leaf
+            opened.append((t, i, rows, ys, p))
+        return i
+
+    root_var = []
+    for t, rows in enumerate(row_sets):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        ys = y[rows]
+        mean, var = _moments(ys)
+        root_var.append(var)
+        make(t, rows, (rows.size, var, mean), ys, -1 if prior is None else 0)
+    depth = 0
+    while opened:
+        level, opened = opened, []
+        # (tree, node, rows, left, and (stats, targets, prior node) of each
+        # child)
+        splits, search = [], []
+        for node in level:
+            t, i, rows, ys, p = node
+            if p >= 0 and remap[prior.feature[p]] >= 0:
+                j, thr = int(remap[prior.feature[p]]), prior.threshold[p]
+                records[t][i][3:] = [j, float(thr), float(prior.reduction[p])]
+                left = X[rows, j] <= thr
+                splits.append((t, i, rows, left, [
+                    (_prior_stats(prior, q), ys[side], q) for q, side in (
+                        (prior.left[p], left), (prior.right[p], ~left))]))
                 continue
-            j, thr, red = (remap[prior.feature[p]], prior.threshold[p],
-                           prior.reduction[p])
-            below = prior.left[p], prior.right[p]
-        else:
-            yy = y[rows]
-            m = int(rows.size)
-            var = float(np.var(yy))
-            nodes.append([m, var, float(yy.mean()), depth, 0, 0.0, 0.0,
-                          -1, -1])
-            # fewer than 2 * min_leaf_sample samples have no cut to score
-            if (depth >= hp.max_depth or np.all(yy == yy[0])
-                    or m < max(hp.min_split_sample, 2 * hp.min_leaf_sample)
-                    or root_var == 0.0
-                    or var / root_var < hp.min_leaf_impurity):
+            n, var = records[t][i][:2]
+            if (depth >= hp.max_depth or n < min_rows or root_var[t] == 0.0
+                    or var / root_var[t] < hp.min_leaf_impurity
+                    or np.minimum.reduce(ys) == np.maximum.reduce(ys)):
                 continue
+            search.append(node)
+        if search:
             if ranked is None:
                 ranked = _ranks(X)
-            keys, values = ranked
-            # the root's rows are every row in order: its keys are all keys
-            found = _best_split_all(keys if m == len(X) else keys[rows],
-                                    values, yy, hp.min_leaf_sample, var)
-            if found is None:
-                continue
-            j, thr, red = found
-            below = -1, -1
-        nodes[i][4:8] = [j, thr, red, i + 1]
-        left_side = X[rows, j] <= thr
-        stack.append((rows[~left_side], depth + 1, i, below[1]))
-        stack.append((rows[left_side], depth + 1, -1, below[0]))
-    return DecisionTree(*_node_arrays(nodes), dataset.n_features,
-                        dataset.clock_freq, dataset.feature_names)
+            for (t, i, rows, ys, _), found in zip(search, _best_splits(
+                    *ranked, [(rows, ys, records[t][i][1])
+                              for t, i, rows, ys, _ in search],
+                    hp.min_leaf_sample)):
+                if found is not None:
+                    f, thr, red, left, *sides = found
+                    records[t][i][3:] = [f, thr, red]
+                    splits.append((t, i, rows, left, [
+                        ((side.size, var, mean), side, -1)
+                        for side, mean, var in sides]))
+        for t, i, rows, left, (lo, hi) in splits:
+            children[t][i] = (make(t, rows[left], *lo),
+                              make(t, rows[~left], *hi))
+        depth += 1
+    return [_tree_from_records(r, c, dataset.n_features, dataset.clock_freq,
+                               dataset.feature_names)
+            for r, c in zip(records, children)]
+
+
+def _prior_stats(prior: DecisionTree, p: int) -> tuple:
+    """(n_samples, impurity, value) of prior's node p."""
+    return (int(prior.n_samples[p]), float(prior.impurity[p]),
+            float(prior.value[p]))
 
 
 def _node_arrays(records: list[list]) -> list[np.ndarray]:
@@ -575,14 +691,23 @@ def _tree_from_doc(doc: dict, source) -> DecisionTree:
             raise ValueError(f"{at}: kind {kind!r} is neither 'leaf' nor "
                              "'decision'")
     try:
-        order = list(_preorder(children))
+        tree = _tree_from_records(records, children, n_features, model_freq,
+                                  feature_ids)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
-    reached = max(d for _, d in order)
-    if reached != depth:
+    if tree.depth != depth:
         raise ValueError(f"{source}: tree document records depth {depth}, "
-                         f"its nodes reach depth {reached}")
-    # re-index the children from document order to preorder
+                         f"its nodes reach depth {tree.depth}")
+    return tree
+
+
+def _tree_from_records(records: list, children: list, n_features: int,
+                       model_freq: float, feature_ids) -> DecisionTree:
+    """The tree whose node i, in any order, has the record records[i]
+    (n_samples, impurity, value, feature, threshold, reduction) and the
+    children children[i], () or (left, right): its nodes in preorder, as
+    _preorder orders and checks them."""
+    order = list(_preorder(children))
     position = {i: p for p, (i, _) in enumerate(order)}
     rows = [[*records[i][:3], d, *records[i][3:],
              *([position[c] for c in children[i]] or (-1, -1))]

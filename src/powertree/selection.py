@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HyperParams, _grow, feature_importances, mae_percent,
+from .model import (HyperParams, _grow_many, feature_importances, mae_percent,
                     predict_tree_batch)
 from .workload import Dataset, _table_text
 
@@ -39,8 +39,8 @@ def rfe(dataset: Dataset, hp: HyperParams,
     Each iteration's tree, and the final refit's, is fit_tree's on the
     remaining features.  It is grown from the previous tree: every split on
     a surviving feature is kept as it was, and only the subtrees under a
-    dropped feature's splits are searched again (model._grow says why that
-    is exact).
+    dropped feature's splits are searched again (model._grow_many says why
+    that is exact).
     """
     if len(dataset) == 0:
         raise ValueError("cannot select features on an empty dataset")
@@ -56,10 +56,11 @@ def rfe(dataset: Dataset, hp: HyperParams,
     history: list[RfeStep] = []
     iteration = 0
     tree = remap = None
+    every_row = [np.arange(len(dataset))]
 
     while len(remaining) > n_target:
         sub = dataset.select_features(remaining)
-        tree = _grow(sub, hp, tree, remap)
+        [tree] = _grow_many(sub, every_row, hp, tree, remap)
         imp = feature_importances(tree)
         train_mae = mae_percent(predict_tree_batch(tree, sub.features), sub.powers)
 
@@ -78,7 +79,8 @@ def rfe(dataset: Dataset, hp: HyperParams,
         remap = np.where(kept, np.cumsum(kept) - 1, -1)
         remaining = [name for name in remaining if name not in gone]
 
-    final = _grow(dataset.select_features(remaining), hp, tree, remap)
+    [final] = _grow_many(dataset.select_features(remaining), every_row, hp,
+                         tree, remap)
     imp = feature_importances(final)
     ranked = sorted(range(len(remaining)),
                     key=lambda j: (-imp[j], position[remaining[j]]))

@@ -7,8 +7,9 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .model import (DecisionTree, HyperParams, _paths, fit_linear, fit_tree,
-                    mae_percent, predict_linear_batch, predict_tree_batch)
+from .model import (DecisionTree, HyperParams, _grow_many, _paths, fit_linear,
+                    fit_tree, mae_percent, predict_linear_batch,
+                    predict_tree_batch)
 from .workload import Dataset, _table_text
 
 __all__ = [
@@ -101,7 +102,9 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     lands on the first node of its loosest-tree path where the
     combination's rule fires, and is predicted that node's training-target
     mean.  The rules use the float expressions fit_tree uses, so every fold
-    score is bitwise equal to fitting each combination on its own.
+    score is bitwise equal to fitting each combination on its own.  The k
+    trees of one min_leaf_sample value are grown together over the whole
+    dataset's ranks (model._grow_many).
     """
     if len(dataset) < k:
         raise ValueError("dataset smaller than the number of folds")
@@ -115,8 +118,7 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
                    if hp.min_leaf_sample == leaf]
         loosest = HyperParams(max(grid.max_depth), min(grid.min_split_sample),
                               leaf, min(grid.min_leaf_impurity))
-        for fold, pool in zip(folds, pools):
-            grown = fit_tree(dataset.take(pool), loosest)
+        for fold, grown in zip(folds, _grow_many(dataset, pools, loosest)):
             preds = _truncated_predict(grown, X[fold],
                                        [combos[c] for c in members])
             for c, pred in zip(members, preds):
@@ -173,6 +175,7 @@ def learning_curve(dataset: Dataset, hp: HyperParams, sizes: list[int],
 
     Per fold and size, only the first `size` samples of the fold's training
     pool are used; fold assignment matches grid_search_cv for the same seed.
+    The k trees of one size are grown together (model._grow_many).
     """
     folds = kfold_split(len(dataset), k, seed)
     pools = _fold_pools(folds)
@@ -187,9 +190,9 @@ def learning_curve(dataset: Dataset, hp: HyperParams, sizes: list[int],
     points = []
     for size in sizes:
         acc = np.zeros(4)
-        for fold, pool in zip(folds, pools):
+        trees = _grow_many(dataset, [pool[:size] for pool in pools], hp)
+        for fold, pool, tree in zip(folds, pools, trees):
             sub = dataset.take(pool[:size])
-            tree = fit_tree(sub, hp)
             lin = fit_linear(sub)
             acc += [
                 mae_percent(predict_tree_batch(tree, sub.features), sub.powers),

@@ -387,7 +387,7 @@ def activity(trace: ToggleTrace, sig: str, t_start: int, t_end: int) -> int:
 
 def _dynamic_power_batch(design: SyntheticDesign, counts: np.ndarray,
                          period_cycles: int) -> np.ndarray:
-    alphas = counts.astype(np.float64) / period_cycles
+    alphas = np.divide(counts, period_cycles, dtype=np.float64)
     per_net = design.capacitance_array() * design.vdd ** 2 * design.clock_freq
     p = alphas @ per_net
     for unit, idx in zip(design.nonlinear_units, design.unit_index_arrays()):
@@ -425,9 +425,13 @@ def simulate_dataset(design: SyntheticDesign, n_samples: int,
     n_groups = int(group.max()) + 1 if group.size else 1
     half = period_cycles // 2
     rates = _draw_rates(rng, (n_samples, n_groups))
-    counts = (rng.binomial(half, rates[:, group]) if design.n_nets else
-              np.zeros((n_samples, 0), dtype=np.int64))
-    counts = counts.astype(_count_dtype(period_cycles))  # each <= half
+    counts = np.empty((n_samples, design.n_nets),
+                      dtype=_count_dtype(period_cycles))  # each <= half
+    # drawn in blocks of rows, in order: the draws of one call over all
+    # rows, without its n x F int64 result or float64 rates
+    step = max(1, 2**16 // max(design.n_nets, 1))
+    for lo in range(0, n_samples, step):
+        counts[lo:lo + step] = rng.binomial(half, rates[lo:lo + step, group])
     powers = _dynamic_power_batch(design, counts, period_cycles)
     return Dataset(counts, powers, design.net_ids, period_cycles,
                    design.clock_freq)

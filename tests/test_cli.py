@@ -251,6 +251,8 @@ BAD_KINDS = [
     ("grid", {"max_depth": [2.5]}, "gen",
      "bad grid: max_depth[0] must be an integer, not 2.5"),
     ("out_dir", 7, "gen", "config key out_dir must be a string, not 7"),
+    ("out_dir", "design_spec.json", "gen",
+     "cannot make the output directory "),
     ("ensemble", {"components": ["nope.json"], "dataset": "x.csv"},
      "ensemble", "config key ensemble.dataset must be the path of a file"),
     ("pdn", {"per_phase_fixed_loss": 10 ** 400}, "shed",
@@ -621,6 +623,7 @@ class TestConfigTable:
              "rfe_target_fraction-true", "design_spec-fraction",
              "design_spec-true", "design_spec-null", "pdn-fraction",
              "pdn-false", "grid-int", "grid-fraction", "out_dir-int",
+             "out_dir-file",
              "ensemble-no-file", "pdn-huge", "lut_grid_watts-huge"])
     def test_bad_kind_is_config_error(self, pipeline, capsys, key, value,
                                       command, message):
@@ -812,6 +815,36 @@ class TestPipelineFuzz:
         finally:
             path.write_text(original)
             refresh_provenance(path)
+
+
+class TestConfigFuzz:
+    """Mutants of a config document that sets every key but ensemble, by
+    the fuzz of test_model, read by Context for any command: each is read
+    or rejected with the ConfigError or ValueError that main reports,
+    exiting 2, never with another exception."""
+
+    @pytest.fixture(scope="class")
+    def document(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("config_fuzz")
+        cfg = write_config(
+            base, rfe_params={"max_depth": 8, "min_leaf_sample": 5},
+            pdn={"max_phases": 4, "nominal_power": 16.0},
+            lut_grid_watts=[0.25, 2.0, 8], learning_curve_sizes=[50, 100])
+        # one value a line, where _mutant finds list values too
+        return base / "mutant.json", json.dumps(json.loads(cfg.read_text()),
+                                                indent=1)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutant_is_read_or_rejected(self, document, data):
+        path, text = document
+        path.write_bytes(_mutant(data, text))
+        command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+        try:
+            cli.Context(cli.build_parser().parse_args(
+                [command, "--config", str(path)]))
+        except (cli.ConfigError, ValueError):
+            pass
 
 
 @pytest.mark.parametrize("parse, text, field", [

@@ -380,23 +380,24 @@ def power_data():
 
 
 def drop_columns(ds, keep):
-    """ds with only the columns keep marks, and the remap of _grow."""
+    """ds with only the columns keep marks, and the remap of _grow_many."""
     keep = np.asarray(keep, dtype=bool)
     sub = ds.select_features([n for n, k in zip(ds.feature_names, keep) if k])
     return sub, np.where(keep, np.cumsum(keep) - 1, -1)
 
 
 def assert_regrowth_matches(ds, hp, keep):
-    """_grow from ds's tree over the columns keep marks equals fit_tree
-    there."""
+    """_grow_many from ds's tree over the columns keep marks equals
+    fit_tree there."""
     sub, remap = drop_columns(ds, keep)
-    assert_growths_identical(model._grow(sub, hp, pt.fit_tree(ds, hp), remap),
-                             pt.fit_tree(sub, hp))
+    [tree] = model._grow_many(sub, [np.arange(len(ds))], hp,
+                              pt.fit_tree(ds, hp), remap)
+    assert_growths_identical(tree, pt.fit_tree(sub, hp))
 
 
 class TestRegrowth:
-    """_grow reusing a tree grown over more columns against fit_tree from
-    scratch: all nine node arrays must be bitwise equal."""
+    """_grow_many reusing a tree grown over more columns against fit_tree
+    from scratch: all nine node arrays must be bitwise equal."""
 
     @given(tie_heavy_growths(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -418,39 +419,86 @@ class TestRegrowth:
         tree = pt.fit_tree(ds, hp)
         used = np.unique(tree.feature[tree.left >= 0])
         searched = []
-        search = model._best_split_all
+        search = model._best_splits
 
-        def recording(keys, *args):
-            searched.append(keys.shape[0])
-            return search(keys, *args)
+        def recording(keys, values, nodes, *args):
+            searched.extend(rows.size for rows, _, _ in nodes)
+            return search(keys, values, nodes, *args)
 
-        monkeypatch.setattr(model, "_best_split_all", recording)
+        monkeypatch.setattr(model, "_best_splits", recording)
 
         def regrow(dropped):
-            """The node sizes _grow searches with the dropped columns
+            """The node sizes _grow_many searches with the dropped columns
             gone."""
             keep = np.ones(ds.n_features, dtype=bool)
             keep[dropped] = False
             sub, remap = drop_columns(ds, keep)
             searched.clear()
-            model._grow(sub, hp, tree, remap)
+            model._grow_many(sub, [np.arange(len(ds))], hp, tree, remap)
             return searched
 
         assert regrow(np.setdiff1d(np.arange(ds.n_features), used)) == []
         assert regrow(tree.feature[0])[0] == len(ds)
 
 
+@st.composite
+def row_set_growths(draw):
+    """A tie_heavy_growths case, its counts maybe spread past the bounds of
+    _ranks' table (so that they are ranked by the sort), and 1 to 4 row
+    sets of it, each a shuffled non-empty subset of its rows."""
+    ds, hp = draw(tie_heavy_growths())
+    if draw(st.booleans()):
+        X = ds.features.astype(np.int64)
+        ds = make_dataset(X * 2**17 + X, ds.powers, period=2**40)
+    n = len(ds)
+    row_sets = [np.array(draw(st.permutations(range(n)))[
+        :draw(st.integers(1, n))]) for _ in range(draw(st.integers(1, 4)))]
+    return ds, hp, row_sets
+
+
+class TestGrowMany:
+    """_grow_many's trees, grown together over one rank table, against
+    fit_tree on each row set's own rows: all nine node arrays must be
+    bitwise equal."""
+
+    @given(row_set_growths())
+    @settings(max_examples=200, deadline=None)
+    def test_each_tree_is_fit_tree_on_its_rows(self, case):
+        ds, hp, row_sets = case
+        trees = model._grow_many(ds, row_sets, hp)
+        assert len(trees) == len(row_sets)
+        for rows, tree in zip(row_sets, trees):
+            assert_growths_identical(tree, pt.fit_tree(ds.take(rows), hp))
+
+    @given(row_set_growths(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_regrowth_is_fit_tree_on_the_kept_columns(self, case, data):
+        ds, hp, row_sets = case
+        rows = row_sets[0]
+        sub, remap = drop_columns(ds, data.draw(arrays(bool, ds.n_features)))
+        [tree] = model._grow_many(sub, [rows], hp,
+                                  pt.fit_tree(ds.take(rows), hp), remap)
+        assert_growths_identical(tree, pt.fit_tree(sub.take(rows), hp))
+
+    def test_moments_are_numpy_mean_and_var(self):
+        # past 128 values numpy's pairwise sums split into blocks
+        rng = np.random.default_rng(0)
+        for n in range(1, 301):
+            for y in (rng.normal(size=n), 1e6 + rng.uniform(0.0, 1e-3, n),
+                      rng.integers(0, 4, n).astype(np.float64)):
+                assert model._moments(y) == (np.mean(y), np.var(y))
+
+
 def fast_score(y, order, k):
     """The prefix-sum score of the cut after the first k of order, with
-    the operations of _best_split_all on columns whose every count bin
+    the operations of model._best_splits on columns whose every count bin
     holds one row."""
     ys = y[order]
-    cy, cyy = np.cumsum(ys), np.cumsum(ys * ys)
+    cy = np.cumsum(ys)
     m = len(y)
-    sl, ql = cy[k - 1], cyy[k - 1]
-    sr, qr = cy[-1] - sl, cyy[-1] - ql
-    sse_p = cyy[-1] - cy[-1] * cy[-1] / m
-    return (sse_p - (ql - sl * sl / k) - (qr - sr * sr / (m - k))) / m
+    sl = cy[k - 1]
+    sr = cy[-1] - sl
+    return (sl * sl / k + sr * sr / (m - k) - cy[-1] * cy[-1] / m) / m
 
 
 class TestSplitTies:
@@ -466,14 +514,15 @@ class TestSplitTies:
     def test_lowest_feature_wins_a_tie_the_fast_scores_break(
             self, monkeypatch):
         rescored = []
-        exact = model._exact_decrease
+        moments = model._moments
 
-        def recording(y, left, parent_sse):
-            rescored.append(tuple(np.flatnonzero(left)))
-            return exact(y, left, parent_sse)
+        def recording(y):
+            rescored.append(tuple(y))
+            return moments(y)
 
-        monkeypatch.setattr(model, "_exact_decrease", recording)
+        monkeypatch.setattr(model, "_moments", recording)
         keys, values = model._ranks(self.X)
+        rows = np.arange(8)
         fast_prefers_1 = 0
         for seed in range(200):
             y = self.targets(seed)
@@ -481,15 +530,16 @@ class TestSplitTies:
                     for j in range(2)]
             fast_prefers_1 += fast[1] > fast[0]
             rescored.clear()
-            got = model._best_split_all(keys, values, y, 1,
-                                        float(np.var(y)))
-            assert got == brute_force_best_split(self.X, y, 1)
+            [got] = model._best_splits(keys, values,
+                                       [(rows, y, float(np.var(y)))], 1)
+            assert got[:3] == brute_force_best_split(self.X, y, 1)
             assert got[:2] == (0, 3.5)
             # column 2 scores far below the winner and is never re-scored;
-            # the partition columns 0 and 1 share is scored once
+            # the partition columns 0 and 1 share is scored once, its left
+            # side then its right
             far = brute_force_best_split(self.X[:, [2]], y, 1)
             assert far is None or got[2] - far[2] > 20.0
-            assert rescored == [(0, 1, 2, 3)]
+            assert rescored == [tuple(y[:4]), tuple(y[4:])]
         # the band matters: re-scoring the fast winner alone would pick 1
         assert fast_prefers_1 > 0
 
@@ -551,20 +601,25 @@ class TestRanks:
                 X))[0]):
             assert keys.dtype == np.intp and keys.flags.c_contiguous
 
-    def test_root_search_reads_the_keys_uncopied(self, monkeypatch):
-        ranked, searched = [], []
-        ranks, search = model._ranks, model._best_split_all
-        monkeypatch.setattr(model, "_ranks",
-                            lambda X: ranked.append(ranks(X)) or ranked[-1])
-        monkeypatch.setattr(model, "_best_split_all", lambda keys, *a: (
-            searched.append(keys), search(keys, *a))[1])
-        rng = np.random.default_rng(5)
-        ds = make_dataset(rng.integers(0, 30, (60, 3)), rng.uniform(0, 9, 60))
-        pt.fit_tree(ds.select_features(["f2", "f0"]),
-                    pt.HyperParams(3, 2, 1, 0.0))
-        assert searched[0] is ranked[0][0]
-        assert len(searched) > 1 and all(
-            not np.shares_memory(k, ranked[0][0]) for k in searched[1:])
+    def test_root_search_reads_the_keys_uncopied(self):
+        # select's first fit: 8000 x 200 counts of at most 300, whose keys
+        # take 12.8 MB; the search bins them in bounded blocks of rows, so
+        # the fit peaks little above ranking the counts, where a copy of
+        # the root's keys would add 12.8 MB and its weights 25.6 MB more
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 301, (8000, 200)).astype(np.uint16)
+        ds = Dataset(X, rng.uniform(1.0, 9.0, 8000),
+                     tuple(f"f{j}" for j in range(200)), 300, 1e8)
+        peaks = []
+        for fit in (lambda: model._ranks(X),
+                    lambda: pt.fit_tree(ds, pt.HyperParams(3, 2, 1, 0.0))):
+            tracemalloc.start()
+            try:
+                fit()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 4 * 2**20
 
 
 @st.composite

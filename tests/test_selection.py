@@ -104,7 +104,7 @@ class TestRfe:
         ds = pt.simulate_dataset(d, 400, 300, seed=seed + 1)
         ds = ds.select_features(pt.rank_signals_by_activity(ds, 40))
         result = pt.rfe(ds, hp, 0.2)
-        monkeypatch.setattr(selection, "_grow",
-                            lambda sub, hp, *prior: model.fit_tree(sub, hp))
+        monkeypatch.setattr(selection, "_grow_many", lambda sub, rows, hp,
+                            *prior: [model.fit_tree(sub, hp)])
         assert len(result.history) > 1
         assert pt.rfe(ds, hp, 0.2) == result

@@ -213,6 +213,21 @@ class TestSimulateDataset:
         with pytest.raises(ValueError):
             pt.simulate_dataset(small_design(), 0, 300, seed=3)
 
+    def test_peaks_near_its_float_activities(self):
+        d = pt.generate_design(pt.DesignSpec(240, 3, correlation_groups=3,
+                                             seed=5))
+        tracemalloc.start()
+        try:
+            ds = pt.simulate_dataset(d, 4000, 300, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the power model's float64 activities take 7.7 MB and the uint16
+        # counts 1.9 MB; drawing every count at once as int64, from float64
+        # rates per net, took 7.7 MB more (14.8 MB in all)
+        assert ds.features.dtype == np.uint16
+        assert peak < 12 * 2**20
+
 
 class TestRankSignals:
     def test_full_rank_is_permutation(self):
