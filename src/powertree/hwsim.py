@@ -86,6 +86,8 @@ class CounterState:
     last_level: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("width", "value", "last_level"):
+            _value(getattr(self, name), int, name)
         if not (1 <= self.width <= 64):
             raise ValueError("width must lie in [1, 64]")
         if not (0 <= self.value < (1 << self.width)):

@@ -55,6 +55,7 @@ class HyperParams:
     def __post_init__(self) -> None:
         for name in ("max_depth", "min_split_sample", "min_leaf_sample"):
             _value(getattr(self, name), int, name)
+        _value(self.min_leaf_impurity, float, "min_leaf_impurity")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_split_sample < 2:
@@ -358,8 +359,7 @@ def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
 
 
 def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
-               prior: DecisionTree | None = None,
-               remap: np.ndarray | None = None) -> list[DecisionTree]:
+               prior: DecisionTree | None = None) -> list[DecisionTree]:
     """[fit_tree(dataset.take(rows), hp) for rows in row_sets], bit for bit,
     grown together level by level over the ranks of dataset's counts, taken
     once.
@@ -382,13 +382,12 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
     covers.
 
     prior, if given, is the tree fit_tree grew with hp on the one row
-    set's rows and targets over wider columns, of which dataset keeps some
-    in their order; remap[f] is the new index of prior's feature f, or -1
-    if it was dropped.  A prior leaf stays a leaf, and a prior split on a
-    kept feature keeps its threshold, reduction, n_samples, impurity and
-    value, its feature index remapped, its children mirroring prior's
-    children.  A prior split on a dropped feature, and every node below
-    it, is searched afresh.  That gives fit_tree's tree bit for bit:
+    set's rows and targets over wider columns, of which dataset keeps some,
+    by name, in their order (else ValueError).  A prior leaf stays a leaf,
+    and a prior split on a kept feature keeps its threshold, reduction,
+    n_samples, impurity and value, its children mirroring prior's children.
+    A prior split on a dropped feature, and every node below it, is
+    searched afresh.  That gives fit_tree's tree bit for bit:
     * a node's rows depend only on its ancestors' splits, which it shares
       with its prior node, so n_samples, impurity and value are the same;
     * the stopping rules read only the node's rows, so a node stopped by one
@@ -400,6 +399,11 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
       split's column alone;
     * a node with no candidate scoring above zero has none in a subset.
     """
+    if prior is not None:
+        column = {name: j for j, name in enumerate(dataset.feature_names)}
+        moved = [column.get(name, -1) for name in prior.feature_ids]
+        if [j for j in moved if j >= 0] != list(range(dataset.n_features)):
+            raise ValueError("columns must be some of prior's, in order")
     X = dataset.features
     y = dataset.powers.astype(np.float64)
     min_rows = max(hp.min_split_sample, 2 * hp.min_leaf_sample)
@@ -441,12 +445,13 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
         splits, search = [], []
         for node in level:
             t, i, rows, ys, p = node
-            if p >= 0 and remap[prior.feature[p]] >= 0:
-                j, thr = int(remap[prior.feature[p]]), prior.threshold[p]
+            if p >= 0 and moved[prior.feature[p]] >= 0:
+                j, thr = moved[prior.feature[p]], prior.threshold[p]
                 records[t][i][3:] = [j, float(thr), float(prior.reduction[p])]
                 left = X[rows, j] <= thr
                 splits.append((t, i, rows, left, [
-                    (_prior_stats(prior, q), ys[side], q) for q, side in (
+                    ((int(prior.n_samples[q]), float(prior.impurity[q]),
+                      float(prior.value[q])), ys[side], q) for q, side in (
                         (prior.left[p], left), (prior.right[p], ~left))]))
                 continue
             n, var = records[t][i][:2]
@@ -475,12 +480,6 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
     return [_tree_from_records(r, c, dataset.n_features, dataset.clock_freq,
                                dataset.feature_names)
             for r, c in zip(records, children)]
-
-
-def _prior_stats(prior: DecisionTree, p: int) -> tuple:
-    """(n_samples, impurity, value) of prior's node p."""
-    return (int(prior.n_samples[p]), float(prior.impurity[p]),
-            float(prior.value[p]))
 
 
 def _node_arrays(records: list[list]) -> list[np.ndarray]:

@@ -72,6 +72,8 @@ class PhaseLut:
     def __post_init__(self) -> None:
         if not self.breakpoints or len(self.breakpoints) != len(self.phases):
             raise ValueError("breakpoints and phases must align, non-empty")
+        _value(list(self.breakpoints), [float], "breakpoints")
+        _value(list(self.phases), [int], "phases")
         if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError("breakpoints must be strictly ascending")
         if min(self.phases) < 1:

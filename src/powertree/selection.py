@@ -36,11 +36,11 @@ def rfe(dataset: Dataset, hp: HyperParams,
     ceil(target_fraction * n_original) features remain.  Importance ties drop
     the feature that appears later in the dataset's column order.
 
-    Each iteration's tree, and the final refit's, is fit_tree's on the
-    remaining features.  It is grown from the previous tree: every split on
-    a surviving feature is kept as it was, and only the subtrees under a
-    dropped feature's splits are searched again (model._grow_many says why
-    that is exact).
+    Each iteration's tree, and the final one's, is fit_tree's on the
+    remaining features.  It is grown from the previous tree, matched by
+    feature name: every split on a surviving feature is kept as it was, and
+    only the subtrees under a dropped feature's splits are searched again
+    (model._grow_many says why that is exact).
     """
     if len(dataset) == 0:
         raise ValueError("cannot select features on an empty dataset")
@@ -54,34 +54,26 @@ def rfe(dataset: Dataset, hp: HyperParams,
     n_target = math.ceil(target_fraction * len(original))
     remaining = list(original)
     history: list[RfeStep] = []
-    iteration = 0
-    tree = remap = None
-    every_row = [np.arange(len(dataset))]
+    tree = None
 
-    while len(remaining) > n_target:
+    while True:
         sub = dataset.select_features(remaining)
-        [tree] = _grow_many(sub, every_row, hp, tree, remap)
+        [tree] = _grow_many(sub, [np.arange(len(sub))], hp, tree)
         imp = feature_importances(tree)
+        if len(remaining) <= n_target:
+            break
         train_mae = mae_percent(predict_tree_batch(tree, sub.features), sub.powers)
 
-        n_drop = max(1, int(0.1 * len(remaining)))
         n_zero = int((imp == 0.0).sum())
-        n_drop = max(n_drop, n_zero)
-        n_drop = min(n_drop, len(remaining) - n_target)
+        n_drop = min(max(1, int(0.1 * len(remaining)), n_zero),
+                     len(remaining) - n_target)
 
         order = sorted(range(len(remaining)),
                        key=lambda j: (imp[j], -position[remaining[j]]))
         dropped = tuple(remaining[j] for j in order[:n_drop])
-        history.append(RfeStep(iteration, dropped, train_mae))
-        iteration += 1
-        gone = set(dropped)
-        kept = np.array([name not in gone for name in remaining])
-        remap = np.where(kept, np.cumsum(kept) - 1, -1)
-        remaining = [name for name in remaining if name not in gone]
+        history.append(RfeStep(len(history), dropped, train_mae))
+        remaining = [name for name in remaining if name not in dropped]
 
-    [final] = _grow_many(dataset.select_features(remaining), every_row, hp,
-                         tree, remap)
-    imp = feature_importances(final)
     ranked = sorted(range(len(remaining)),
                     key=lambda j: (-imp[j], position[remaining[j]]))
     retained = tuple(remaining[j] for j in ranked)

@@ -293,7 +293,7 @@ class Dataset:
             raise ValueError("feature_names must be unique")
         if _value(self.period_cycles, int, "period_cycles") < 1:
             raise ValueError(f"period_cycles must be >= 1, not {self.period_cycles}")
-        if not (self.clock_freq > 0 and np.isfinite(self.clock_freq)):
+        if not _value(self.clock_freq, float, "clock_freq") > 0:
             raise ValueError(f"clock_freq must be finite and > 0, not "
                              f"{self.clock_freq!r}")
         if not np.issubdtype(f.dtype, np.integer):

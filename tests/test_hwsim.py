@@ -213,6 +213,13 @@ class TestCounter:
         with pytest.raises(ValueError):
             pt.counter_step(pt.CounterState(), 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 2.5), ("width", True), ("value", True), ("value", 1.0),
+        ("last_level", True), ("last_level", 1.0)])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            pt.CounterState(**{field: value})
+
 
 class TestNodeWords:
     def test_zero_leaf(self):

@@ -174,6 +174,12 @@ class TestHyperParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             pt.HyperParams(**{field: value})
 
+    @pytest.mark.parametrize("value", [False, True, "0.01", np.nan])
+    def test_non_number_impurity_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="min_leaf_impurity must be a finite number"):
+            pt.HyperParams(min_leaf_impurity=value)
+
     def test_numpy_integer_limits_accepted(self):
         hp = pt.HyperParams(np.int64(3), np.int32(4), np.uint8(2), 0.0)
         assert (hp.max_depth, hp.min_split_sample, hp.min_leaf_sample) \
@@ -380,18 +386,16 @@ def power_data():
 
 
 def drop_columns(ds, keep):
-    """ds with only the columns keep marks, and the remap of _grow_many."""
-    keep = np.asarray(keep, dtype=bool)
-    sub = ds.select_features([n for n, k in zip(ds.feature_names, keep) if k])
-    return sub, np.where(keep, np.cumsum(keep) - 1, -1)
+    """ds with only the columns keep marks."""
+    return ds.select_features([n for n, k in zip(ds.feature_names, keep) if k])
 
 
 def assert_regrowth_matches(ds, hp, keep):
     """_grow_many from ds's tree over the columns keep marks equals
     fit_tree there."""
-    sub, remap = drop_columns(ds, keep)
+    sub = drop_columns(ds, keep)
     [tree] = model._grow_many(sub, [np.arange(len(ds))], hp,
-                              pt.fit_tree(ds, hp), remap)
+                              pt.fit_tree(ds, hp))
     assert_growths_identical(tree, pt.fit_tree(sub, hp))
 
 
@@ -413,6 +417,23 @@ class TestRegrowth:
     def test_matches_fit_tree_on_power_data(self, hp, keep):
         assert_regrowth_matches(power_data(), hp, keep)
 
+    @given(tie_heavy_growths(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_only_prior_columns_in_prior_order_are_accepted(self, case, data):
+        ds, hp = case
+        prior = pt.fit_tree(
+            drop_columns(ds, data.draw(arrays(bool, ds.n_features))), hp)
+        names = data.draw(st.permutations(ds.feature_names))
+        names = names[:data.draw(st.integers(0, len(names)))]
+        sub = ds.select_features(names)
+        grow = functools.partial(model._grow_many, sub, [np.arange(len(ds))],
+                                 hp, prior)
+        if names == [n for n in prior.feature_ids if n in names]:
+            assert_growths_identical(grow()[0], pt.fit_tree(sub, hp))
+        else:
+            with pytest.raises(ValueError, match="prior"):
+                grow()
+
     def test_kept_splits_are_not_searched(self, monkeypatch):
         ds = power_data()
         hp = pt.HyperParams(4, 5, 5, 0.001)
@@ -432,9 +453,9 @@ class TestRegrowth:
             gone."""
             keep = np.ones(ds.n_features, dtype=bool)
             keep[dropped] = False
-            sub, remap = drop_columns(ds, keep)
+            sub = drop_columns(ds, keep)
             searched.clear()
-            model._grow_many(sub, [np.arange(len(ds))], hp, tree, remap)
+            model._grow_many(sub, [np.arange(len(ds))], hp, tree)
             return searched
 
         assert regrow(np.setdiff1d(np.arange(ds.n_features), used)) == []
@@ -475,9 +496,9 @@ class TestGrowMany:
     def test_regrowth_is_fit_tree_on_the_kept_columns(self, case, data):
         ds, hp, row_sets = case
         rows = row_sets[0]
-        sub, remap = drop_columns(ds, data.draw(arrays(bool, ds.n_features)))
+        sub = drop_columns(ds, data.draw(arrays(bool, ds.n_features)))
         [tree] = model._grow_many(sub, [rows], hp,
-                                  pt.fit_tree(ds.take(rows), hp), remap)
+                                  pt.fit_tree(ds.take(rows), hp))
         assert_growths_identical(tree, pt.fit_tree(sub.take(rows), hp))
 
     def test_moments_are_numpy_mean_and_var(self):

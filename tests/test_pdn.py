@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestShed:
         with pytest.raises(ValueError,
                            match=f"power must be a finite number, not {bad}"):
             pt.shed_rows(MODEL, self._lut(), [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("breakpoints, phases, message", [
+        ((1.0,), (1.5,), "phases[0] must be an integer"),
+        ((1.0, 2.0), (1, True), "phases[1] must be an integer"),
+        ((np.nan,), (1,), "breakpoints[0] must be a finite number"),
+        ((1.0, np.nan), (1, 2), "breakpoints[1] must be a finite number"),
+        ((False, 1.0), (1, 2), "breakpoints[0] must be a finite number")])
+    def test_bad_lut_entry_rejected(self, breakpoints, phases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pt.shed(MODEL, pt.PhaseLut(breakpoints, phases), [2.0, 3.0])
 
     def test_rows_cumulative_improvement(self):
         lut = self._lut()

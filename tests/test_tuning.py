@@ -65,6 +65,12 @@ class TestGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             pt.Grid(**{axis: values})
 
+    @pytest.mark.parametrize("values", [(False,), ("0.01",)])
+    def test_non_number_impurity_rejected(self, values):
+        with pytest.raises(ValueError,
+                           match="min_leaf_impurity must be a finite number"):
+            pt.Grid(min_leaf_impurity=values)
+
 
 def two_level_dataset(n=400, seed=0):
     """Learnable exactly at depth 2+, not at depth 1: the target needs

@@ -593,6 +593,12 @@ class TestInvariants:
         with pytest.raises(ValueError, match=message):
             Dataset(np.array([[1]]), np.array([1.0]), ("a",), period, freq)
 
+    @pytest.mark.parametrize("freq", ["1e8", True, None])
+    def test_non_number_clock_rejected(self, freq):
+        with pytest.raises(ValueError,
+                           match="clock_freq must be a finite number"):
+            Dataset(np.array([[1]]), np.array([1.0]), ("a",), 300, freq)
+
     def test_numpy_integer_period_accepted(self):
         ds = Dataset(np.array([[1]]), np.array([1.0]), ("a",), np.int64(300),
                      1e8)
