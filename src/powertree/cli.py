@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import (_field, _json_doc, _json_text, _table_rows,
+from .workload import (_KINDS, _field, _json_doc, _json_text, _table_rows,
                        _table_text, _value)
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
@@ -49,8 +49,8 @@ class StaleArtifactError(Exception):
 _REQUIRED = object()  # the default of a key that has none
 
 # Each config key: its kind (``workload._value``'s, one of _WANT's, or a
-# dataclass: an object of fields of the kinds _ANNOTATED gives), its default
-# as JSON (None: the command derives it) and the commands reading it.
+# dataclass, which checks the kind of each field by its annotation), its
+# default as JSON (None: the command derives it) and the commands reading it.
 _KEYS = {
     "design_spec": (workload.DesignSpec, _REQUIRED, ("gen",)),
     "seed": (int, 0, ("gen", "tune", "monitor", "report")),
@@ -71,8 +71,6 @@ _KEYS = {
 }
 _WANT = {"fraction": "a fraction in (0, 1)", "file": "the path of a file",
          "ensemble": "an object of 'components' and 'dataset' paths"}
-_ANNOTATED = {"int": int, "float": float, "tuple[float, float]": (float, float),
-              "tuple[int, ...]": [int], "tuple[float, ...]": [float]}
 
 # The command that writes each artifact a later command reads.
 _PRODUCERS = {name: command for command, names in (
@@ -170,11 +168,7 @@ class Context:
                 value = _load_json(self.base / value, "design spec")
             value = {} if value is None else value
             if isinstance(value, dict):
-                kinds = {f.name: _ANNOTATED[f.type]
-                         for f in dataclasses.fields(kind)}
-                return _build(key, lambda: kind(**{
-                    k: _value(v, kinds[k], k) if k in kinds else v
-                    for k, v in value.items()}))
+                return _build(key, lambda: kind(**value))
         elif not isinstance(kind, str):  # null leaves a list to the command
             return None if value is None and isinstance(kind, list) else \
                 _value(value, kind, f"config key {key}")
@@ -265,8 +259,7 @@ def _load_selection(ctx: Context) -> tuple[str, ...]:
 
 def _load_best_params(ctx: Context) -> model.HyperParams:
     doc = _json_doc(ctx.read("best_params.json"), None, "best_params.json")
-    values = {f.name: _field(doc, f.name, _ANNOTATED[f.type],
-                             "best_params.json")
+    values = {f.name: _field(doc, f.name, _KINDS[f.type], "best_params.json")
               for f in dataclasses.fields(model.HyperParams)}
     return _build("best_params.json", lambda: model.HyperParams(**values))
 

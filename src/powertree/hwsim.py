@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import DecisionTree, _preorder
-from .workload import ToggleTrace, _value
+from .workload import ToggleTrace, _check_fields, _value
 
 __all__ = [
     "LEAF_FLAG_BIT",
@@ -86,8 +86,7 @@ class CounterState:
     last_level: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("width", "value", "last_level"):
-            _value(getattr(self, name), int, name)
+        _check_fields(self)
         if not (1 <= self.width <= 64):
             raise ValueError("width must lie in [1, 64]")
         if not (0 <= self.value < (1 << self.width)):
@@ -244,8 +243,7 @@ class MonitorConfig:
     counter_width: int = 20
 
     def __post_init__(self) -> None:
-        for name in ("n_counters", "estimation_period", "counter_width"):
-            _value(getattr(self, name), int, name)
+        _check_fields(self)
         if self.n_counters < 1:
             raise ValueError("n_counters must be >= 1")
         if not (1 <= self.counter_width <= 64):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _field, _json_doc, _json_text, _value
+from .workload import Dataset, _check_fields, _field, _json_doc, _json_text
 
 __all__ = [
     "HyperParams",
@@ -53,9 +53,7 @@ class HyperParams:
     min_leaf_impurity: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("max_depth", "min_split_sample", "min_leaf_sample"):
-            _value(getattr(self, name), int, name)
-        _value(self.min_leaf_impurity, float, "min_leaf_impurity")
+        _check_fields(self)
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.min_split_sample < 2:

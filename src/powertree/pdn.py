@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .workload import _json_text, _table_text, _value
+from .workload import _check_fields, _json_text, _table_text, _value
 
 __all__ = [
     "PdnModel",
@@ -45,10 +45,7 @@ class PdnModel:
     nominal_power: float = 20.0  # watts
 
     def __post_init__(self) -> None:
-        _value(self.max_phases, int, "max_phases")
-        for name in ("per_phase_fixed_loss", "conduction_resistance",
-                     "output_voltage", "transition_loss", "nominal_power"):
-            _value(getattr(self, name), float, name)
+        _check_fields(self)
         if self.max_phases < 1:
             raise ValueError("max_phases must be >= 1")
         if min(self.per_phase_fixed_loss, self.conduction_resistance,
@@ -70,10 +67,9 @@ class PhaseLut:
     phases: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not self.breakpoints or len(self.breakpoints) != len(self.phases):
             raise ValueError("breakpoints and phases must align, non-empty")
-        _value(list(self.breakpoints), [float], "breakpoints")
-        _value(list(self.phases), [int], "phases")
         if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError("breakpoints must be strictly ascending")
         if min(self.phases) < 1:
@@ -130,7 +126,7 @@ def build_lut(model: PdnModel, power_grid) -> PhaseLut:
     crossing between grid points is bisected down to the float boundary, so
     LUT decisions are pointwise optimal everywhere, not just on the grid.
     """
-    grid = [float(p) for p in power_grid]
+    grid = _value(list(power_grid), [float], "power_grid")
     if len(grid) < 2:
         raise ValueError("power grid needs at least 2 points")
     if any(b >= a for a, b in zip(grid[1:], grid)):

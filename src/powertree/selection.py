@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import (HyperParams, _grow_many, feature_importances, mae_percent,
                     predict_tree_batch)
-from .workload import Dataset, _table_text
+from .workload import Dataset, _table_text, _value
 
 __all__ = ["RfeStep", "RfeResult", "rfe", "rfe_history_text"]
 
@@ -44,7 +44,7 @@ def rfe(dataset: Dataset, hp: HyperParams,
     """
     if len(dataset) == 0:
         raise ValueError("cannot select features on an empty dataset")
-    if not (0.0 < target_fraction <= 1.0):
+    if not 0.0 < _value(target_fraction, float, "target_fraction") <= 1.0:
         raise ValueError("target_fraction must lie in (0, 1]")
     if dataset.n_features < 2:
         raise ValueError("need at least 2 features")

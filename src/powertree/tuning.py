@@ -10,7 +10,7 @@ import numpy as np
 from .model import (DecisionTree, HyperParams, _grow_many, _paths, fit_linear,
                     fit_tree, mae_percent, predict_linear_batch,
                     predict_tree_batch)
-from .workload import Dataset, _table_text
+from .workload import Dataset, _check_fields, _table_text, _value
 
 __all__ = [
     "Grid",
@@ -35,6 +35,7 @@ class Grid:
     min_leaf_impurity: tuple[float, ...] = (0.001, 0.01, 0.02, 0.03, 0.04, 0.05)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         for name in ("max_depth", "min_split_sample", "min_leaf_sample",
                      "min_leaf_impurity"):
             if not getattr(self, name):
@@ -66,12 +67,12 @@ class CvResult:
 
 def kfold_split(n_samples: int, k: int, seed: int) -> list[np.ndarray]:
     """Shuffled partition into k folds with sizes differing by at most one."""
-    if k < 2:
+    if _value(k, int, "k") < 2:
         raise ValueError("k must be >= 2")
-    if k > n_samples:
+    if k > _value(n_samples, int, "n_samples"):
         raise ValueError("k must not exceed n_samples")
-    perm = np.random.default_rng(seed).permutation(n_samples)
-    return list(np.array_split(perm, k))
+    rng = np.random.default_rng(_value(seed, int, "seed"))
+    return list(np.array_split(rng.permutation(n_samples), k))
 
 
 def _fold_pools(folds: list[np.ndarray]) -> list[np.ndarray]:
@@ -106,7 +107,7 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     trees of one min_leaf_sample value are grown together over the whole
     dataset's ranks (model._grow_many).
     """
-    if len(dataset) < k:
+    if len(dataset) < _value(k, int, "k"):
         raise ValueError("dataset smaller than the number of folds")
     combos = grid.combinations()
     folds = kfold_split(len(dataset), k, seed)
@@ -180,6 +181,7 @@ def learning_curve(dataset: Dataset, hp: HyperParams, sizes: list[int],
     folds = kfold_split(len(dataset), k, seed)
     pools = _fold_pools(folds)
     min_pool = min(len(p) for p in pools)
+    sizes = _value(list(sizes), [int], "sizes")
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
     if not sizes or sizes[0] < 1 or sizes[-1] > min_pool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +95,8 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_linear_nets", "n_nonlinear_units",
-                     "correlation_groups", "seed"):
-            _value(getattr(self, name), int, name)
-        for name in ("vdd", "clock_freq", "static_power", "nonlinear_strength"):
-            _value(getattr(self, name), float, name)
-        cmin, cmax = _value(list(self.capacitance_range), (float, float),
-                            "capacitance_range")
+        _check_fields(self)
+        cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
         if self.vdd <= 0:
@@ -146,6 +141,12 @@ class SyntheticDesign:
     static_power: float
 
     def __post_init__(self) -> None:
+        if not _value(self.vdd, float, "vdd") > 0:
+            raise ValueError("vdd must be positive")
+        if not _value(self.clock_freq, float, "clock_freq") > 0:
+            raise ValueError("clock_freq must be positive")
+        if _value(self.static_power, float, "static_power") < 0:
+            raise ValueError("static_power must be >= 0")
         ids = [n.id for n in self.nets]
         if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
             raise ValueError("net ids must be unique strings")
@@ -182,8 +183,6 @@ class SyntheticDesign:
 
     def with_clock_freq(self, clock_freq: float) -> "SyntheticDesign":
         """Same netlist retargeted to a different operating frequency."""
-        if clock_freq <= 0:
-            raise ValueError("clock_freq must be positive")
         return replace(self, clock_freq=clock_freq)
 
 
@@ -234,9 +233,9 @@ class ToggleTrace:
 def _value(value, kind, name: str):
     """``value`` checked as ``kind``, else ValueError "<name> must be ...":
     ``int`` (never a bool), ``float`` (an integer or float that a float holds
-    finitely, returned as a float), ``str``, ``[kind]`` (a list of any
-    length) or ``(kind, ...)`` (a list of one entry per kind).  A list comes
-    back as a tuple; only an entry that raises has its name built."""
+    finitely, returned as a float), ``str``, ``[kind]`` (a list or tuple of
+    any length) or ``(kind, ...)`` (one entry per kind), returned as a
+    tuple; only an entry that raises has its name built."""
     if kind is int:
         ok, want = isinstance(value, (int, np.integer)), "an integer"
     elif kind is float:
@@ -246,8 +245,8 @@ def _value(value, kind, name: str):
     elif kind is str:
         ok, want = isinstance(value, str), "a string"
     else:
-        if isinstance(value, list) and (isinstance(kind, list)
-                                        or len(value) == len(kind)):
+        if isinstance(value, (list, tuple)) and (isinstance(kind, list)
+                                                 or len(value) == len(kind)):
             kinds = kind * len(value) if isinstance(kind, list) else kind
             try:
                 return tuple(map(_value, value, kinds, [name] * len(value)))
@@ -259,6 +258,20 @@ def _value(value, kind, name: str):
     if ok and not isinstance(value, bool):
         return float(value) if kind is float else value
     raise ValueError(f"{name} must be {want}, not {value!r}")
+
+
+# Each field annotation of the value dataclasses: the _value kind it names.
+_KINDS = {"int": int, "float": float, "tuple[float, float]": (float, float),
+          "tuple[int, ...]": [int], "tuple[float, ...]": [float]}
+
+
+def _check_fields(obj) -> None:
+    """Check each field of the frozen dataclass ``obj`` as the kind its
+    annotation names, and store what ``_value`` returns: a float field
+    holds a float, a list field a tuple."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, _value(getattr(obj, f.name),
+                                               _KINDS[f.type], f.name))
 
 
 def _count_dtype(period_cycles: int) -> np.dtype:
@@ -287,7 +300,8 @@ class Dataset:
         f, p = self.features, self.powers
         if f.ndim != 2 or p.ndim != 1 or f.shape[0] != p.shape[0]:
             raise ValueError("features must be (n, F) with matching powers (n,)")
-        if f.shape[1] != len(self.feature_names):
+        if f.shape[1] != len(_value(self.feature_names, [str],
+                                    "feature_names")):
             raise ValueError("feature_names must match feature columns")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValueError("feature_names must be unique")
@@ -416,11 +430,11 @@ def simulate_dataset(design: SyntheticDesign, n_samples: int,
     count is then binomial over the period's pulse slots at its group's rate.
     Deterministic given seed.
     """
-    if n_samples < 1:
+    if _value(n_samples, int, "n_samples") < 1:
         raise ValueError("n_samples must be >= 1")
-    if period_cycles < 1:
+    if _value(period_cycles, int, "period_cycles") < 1:
         raise ValueError("period_cycles must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_value(seed, int, "seed"))
     group = design.group_array()
     n_groups = int(group.max()) + 1 if group.size else 1
     half = period_cycles // 2
@@ -444,11 +458,11 @@ def synthesize_trace(design: SyntheticDesign, n_periods: int,
     Pulses occupy the odd cycle of each two-cycle slot, so every pulse is a
     clean rising edge and period boundaries never hide or fabricate edges.
     """
-    if n_periods < 1:
+    if _value(n_periods, int, "n_periods") < 1:
         raise ValueError("n_periods must be >= 1")
-    if period_cycles < 1:
+    if _value(period_cycles, int, "period_cycles") < 1:
         raise ValueError("period_cycles must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_value(seed, int, "seed"))
     group = design.group_array()
     n_groups = int(group.max()) + 1 if group.size else 1
     half = period_cycles // 2
@@ -463,7 +477,7 @@ def synthesize_trace(design: SyntheticDesign, n_periods: int,
 
 def rank_signals_by_activity(dataset: Dataset, top_m: int = 100) -> list[str]:
     """Signal ids sorted by total activity, descending; ties keep dataset order."""
-    if not (1 <= top_m <= dataset.n_features):
+    if not (1 <= _value(top_m, int, "top_m") <= dataset.n_features):
         raise ValueError("top_m must lie in [1, n_features]")
     totals = dataset.features.sum(axis=0)
     order = sorted(range(dataset.n_features), key=lambda j: (-int(totals[j]), j))

@@ -725,7 +725,7 @@ class TestConfigTable:
             return (isinstance(node, ast.Name)
                     and node.id in ("int", "float", "str")
                     or isinstance(node, ast.Subscript)
-                    and getattr(node.value, "id", None) == "_ANNOTATED")
+                    and getattr(node.value, "id", None) == "_KINDS")
 
         def asks_bool(node):
             return (isinstance(node, ast.Call)

@@ -70,6 +70,11 @@ class TestBuildLut:
             pt.build_lut(MODEL, [1.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             pt.build_lut(MODEL, [5.0])
+        # a NaN must not drop out of the grid: the LUT would give 10 W 1 phase
+        for grid in ([0.25, np.nan, 40.0], [0.25, np.inf]):
+            with pytest.raises(ValueError, match=re.escape(
+                    "power_grid[1] must be a finite number")):
+                pt.build_lut(MODEL, grid)
 
 
 class TestShed:

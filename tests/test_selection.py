@@ -82,6 +82,10 @@ class TestRfe:
             pt.rfe(ds, HP, target_fraction=0.0)
         with pytest.raises(ValueError):
             pt.rfe(ds, HP, target_fraction=1.5)
+        for bad in (True, "0.5"):
+            with pytest.raises(ValueError,
+                               match="target_fraction must be a finite number"):
+                pt.rfe(ds, HP, target_fraction=bad)
         one = ds.select_features(["f0"])
         with pytest.raises(ValueError):
             pt.rfe(one, HP, 0.5)

@@ -42,6 +42,21 @@ class TestKfold:
         with pytest.raises(ValueError):
             pt.kfold_split(5, 6, seed=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: pt.kfold_split(10, 2.5, 0), "k must be an integer"),
+        (lambda ds: pt.kfold_split(10.0, 2, 0), "n_samples must be an integer"),
+        (lambda ds: pt.kfold_split(10, 2, 1.5), "seed must be an integer"),
+        (lambda ds: pt.grid_search_cv(ds, pt.Grid((2,), (5,), (5,), (0.01,)),
+                                      2.5), "k must be an integer"),
+        (lambda ds: pt.learning_curve(ds, pt.HyperParams(), [50.0]),
+         "sizes[0] must be an integer, not 50.0")],
+        ids=["kfold-k", "kfold-n_samples", "kfold-seed", "grid_search-k",
+             "learning_curve-sizes"])
+    def test_non_integer_argument_rejected(self, call, message):
+        ds = make_dataset(np.arange(40)[:, None], np.arange(40.0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(ds)
+
     def test_deterministic(self):
         a = pt.kfold_split(100, 7, seed=3)
         b = pt.kfold_split(100, 7, seed=3)
@@ -57,18 +72,29 @@ class TestGrid:
             pt.Grid(max_depth=())
 
     @pytest.mark.parametrize("axis, values, message", [
-        ("max_depth", (3, 2.5), "max_depth must be an integer, not 2.5"),
-        ("min_split_sample", (True,), "min_split_sample must be an integer"),
+        ("max_depth", (3, 2.5), "max_depth[1] must be an integer, not 2.5"),
+        ("min_split_sample", (True,), "min_split_sample[0] must be an integer"),
         ("min_leaf_sample", (0,), "min_leaf_sample must be >= 1"),
-        ("min_leaf_impurity", (0.01, 1.5), "min_leaf_impurity must lie in")])
+        ("min_leaf_impurity", (0.01, 1.5), "min_leaf_impurity must lie in"),
+        ("max_depth", 3, "max_depth must be a list, not 3"),
+        ("min_leaf_impurity", (0.01, "0.02"),
+         "min_leaf_impurity[1] must be a finite number, not '0.02'")])
     def test_invalid_axis_value_rejected(self, axis, values, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             pt.Grid(**{axis: values})
 
+    def test_axes_are_stored_as_tuples(self):
+        grid = pt.Grid(max_depth=[3, 4], min_leaf_impurity=[0, 0.5])
+        assert grid.max_depth == (3, 4)
+        assert [type(v) for v in grid.min_leaf_impurity] == [float, float]
+        assert hash(grid) == hash(pt.Grid(max_depth=(3, 4),
+                                          min_leaf_impurity=(0.0, 0.5)))
+
     @pytest.mark.parametrize("values", [(False,), ("0.01",)])
     def test_non_number_impurity_rejected(self, values):
         with pytest.raises(ValueError,
-                           match="min_leaf_impurity must be a finite number"):
+                           match=re.escape("min_leaf_impurity[0] must be a "
+                                           "finite number")):
             pt.Grid(min_leaf_impurity=values)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -9,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertree as pt
-from powertree.workload import (RATE_MODES, DesignSpec, Dataset, ToggleTrace,
-                                _table_rows, _table_text)
+from powertree.workload import (_KINDS, RATE_MODES, DesignSpec, Dataset,
+                                ToggleTrace, _table_rows, _table_text)
 from test_model import _mutant, assert_plain
+
+
+TINY = Dataset(np.array([[1, 2], [3, 4]]), np.array([1.0, 2.0]), ("a", "b"),
+               300, 1e8)
 
 
 def small_design(seed=7, **kw):
@@ -570,10 +575,35 @@ class TestInvariants:
          "estimation_period must be an integer, not 2.5"),
         (lambda: pt.MonitorConfig(True, 300),
          "n_counters must be an integer, not True"),
+        (lambda: small_design().with_clock_freq(float("nan")),
+         "clock_freq must be a finite number, not nan"),
+        (lambda: dataclasses.replace(small_design(), vdd=float("inf")),
+         "vdd must be a finite number, not inf"),
+        (lambda: dataclasses.replace(small_design(), static_power=-1.0),
+         "static_power must be >= 0"),
+        (lambda: Dataset(np.array([[1, 2]]), np.array([1.0]), (1, 2), 300,
+                         1e8), "feature_names[0] must be a string, not 1"),
+        (lambda: pt.simulate_dataset(small_design(), 2.5, 300, 0),
+         "n_samples must be an integer, not 2.5"),
+        (lambda: pt.simulate_dataset(small_design(), 4, 300, 1.5),
+         "seed must be an integer, not 1.5"),
+        (lambda: pt.synthesize_trace(small_design(), 2.5, 300, 0),
+         "n_periods must be an integer, not 2.5"),
+        (lambda: pt.synthesize_trace(small_design(), 2, 300, 1.5),
+         "seed must be an integer, not 1.5"),
+        (lambda: pt.rank_signals_by_activity(TINY, 2.5),
+         "top_m must be an integer, not 2.5"),
+        (lambda: pt.rank_signals_by_activity(TINY, True),
+         "top_m must be an integer, not True"),
     ], ids=["DesignSpec-vdd", "DesignSpec-static_power",
             "DesignSpec-nonlinear_strength", "PdnModel-conduction_resistance",
             "PdnModel-output_voltage", "MonitorConfig-estimation_period",
-            "MonitorConfig-n_counters"])
+            "MonitorConfig-n_counters", "SyntheticDesign-clock_freq",
+            "SyntheticDesign-vdd", "SyntheticDesign-static_power",
+            "Dataset-feature_names", "simulate_dataset-n_samples",
+            "simulate_dataset-seed", "synthesize_trace-n_periods",
+            "synthesize_trace-seed", "rank_signals_by_activity-fraction",
+            "rank_signals_by_activity-bool"])
     def test_config_number_follows_the_value_rule(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
@@ -809,3 +839,46 @@ class TestWorkloadFuzz:
             return
         assert_plain([ds.clock_freq], float)
         assert_plain([ds.period_cycles], int)
+
+
+def assert_holds(value, kind) -> None:
+    """``value`` is of the ``workload._value`` kind ``kind``, normalized: a
+    list kind as a tuple of plain entries."""
+    if isinstance(kind, (list, tuple)):
+        kinds = kind * len(value) if isinstance(kind, list) else kind
+        assert type(value) is tuple and len(value) == len(kinds), value
+        for entry, each in zip(value, kinds):
+            assert_holds(entry, each)
+    else:
+        assert_plain([value], kind)
+
+
+class TestValueClassFuzz:
+    """Every field of the seven value dataclasses drawn from ints, floats
+    (NaN and infinities too), bools, strings, None, lists and tuples: each
+    build holds each field in the kind its annotation names, as a plain
+    int, finite float or tuple, or raises ValueError, never TypeError."""
+
+    CLASSES = (DesignSpec, pt.HyperParams, pt.Grid, pt.PdnModel,
+               pt.PhaseLut, pt.MonitorConfig, pt.CounterState)
+    SCALARS = st.one_of(st.integers(-2, 70), st.integers(), st.floats(),
+                        st.floats(0.0, 1.0), st.booleans(),
+                        st.text(max_size=3), st.none())
+    VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
+                       st.lists(SCALARS, max_size=4).map(tuple))
+
+    @given(st.sampled_from(CLASSES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_build_holds_its_kinds_or_raises_value_error(self, cls, data):
+        # a field with a default keeps it half the time, so that more
+        # builds succeed
+        kw = {f.name: data.draw(self.VALUES, label=f.name)
+              for f in dataclasses.fields(cls)
+              if f.default is dataclasses.MISSING or data.draw(st.booleans())}
+        try:
+            obj = cls(**kw)
+        except ValueError:
+            return
+        for f in dataclasses.fields(obj):
+            assert_holds(getattr(obj, f.name), _KINDS[f.type])
+        hash(obj)
