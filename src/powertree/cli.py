@@ -1,17 +1,18 @@
 """Pipeline driver: generate, select, tune, train, quantize, monitor,
 ensemble, shed, report.
 
-``_KEYS`` is the config's one table.  ``Context`` applies the command-line
-overrides and checks every key by the rule of its kind before any command
-runs (an unknown key or a bad value exits 2, naming the key).  It is also
-the one door to the artifacts in the output directory: a command names its
-inputs once, parses the bytes that were checked, and writes each file
-atomically.  Every artifact has a ``<name>.prov.json`` sidecar recording the
-SHA-256 of the artifact, of each input and, under ``config``, of each key
-its command reads (of a file's bytes for a file path).  An input is stale,
-exit 3, if its sidecar is missing, its producer's keys changed (the message
-names the first such key), its bytes differ from its sidecar or one of its
-recorded inputs changed.  Each artifact is hashed at most once per command.
+``_KEYS`` is the config's one table and ``_ARTIFACTS`` the artifacts'.
+``Context`` applies the command-line overrides and checks every key by the
+rule of its kind (an unknown key or a bad value exits 2, naming the key),
+then the command's inputs, before the command runs.  It is the one door to
+the output directory: a command parses the bytes that were checked and
+writes only its own artifacts, each atomically.  Every artifact has a
+``<name>.prov.json`` sidecar recording the SHA-256 of the artifact, of each
+input ``_ARTIFACTS`` gives it and, under ``config``, of each key its command
+reads (of a file's bytes for a file path).  An input is stale, exit 3, if
+its sidecar is missing, its producer's keys changed (the message names the
+first such key), its bytes differ from its sidecar or one of its recorded
+inputs changed.  Each artifact is hashed at most once per command.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -72,14 +73,28 @@ _KEYS = {
 _WANT = {"fraction": "a fraction in (0, 1)", "file": "the path of a file",
          "ensemble": "an object of 'components' and 'dataset' paths"}
 
-# The command that writes each artifact a later command reads.
-_PRODUCERS = {name: command for command, names in (
-    ("gen", ("design.json", "dataset.csv", "dataset.csv.meta.json",
-             "split.json")),
-    ("select", ("selection.json",)), ("tune", ("best_params.json",)),
-    ("train", ("model.json", "linear.json")), ("quantize", ("image.bin",)),
-    ("monitor", ("monitor.csv",))) for name in names}
-_DATASET = ("dataset.csv", "dataset.csv.meta.json")
+# Every artifact in pipeline order, with the command that writes it and the
+# inputs its sidecar records; a command reads those it does not write.
+_SPLIT = ("dataset.csv", "dataset.csv.meta.json", "split.json")
+_ARTIFACTS = {name: (command, inputs) for command, names, inputs in (
+    ("gen", ("design.json",), ()),
+    ("gen", ("dataset.csv", "dataset.csv.meta.json"), ("design.json",)),
+    ("gen", ("split.json",), _SPLIT[:2]),
+    ("select", ("selection.json", "rfe_history.csv"), _SPLIT),
+    ("tune", ("cv_results.csv", "best_params.json"),
+     (*_SPLIT, "selection.json")),
+    ("train", ("model.json", "linear.json", "model_rules.txt"),
+     (*_SPLIT, "selection.json", "best_params.json")),
+    ("quantize", ("image.bin",), ("model.json",)),
+    ("monitor", ("monitor.csv",),
+     ("design.json", "selection.json", "image.bin")),
+    ("shed", ("shed.csv", "phase_lut.json", "shed_summary.json"),
+     ("design.json", "monitor.csv")),
+    ("report", ("report.csv", "learning_curve.csv"),
+     (*_SPLIT, "selection.json", "best_params.json", "model.json",
+      "linear.json")),
+    ("ensemble", ("ensemble_predictions.csv", "ensemble.json"), ()),
+) for name in names}
 
 
 def _sha256(data) -> str:
@@ -147,6 +162,7 @@ class Context:
                               f"{e.strerror}") from None
         self._digests: dict[str, str] = {}  # artifact name -> SHA-256
         self._checked: dict[str, bytes] = {}  # checked inputs, until read
+        self._check_inputs()
 
     def _check(self, key: str, value, kind):
         """The value of config key ``key`` checked by the one rule of its
@@ -175,9 +191,12 @@ class Context:
         want = _WANT.get(kind) or f"an object of {kind.__name__} fields"
         raise ConfigError(f"config key {key} must be {want}, not {value!r}")
 
-    def write_artifact(self, name: str, data: bytes | str,
-                       inputs: list[str]) -> Path:
-        """Atomically write an artifact, then its sidecar."""
+    def write_artifact(self, name: str, data: bytes | str) -> Path:
+        """Atomically write one of the command's artifacts, then its sidecar
+        recording the inputs ``_ARTIFACTS`` gives it."""
+        command, inputs = _ARTIFACTS.get(name, ("", ()))
+        if command != self.command:
+            raise ValueError(f"{name} is not an artifact of '{self.command}'")
         if isinstance(data, str):
             data = data.encode()
         digest = _sha256(data)
@@ -196,22 +215,22 @@ class Context:
         self._digests[name] = digest
         return path
 
-    def inputs(self, *names: str) -> list[str]:
-        """Check a command's input artifacts fresh, all before any is
-        loaded, and return their names for its outputs' sidecars."""
+    def _check_inputs(self) -> None:
+        """Check the command's inputs fresh, all before any is loaded."""
+        own = {n for n, (c, _) in _ARTIFACTS.items() if c == self.command}
+        names = [n for n in _ARTIFACTS if n not in own
+                 and any(n in _ARTIFACTS[o][1] for o in own)]
         for name in names:
             path = self.out / name
             if not path.is_file():
                 raise ConfigError(f"missing artifact {name}; "
-                                  f"run '{_PRODUCERS[name]}' first")
+                                  f"run '{_ARTIFACTS[name][0]}' first")
             self._checked[name], self._digests[name] = _read_hashed(path)
         for name in names:
-            reason = self._stale(name)
-            if reason:
+            if reason := self._stale(name):
                 raise StaleArtifactError(
                     f"{name} is stale: {reason}; rerun the pipeline from "
-                    f"'{_PRODUCERS[name]}'")
-        return list(names)
+                    f"'{_ARTIFACTS[name][0]}'")
 
     def _stale(self, name: str) -> str | None:
         """Why an input artifact is stale, or None if it is fresh."""
@@ -221,7 +240,7 @@ class Context:
             deps = dict(prov["inputs"])
         except (OSError, ValueError, KeyError, TypeError):
             return "its provenance sidecar is missing or unreadable"
-        expected = self._config[_PRODUCERS[name]]
+        expected = self._config[_ARTIFACTS[name][0]]
         changed = [k for k in _KEYS if config.get(k) != expected.get(k)]
         if changed:
             return f"it was produced with a different config key {changed[0]}"
@@ -235,7 +254,7 @@ class Context:
         return None
 
     def read(self, name: str) -> bytes:
-        """The checked bytes of an input named to ``inputs``, once."""
+        """The checked bytes of one of the command's inputs, once."""
         return self._checked.pop(name)
 
 
@@ -272,18 +291,16 @@ def cmd_gen(ctx: Context) -> int:
     seed, n_samples = ctx.cfg["seed"], ctx.cfg["n_samples"]
     period = ctx.cfg["period_cycles"]
     design = workload.generate_design(ctx.cfg["design_spec"])
-    ctx.write_artifact("design.json", workload.design_text(design), [])
+    ctx.write_artifact("design.json", workload.design_text(design))
     dataset = workload.simulate_dataset(design, n_samples, period, seed)
-    ctx.write_artifact("dataset.csv", workload.dataset_csv_text(dataset),
-                       ["design.json"])
+    ctx.write_artifact("dataset.csv", workload.dataset_csv_text(dataset))
     ctx.write_artifact("dataset.csv.meta.json",
-                       workload.dataset_meta_text(dataset, design.vdd),
-                       ["design.json"])
+                       workload.dataset_meta_text(dataset, design.vdd))
     perm = np.random.default_rng(seed + 1).permutation(n_samples)
     n_train = int(round(ctx.cfg["train_fraction"] * n_samples))
     split = {"seed": seed + 1, "train": sorted(int(i) for i in perm[:n_train]),
              "test": sorted(int(i) for i in perm[n_train:])}
-    ctx.write_artifact("split.json", _json_text(split), list(_DATASET))
+    ctx.write_artifact("split.json", _json_text(split))
     print(f"gen: {n_samples} samples x {dataset.n_features} signals, "
           f"period {period} cycles -> {ctx.out}")
     return 0
@@ -291,16 +308,14 @@ def cmd_gen(ctx: Context) -> int:
 
 def cmd_select(ctx: Context) -> int:
     """Keep the signals recursive feature elimination retains."""
-    inputs = ctx.inputs(*_DATASET, "split.json")
     train_ds = _split_dataset(ctx)[0]
     top = min(ctx.cfg["top_candidates"], train_ds.n_features)
     candidates = workload.rank_signals_by_activity(train_ds, top)
     result = selection.rfe(train_ds.select_features(candidates),
                            ctx.cfg["rfe_params"], ctx.cfg["rfe_target_fraction"])
     doc = {"candidates": candidates, "retained": list(result.retained)}
-    ctx.write_artifact("selection.json", _json_text(doc), inputs)
-    ctx.write_artifact("rfe_history.csv", selection.rfe_history_text(result),
-                       inputs)
+    ctx.write_artifact("selection.json", _json_text(doc))
+    ctx.write_artifact("rfe_history.csv", selection.rfe_history_text(result))
     print(f"select: {top} candidates -> {len(result.retained)} retained "
           f"in {len(result.history)} iterations")
     return 0
@@ -308,15 +323,14 @@ def cmd_select(ctx: Context) -> int:
 
 def cmd_tune(ctx: Context) -> int:
     """Grid-search the tree hyper-parameters by cross-validation."""
-    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json")
     ds = _split_dataset(ctx)[0].select_features(_load_selection(ctx))
     k, seed = ctx.cfg["cv_folds"], ctx.cfg["seed"] + 2
     result = tuning.grid_search_cv(ds, ctx.cfg["grid"], k, seed)
-    ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result), inputs)
+    ctx.write_artifact("cv_results.csv", tuning.cv_table_text(result))
     hp = result.best_params
     doc = dict(dataclasses.asdict(hp), mean_score=result.best_score, k=k,
                seed=seed)
-    ctx.write_artifact("best_params.json", _json_text(doc), inputs)
+    ctx.write_artifact("best_params.json", _json_text(doc))
     print(f"tune: {len(result.rows)} combinations, best {hp} "
           f"(mean validation MAE {result.best_score:.2f}%)")
     return 0
@@ -324,15 +338,12 @@ def cmd_tune(ctx: Context) -> int:
 
 def cmd_train(ctx: Context) -> int:
     """Fit the power-model tree and the linear baseline."""
-    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
-                        "best_params.json")
     retained = _load_selection(ctx)
     ds = _split_dataset(ctx)[0].select_features(retained)
     tree = model.fit_tree(ds, _load_best_params(ctx))
-    ctx.write_artifact("model.json", model.tree_text(tree), inputs)
-    ctx.write_artifact("linear.json", model.linear_text(model.fit_linear(ds)),
-                       inputs)
-    ctx.write_artifact("model_rules.txt", model.rule_text(tree), inputs)
+    ctx.write_artifact("model.json", model.tree_text(tree))
+    ctx.write_artifact("linear.json", model.linear_text(model.fit_linear(ds)))
+    ctx.write_artifact("model_rules.txt", model.rule_text(tree))
     print(f"train: tree depth {tree.depth}, {tree.n_leaves()} leaves, "
           f"{len(retained)} features")
     return 0
@@ -340,10 +351,9 @@ def cmd_train(ctx: Context) -> int:
 
 def cmd_quantize(ctx: Context) -> int:
     """Quantize the tree into the monitor's memory image."""
-    inputs = ctx.inputs("model.json")
     image = hwsim.quantize(model.parse_tree(ctx.read("model.json"),
                                             "model.json"))
-    ctx.write_artifact("image.bin", hwsim.image_bytes(image), inputs)
+    ctx.write_artifact("image.bin", hwsim.image_bytes(image))
     print(f"quantize: {image.n_nodes} node words, max depth {image.max_depth}, "
           f"{image.leaf_unit} mW/LSB, structure memory {64 * image.n_nodes} "
           f"bits, worst-case latency {2 * image.max_depth + 1} cycles")
@@ -352,7 +362,6 @@ def cmd_quantize(ctx: Context) -> int:
 
 def cmd_monitor(ctx: Context) -> int:
     """Run the hardware monitor and log its period estimates."""
-    inputs = ctx.inputs("design.json", "selection.json", "image.bin")
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     retained = _load_selection(ctx)
     image = hwsim.parse_image(ctx.read("image.bin"), "image.bin")
@@ -364,7 +373,7 @@ def cmd_monitor(ctx: Context) -> int:
     ctx.write_artifact("monitor.csv", _table_text(
         ["period", "cycles", "estimate_mw", *retained],
         ((p, cycles, hwsim.dequantize_mw(image, value), *f)
-         for p, value, cycles, f in rows)), inputs)
+         for p, value, cycles, f in rows)))
     print(f"monitor: {len(rows)} periods of {period} cycles, "
           f"{len(retained)} counters, counter bits "
           f"{counters.n_counters * counters.counter_width}, worst latency "
@@ -382,16 +391,15 @@ def cmd_ensemble(ctx: Context) -> int:
     mae = model.mae_percent(preds, composite.powers)
     ctx.write_artifact("ensemble_predictions.csv", _table_text(
         ["sample", "prediction_w", "truth_w"],
-        zip(range(len(preds)), preds, composite.powers)), [])
+        zip(range(len(preds)), preds, composite.powers)))
     ctx.write_artifact("ensemble.json", _json_text(
-        {"mae_percent": mae, "n_components": len(trees)}), [])
+        {"mae_percent": mae, "n_components": len(trees)}))
     print(f"ensemble: {len(trees)} components, MAE {mae:.2f}%")
     return 0
 
 
 def cmd_shed(ctx: Context) -> int:
     """Choose regulator phases per period from the monitor estimates."""
-    inputs = ctx.inputs("design.json", "monitor.csv")
     design = workload.parse_design(ctx.read("design.json"), "design.json")
     estimates = _table_rows(ctx.read("monitor.csv"), [
         ("period", int), ("cycles", int), ("estimate_mw", float)], int,
@@ -403,20 +411,18 @@ def cmd_shed(ctx: Context) -> int:
     lut = pdn.build_lut(regulator, np.linspace(lo, hi, n))
     rows = pdn.shed_rows(regulator, lut, powers)
     decisions, eff = [r[2] for r in rows], rows[-1][3]
-    ctx.write_artifact("shed.csv", pdn.shed_table_text(rows), inputs)
-    ctx.write_artifact("phase_lut.json", pdn.lut_text(lut), inputs)
+    ctx.write_artifact("shed.csv", pdn.shed_table_text(rows))
+    ctx.write_artifact("phase_lut.json", pdn.lut_text(lut))
     hist = {str(n): decisions.count(n)
             for n in range(1, regulator.max_phases + 1)}
     ctx.write_artifact("shed_summary.json", _json_text(
-        {"eff_impv": eff, "n_periods": len(powers), "phases": hist}), inputs)
+        {"eff_impv": eff, "n_periods": len(powers), "phases": hist}))
     print(f"shed: {len(powers)} periods, efficiency improvement {eff:.4f}")
     return 0
 
 
 def cmd_report(ctx: Context) -> int:
     """Compare tree and linear test error; write the learning curve."""
-    inputs = ctx.inputs(*_DATASET, "split.json", "selection.json",
-                        "model.json", "linear.json", "best_params.json")
     train_ds, test_ds = _split_dataset(ctx)
     retained = _load_selection(ctx)
     tree = model.parse_tree(ctx.read("model.json"), "model.json")
@@ -430,16 +436,15 @@ def cmd_report(ctx: Context) -> int:
     ctx.write_artifact("report.csv", _table_text(
         ["dataset", "n_train", "n_test", "tree_mae_percent",
          "linear_mae_percent"],
-        [("dataset", len(train_ds), len(test_ds), tree_mae, lin_mae)]), inputs)
+        [("dataset", len(train_ds), len(test_ds), tree_mae, lin_mae)]))
     train_ds = train_ds.select_features(retained)
     k = ctx.cfg["cv_folds"]
     pool = len(train_ds) - (len(train_ds) + k - 1) // k
     sizes = ctx.cfg["learning_curve_sizes"]
     sizes = [pool // 8, pool // 4, pool // 2, pool] if sizes is None else sizes
-    points = tuning.learning_curve(train_ds, hp, sorted(set(sizes)), k,
-                                   ctx.cfg["seed"] + 2)
-    ctx.write_artifact("learning_curve.csv",
-                       tuning.learning_curve_text(points), inputs)
+    curve = tuning.learning_curve(train_ds, hp, sorted(set(sizes)), k,
+                                  ctx.cfg["seed"] + 2)
+    ctx.write_artifact("learning_curve.csv", tuning.learning_curve_text(curve))
     print(f"report: test MAE tree {tree_mae:.2f}% vs linear {lin_mae:.2f}% "
           f"({len(test_ds)} held-out samples)")
     return 0

@@ -534,8 +534,9 @@ def feature_importances(tree: DecisionTree) -> np.ndarray:
 def fit_linear(dataset: Dataset) -> LinearModel:
     """Ordinary least squares on raw activity counts.
 
-    Solves centered normal equations; an exactly collinear design matrix
-    falls back to a 1e-8 ridge term.
+    Solves centered normal equations; an exactly collinear design matrix,
+    whose Gram matrix has no Cholesky factor, takes their minimum-norm
+    least-squares solution instead, which needs no scale rule.
     """
     n, n_feat = len(dataset), dataset.n_features
     if n <= n_feat:
@@ -551,7 +552,7 @@ def fit_linear(dataset: Dataset) -> LinearModel:
         np.linalg.cholesky(g)  # positive-definiteness probe
         w = np.linalg.solve(g, b)
     except np.linalg.LinAlgError:
-        w = np.linalg.solve(g + 1e-8 * np.eye(n_feat), b)
+        w = np.linalg.lstsq(g, b, rcond=None)[0]
     intercept = ym - float(xm @ w)
     return LinearModel(w, intercept, dataset.clock_freq, dataset.feature_names)
 

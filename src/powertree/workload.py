@@ -123,11 +123,23 @@ class Net:
     capacitance: float
     group: int
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        if self.capacitance < 0:
+            raise ValueError("capacitance must be >= 0")
+        if self.group < 0:
+            raise ValueError("group must be >= 0")
+
 
 @dataclass(frozen=True)
 class NonlinearUnit:
     inputs: tuple[str, ...]
     coefficient: float
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        if not self.inputs:
+            raise ValueError("nonlinear unit with no inputs")
 
 
 @dataclass(frozen=True)
@@ -148,14 +160,10 @@ class SyntheticDesign:
         if _value(self.static_power, float, "static_power") < 0:
             raise ValueError("static_power must be >= 0")
         ids = [n.id for n in self.nets]
-        if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
-            raise ValueError("net ids must be unique strings")
+        if len(set(ids)) != len(ids):
+            raise ValueError("net ids must be unique")
         known = set(ids)
         for u in self.nonlinear_units:
-            if not u.inputs:
-                raise ValueError("nonlinear unit with no inputs")
-            if not all(isinstance(s, str) for s in u.inputs):
-                raise ValueError("unit inputs must be net id strings")
             missing = set(u.inputs) - known
             if missing:
                 raise ValueError(f"unit references unknown nets: {sorted(missing)}")
@@ -199,7 +207,11 @@ class ToggleTrace:
     levels: np.ndarray  # (n_signals, n_cycles), values 0/1
 
     def __post_init__(self) -> None:
-        if self.levels.ndim != 2 or self.levels.shape[0] != len(self.signal_ids):
+        ids = _value(self.signal_ids, [str], "signal_ids")
+        if len(set(ids)) != len(ids):
+            raise ValueError("signal_ids must be unique")
+        object.__setattr__(self, "signal_ids", ids)
+        if self.levels.ndim != 2 or self.levels.shape[0] != len(ids):
             raise ValueError("levels must be (n_signals, n_cycles)")
         if not ((self.levels == 0) | (self.levels == 1)).all():
             raise ValueError("levels must be 0/1")
@@ -261,8 +273,9 @@ def _value(value, kind, name: str):
 
 
 # Each field annotation of the value dataclasses: the _value kind it names.
-_KINDS = {"int": int, "float": float, "tuple[float, float]": (float, float),
-          "tuple[int, ...]": [int], "tuple[float, ...]": [float]}
+_KINDS = {"int": int, "float": float, "str": str,
+          "tuple[float, float]": (float, float), "tuple[int, ...]": [int],
+          "tuple[float, ...]": [float], "tuple[str, ...]": [str]}
 
 
 def _check_fields(obj) -> None:

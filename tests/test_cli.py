@@ -301,6 +301,27 @@ WRITES = {
     "report": ("report.csv", "learning_curve.csv"),
 }
 
+# The inputs each artifact's sidecar records, written out by hand.
+SPLIT = ("dataset.csv", "dataset.csv.meta.json", "split.json")
+RECORDED_INPUTS = {
+    "design.json": (), "dataset.csv": ("design.json",),
+    "dataset.csv.meta.json": ("design.json",),
+    "split.json": ("dataset.csv", "dataset.csv.meta.json"),
+    "selection.json": SPLIT, "rfe_history.csv": SPLIT,
+    "cv_results.csv": (*SPLIT, "selection.json"),
+    "best_params.json": (*SPLIT, "selection.json"),
+    **dict.fromkeys(("model.json", "linear.json", "model_rules.txt"),
+                    (*SPLIT, "selection.json", "best_params.json")),
+    "image.bin": ("model.json",),
+    "monitor.csv": ("design.json", "selection.json", "image.bin"),
+    **dict.fromkeys(("shed.csv", "phase_lut.json", "shed_summary.json"),
+                    ("design.json", "monitor.csv")),
+    **dict.fromkeys(("report.csv", "learning_curve.csv"),
+                    (*SPLIT, "selection.json", "best_params.json",
+                     "model.json", "linear.json")),
+    "ensemble_predictions.csv": (), "ensemble.json": (),
+}
+
 # Every artifact a later command reads, with one command that reads it.
 CONSUMED = [("design.json", "monitor"), ("dataset.csv", "select"),
             ("dataset.csv.meta.json", "select"), ("split.json", "select"),
@@ -716,6 +737,21 @@ class TestConfigTable:
         assert [n.lineno for top in others for n in ast.walk(top)
                 if isinstance(n, ast.Attribute) and n.attr == "cfg"] == []
 
+    def test_commands_write_exactly_their_table_artifacts(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        for func in tree.body:
+            if not (isinstance(func, ast.FunctionDef)
+                    and func.name.startswith("cmd_")):
+                continue
+            names = [call.args[0] for call in ast.walk(func)
+                     if isinstance(call, ast.Call)
+                     and getattr(call.func, "attr", None) == "write_artifact"]
+            assert all(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                       for n in names), f"{func.name} names a file otherwise"
+            assert [n.value for n in names] == [
+                n for n, (command, _) in cli._ARTIFACTS.items()
+                if command == func.name[4:]], func.name
+
     def test_values_pass_one_rule(self):
         # every _field call names a kind of workload._value, never a
         # converter, and only _value asks whether a value is a bool
@@ -760,6 +796,16 @@ class TestConfigTable:
         for key, readers in rows:
             assert re.findall(r"`(\w+)`", readers) == list(
                 cli._KEYS[key][2]), key
+
+    def test_readme_artifact_table_follows_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Artifacts\n")[1].split("\n#")[0]
+        rows = re.findall(r"^\| `([\w.]+)` \| `(\w+)` \|(.*)\|$", section,
+                          re.M)
+        assert [name for name, _, _ in rows] == list(cli._ARTIFACTS)
+        for name, command, inputs in rows:
+            assert (command, tuple(re.findall(r"`([\w.]+)`", inputs))) \
+                == cli._ARTIFACTS[name], name
 
 
 def test_json_is_read_in_one_place():
@@ -872,14 +918,14 @@ class TestArtifactDoor:
                                                     monkeypatch):
         ctx = cli.Context(cli.build_parser().parse_args(
             ["gen", "--config", str(write_config(tmp_path))]))
-        ctx.write_artifact("design.json", "old\n", [])
+        ctx.write_artifact("design.json", "old\n")
         before = {p.name: p.read_bytes() for p in ctx.out.iterdir()}
 
         def fail(src, dst):
             raise OSError("disk full")
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            ctx.write_artifact("design.json", "new\n", [])
+            ctx.write_artifact("design.json", "new\n")
         assert {p.name: p.read_bytes() for p in ctx.out.iterdir()} == before
 
     def test_interrupted_sidecar_write_leaves_artifact_stale(
@@ -896,8 +942,7 @@ class TestArtifactDoor:
             real_replace(src, dst)
         monkeypatch.setattr(os, "replace", fail_sidecar)
         with pytest.raises(OSError):
-            ctx.write_artifact("split.json", '{"train": [], "test": []}\n',
-                               [])
+            ctx.write_artifact("design.json", '{"nets": []}\n')
         monkeypatch.undo()
         assert sorted(p.name for p in ctx.out.iterdir()
                       if p.name.endswith(".tmp")) == []
@@ -954,6 +999,33 @@ class TestArtifactDoor:
                 assert replaced.count("dataset.csv") == 1
             if command == "report":
                 assert len(hashed) <= 8, hashed
+
+
+class TestArtifactTable:
+    def test_runs_write_exactly_the_table(self, pipeline):
+        # gen ... report, then ensemble: each artifact with one sidecar,
+        # which records the inputs of the hand-written graph
+        assert main(["ensemble", "--config",
+                     str(ensemble_config(pipeline.parent))]) == 0
+        out = pipeline.parent / "out"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*RECORDED_INPUTS, *(f"{n}.prov.json" for n in RECORDED_INPUTS)])
+        assert sorted(cli._ARTIFACTS) == sorted(RECORDED_INPUTS)
+        for name, inputs in RECORDED_INPUTS.items():
+            prov = json.loads((out / f"{name}.prov.json").read_text())
+            assert sorted(prov["inputs"]) == sorted(inputs), name
+
+    @pytest.mark.parametrize("name", ["monitor.csv", "ensemble.json",
+                                      "shed.txt"])
+    def test_undeclared_write_raises_and_writes_nothing(self, pipeline,
+                                                        name):
+        out = pipeline.parent / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        ctx = cli.Context(cli.build_parser().parse_args(
+            ["shed", "--config", str(pipeline)]))
+        with pytest.raises(ValueError, match="is not an artifact of 'shed'"):
+            ctx.write_artifact(name, "x\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestDeterminism:

@@ -840,7 +840,7 @@ class TestLinear:
         assert pt.predict_linear(model, [0, 0]) == pytest.approx(
             model.intercept)
 
-    def test_collinear_features_fall_back_to_ridge(self):
+    def test_collinear_features_fall_back_to_least_squares(self):
         rng = np.random.default_rng(9)
         a = rng.integers(0, 300, 60)
         X = np.stack([a, a], axis=1)  # exactly duplicated column
@@ -848,6 +848,18 @@ class TestLinear:
         model = pt.fit_linear(make_dataset(X, y))
         pred = pt.predict_linear_batch(model, X)
         assert np.allclose(pred, y, rtol=1e-6)
+
+    @pytest.mark.parametrize("y", [np.ones(12), np.arange(1.0, 13.0)],
+                             ids=["constant", "rising"])
+    def test_collinear_large_counts_are_solved(self, y):
+        # a Gram matrix with entries near 1e9 is singular to any ridge far
+        # below its float resolution; least squares needs no scale rule
+        X = np.array([[0, 0]] + [[17168, 17168]] * 11)
+        model = pt.fit_linear(make_dataset(X, y, period=65536))
+        assert np.isfinite(model.weights).all()
+        assert model.weights[0] == model.weights[1]
+        fit = np.array([y[0], *[y[1:].mean()] * 11])
+        assert pt.predict_linear_batch(model, X) == pytest.approx(fit)
 
     def test_residuals_orthogonal_to_features(self):
         rng = np.random.default_rng(10)

@@ -608,6 +608,41 @@ class TestInvariants:
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: pt.Net("n", float("nan"), 0),
+         "capacitance must be a finite number, not nan"),
+        (lambda: pt.Net("n", -1e-9, 0), "capacitance must be >= 0"),
+        (lambda: pt.Net("n", 1e-12, 2.5), "group must be an integer, not 2.5"),
+        (lambda: pt.Net("n", 1e-12, -1), "group must be >= 0"),
+        (lambda: pt.Net(5, 1e-12, 0), "id must be a string, not 5"),
+        (lambda: pt.NonlinearUnit((), 1.0), "nonlinear unit with no inputs"),
+        (lambda: pt.NonlinearUnit(("n", 1), 1.0),
+         "inputs[1] must be a string, not 1"),
+        (lambda: pt.NonlinearUnit(("n",), float("inf")),
+         "coefficient must be a finite number, not inf"),
+        (lambda: ToggleTrace(("a", "a"), np.zeros((2, 4), np.uint8)),
+         "signal_ids must be unique"),
+        (lambda: ToggleTrace(("a", 1), np.zeros((2, 4), np.uint8)),
+         "signal_ids[1] must be a string, not 1"),
+        (lambda: pt.SyntheticDesign((pt.Net("n", 1e-12, 0),) * 2, (), 1.0,
+                                    1e8, 0.0), "net ids must be unique"),
+        (lambda: pt.SyntheticDesign(
+            (pt.Net("n", 1e-12, 0),), (pt.NonlinearUnit(("m",), 1.0),), 1.0,
+            1e8, 0.0), "unit references unknown nets: ['m']"),
+    ], ids=["Net-nan", "Net-negative", "Net-group-fraction",
+            "Net-group-negative", "Net-id", "NonlinearUnit-empty",
+            "NonlinearUnit-input", "NonlinearUnit-inf", "ToggleTrace-repeat",
+            "ToggleTrace-id", "SyntheticDesign-repeat",
+            "SyntheticDesign-unknown"])
+    def test_bad_design_part_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_trace_ids_are_stored_as_a_tuple(self):
+        trace = ToggleTrace(["a", "b"], np.zeros((2, 4), np.uint8))
+        assert trace.signal_ids == ("a", "b")
+        assert trace.signal_index("b") == 1
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[301]]), np.array([1.0]), ("a",), 300, 1e8)
@@ -854,13 +889,14 @@ def assert_holds(value, kind) -> None:
 
 
 class TestValueClassFuzz:
-    """Every field of the seven value dataclasses drawn from ints, floats
+    """Every field of the nine value dataclasses drawn from ints, floats
     (NaN and infinities too), bools, strings, None, lists and tuples: each
     build holds each field in the kind its annotation names, as a plain
     int, finite float or tuple, or raises ValueError, never TypeError."""
 
     CLASSES = (DesignSpec, pt.HyperParams, pt.Grid, pt.PdnModel,
-               pt.PhaseLut, pt.MonitorConfig, pt.CounterState)
+               pt.PhaseLut, pt.MonitorConfig, pt.CounterState, pt.Net,
+               pt.NonlinearUnit)
     SCALARS = st.one_of(st.integers(-2, 70), st.integers(), st.floats(),
                         st.floats(0.0, 1.0), st.booleans(),
                         st.text(max_size=3), st.none())
