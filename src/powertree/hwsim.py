@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import DecisionTree, _preorder
-from .workload import ToggleTrace, _check_fields, _value
+from .workload import ToggleTrace, _binary, _check_fields, _value
 
 __all__ = [
     "LEAF_FLAG_BIT",
@@ -292,6 +292,11 @@ def period_features(trace: ToggleTrace,
     The trailing cycles that do not fill a period are dropped.  A period of
     P cycles holds at most ceil(P / 2) such edges, and MonitorConfig keeps
     P <= 2**counter_width, so no counter can overflow.
+
+    The levels used are checked to be 0/1 again, as ToggleTrace checks
+    them (at most one reduction for bool and integer dtypes, the
+    elementwise test otherwise), since an array can change in place after
+    it was built.
     """
     if trace.n_signals != cfg.n_counters:
         raise ValueError("trace must provide one signal per counter")
@@ -300,10 +305,11 @@ def period_features(trace: ToggleTrace,
     if n_periods == 0:
         raise ValueError("trace shorter than one estimation period")
     used = trace.levels[:, :n_periods * period]
-    # levels can change in place after ToggleTrace checked them
-    if not ((used == 0) | (used == 1)).all():
+    if not _binary(used):
         raise ValueError("levels must be 0/1")
-    lv = used.astype(bool).reshape(cfg.n_counters, n_periods, period)
+    # one-byte 0/1 levels read as bool without a copy
+    lv = (used.view(bool) if used.dtype.itemsize == 1 else used.astype(bool)
+          ).reshape(cfg.n_counters, n_periods, period)
     counts = (lv[..., 1:] & ~lv[..., :-1]).sum(axis=-1) + lv[..., 0]
     return [tuple(row) for row in counts.T.tolist()]
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import Dataset, _check_fields, _field, _json_doc, _json_text
+from .workload import (Dataset, _check_fields, _field, _json_doc, _json_text,
+                       _value)
 
 __all__ = [
     "HyperParams",
@@ -101,10 +102,32 @@ class DecisionTree:
 
 @dataclass(frozen=True)
 class LinearModel:
+    """power = features @ weights + intercept, in watts at model_freq.
+
+    weights must be a finite 1-D float array, intercept finite and
+    model_freq finite and > 0; feature_ids, when given, are unique strings,
+    one per weight, and are stored as a tuple."""
+
     weights: np.ndarray  # watts per count
     intercept: float
     model_freq: float
     feature_ids: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.ndim == 1
+                and w.dtype.kind == "f" and np.isfinite(w).all()):
+            raise ValueError("weights must be a finite 1-D float array")
+        _value(self.intercept, float, "intercept")
+        if not _value(self.model_freq, float, "model_freq") > 0:
+            raise ValueError(f"model_freq must be finite and > 0, not "
+                             f"{self.model_freq!r}")
+        ids = _value(self.feature_ids, [str], "feature_ids")
+        if len(set(ids)) != len(ids):
+            raise ValueError("feature_ids must be unique")
+        if ids and len(ids) != w.size:
+            raise ValueError("feature_ids must name one feature per weight")
+        object.__setattr__(self, "feature_ids", ids)
 
 
 @dataclass(frozen=True)
@@ -739,11 +762,15 @@ def linear_text(model: LinearModel) -> str:
 
 def parse_linear(text: str | bytes, source="linear model") -> LinearModel:
     doc = _json_doc(text, "powertree-linear-v1", source)
-    return LinearModel(
+    args = (
         np.array(_field(doc, "weights", [float], source), dtype=np.float64),
         _field(doc, "intercept", float, source),
         _field(doc, "model_freq_hz", float, source),
         _field(doc, "feature_ids", [str], source))
+    try:
+        return LinearModel(*args)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
 
 
 def rule_text(tree: DecisionTree) -> str:

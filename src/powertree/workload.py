@@ -194,11 +194,27 @@ class SyntheticDesign:
         return replace(self, clock_freq=clock_freq)
 
 
+def _binary(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is 0 or 1, as
+    ``((a == 0) | (a == 1)).all()`` decides it.  A bool array needs no
+    check, and an integer one a single max reduction, with no temporary of
+    a's size; any other dtype takes that elementwise test."""
+    if a.dtype == bool:
+        return True
+    if a.dtype.kind == "i":  # a negative entry read as unsigned exceeds 1
+        a = a.view(a.dtype.str.replace("i", "u"))
+    if a.dtype.kind == "u":
+        return bool(a.max(initial=0) <= 1)
+    return bool(((a == 0) | (a == 1)).all())
+
+
 @dataclass(frozen=True)
 class ToggleTrace:
     """Cycle-resolved signal levels, one row per signal.
 
-    The cumulative transition count s(sig, t) counts positive edges over the
+    levels must all be 0 or 1, checked by at most one reduction for bool
+    and integer dtypes and by the elementwise test for any other.  The
+    cumulative transition count s(sig, t) counts positive edges over the
     first t cycles, with the edge detector assumed to start from level 0.
     It is non-decreasing and grows by at most one per cycle.
     """
@@ -213,7 +229,7 @@ class ToggleTrace:
         object.__setattr__(self, "signal_ids", ids)
         if self.levels.ndim != 2 or self.levels.shape[0] != len(ids):
             raise ValueError("levels must be (n_signals, n_cycles)")
-        if not ((self.levels == 0) | (self.levels == 1)).all():
+        if not _binary(self.levels):
             raise ValueError("levels must be 0/1")
 
     @property
@@ -482,9 +498,10 @@ def synthesize_trace(design: SyntheticDesign, n_periods: int,
     levels = np.zeros((design.n_nets, n_periods * period_cycles), dtype=np.uint8)
     for p in range(n_periods):
         rates = _draw_rates(rng, n_groups)
-        pulses = rng.random((design.n_nets, half)) < rates[group][:, None]
-        block = levels[:, p * period_cycles:(p + 1) * period_cycles]
-        block[:, 1:2 * half:2] = pulses
+        # each pulse written straight into its odd cycle of period p
+        np.less(rng.random((design.n_nets, half)), rates[group][:, None],
+                out=levels[:, p * period_cycles + 1:(p + 1) * period_cycles:2],
+                casting="unsafe")
     return ToggleTrace(design.net_ids, levels)
 
 

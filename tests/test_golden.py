@@ -1,5 +1,5 @@
-"""Byte-identity of everything derived from a fitted tree, and of the
-dataset text.
+"""Byte-identity of everything derived from a fitted tree, of the
+dataset text and of the stimulus trace.
 
 The SHA-256 digests of tree outputs below were recorded from the
 linked-node tree representation that preceded the preorder arrays; any
@@ -116,3 +116,24 @@ def test_dataset_text_byte_identical():
     ds = _depth_8()[0]
     text = pt.dataset_csv_text(ds)
     assert hashlib.sha256(text.encode()).hexdigest() == DATASET_CSV_SHA256
+
+
+# The stimulus stream: synthesize_trace's levels for monitor_long's trace
+# (the hybrid design of seed 1, 100 periods of 300 cycles, seed 8) and for
+# an odd period, recorded before the pulses were written in place.
+TRACE_LEVELS_SHA256 = {
+    (100, 300, 8):
+        "837b19be783a2264b20bcf3aa5dfb4694698320fb5bc0cd9714e900886df5a9e",
+    (7, 301, 3):
+        "4ac70cd3e4d1ce5d87f66072d1731ef1621d8620a12f5f1893ea806389f8718e",
+}
+
+
+@pytest.mark.parametrize("n_periods, period, seed", list(TRACE_LEVELS_SHA256))
+def test_trace_levels_byte_identical(n_periods, period, seed):
+    design = pt.generate_design(pt.hybrid_design_spec(1))
+    levels = pt.synthesize_trace(design, n_periods, period, seed).levels
+    assert levels.dtype == np.uint8
+    assert levels.shape == (120, n_periods * period)
+    assert hashlib.sha256(levels.tobytes()).hexdigest() \
+        == TRACE_LEVELS_SHA256[n_periods, period, seed]

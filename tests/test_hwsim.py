@@ -16,6 +16,7 @@ from powertree.hwsim import (CHILD_BITS, FEATURE_BITS, LEAF_FLAG_BIT,
                              THRESHOLD_BITS, VALUE_BITS, MalformedImageError,
                              MemNode)
 from powertree.workload import Dataset, ToggleTrace
+from test_workload import level_arrays, old_binary
 
 
 @dataclass(frozen=True)
@@ -707,6 +708,26 @@ class TestPeriodFeaturesMatchCounterFold:
         got = pt.period_features(trace, cfg)
         assert got == oracle_period_features(levels, period, width)
         assert all(type(v) is int for row in got for v in row)
+
+    @given(levels=level_arrays(min_side=1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_levels_rejected_exactly_as_before(self, levels, data):
+        # a trace built over 0/1 levels whose array is then edited in place
+        edited = levels.copy()
+        levels[...] = 0
+        trace = ToggleTrace(tuple(f"s{i}" for i in range(levels.shape[0])),
+                            levels)
+        levels[...] = edited
+        period = data.draw(st.integers(1, levels.shape[1]))
+        cfg = pt.MonitorConfig(n_counters=levels.shape[0],
+                               estimation_period=period)
+        used = edited[:, :levels.shape[1] // period * period]
+        if old_binary(used):
+            assert pt.period_features(trace, cfg) == oracle_period_features(
+                used, period, cfg.counter_width)
+        else:
+            with pytest.raises(ValueError, match="levels must be 0/1"):
+                pt.period_features(trace, cfg)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     def test_largest_count_fits(self, width):

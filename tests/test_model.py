@@ -878,6 +878,47 @@ class TestLinear:
             pt.fit_linear(make_dataset(np.zeros((3, 3), dtype=int),
                                        np.zeros(3)))
 
+    W = np.array([1e-3, 2e-3])
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.array([1e-3, np.nan]), 0.5, 1e8), "weights must be a finite"),
+        ((np.array([np.inf]), 0.5, 1e8), "weights must be a finite"),
+        ((np.array([1, 2]), 0.5, 1e8), "weights must be a finite"),
+        ((np.array([[1e-3]]), 0.5, 1e8), "weights must be a finite"),
+        (([1e-3, 2e-3], 0.5, 1e8), "weights must be a finite"),
+        ((W, np.inf, 1e8), "intercept must be a finite number"),
+        ((W, np.nan, 1e8), "intercept must be a finite number"),
+        ((W, "0.5", 1e8), "intercept must be a finite number"),
+        ((W, 0.5, 0.0), "model_freq must be finite and > 0"),
+        ((W, 0.5, -1e8), "model_freq must be finite and > 0"),
+        ((W, 0.5, np.inf), "model_freq must be a finite number"),
+        ((W, 0.5, True), "model_freq must be a finite number"),
+        ((W, 0.5, 1e8, ("a", "a")), "feature_ids must be unique"),
+        ((W, 0.5, 1e8, ("a",)), "one feature per weight"),
+        ((W, 0.5, 1e8, ("a", 2)), r"feature_ids\[1\] must be a string"),
+        ((W, 0.5, 1e8, "ab"), "feature_ids must be a list"),
+    ])
+    def test_bad_field_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            pt.LinearModel(*args)
+
+    def test_ids_are_stored_as_a_tuple(self):
+        model = pt.LinearModel(self.W, 0.5, 1e8, ["a", "b"])
+        assert model.feature_ids == ("a", "b")
+        assert pt.LinearModel(self.W, 0.5, 1e8).feature_ids == ()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("model_freq_hz", 0.0, "model_freq must be finite and > 0"),
+        ("feature_ids", ["n0", "n0"], "feature_ids must be unique"),
+        ("feature_ids", ["n0"], "feature_ids must name one feature per weight"),
+    ])
+    def test_loaded_model_checked_and_named(self, key, value, message):
+        doc = json.loads(pt.linear_text(
+            pt.LinearModel(self.W, 0.5, 1e8, ("n0", "n1"))))
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"^linear.json: {message}"):
+            pt.parse_linear(json.dumps(doc), "linear.json")
+
     def test_underfits_nonlinear_data_versus_tree(self):
         d = pt.generate_design(pt.hybrid_design_spec(seed=3))
         ds = pt.simulate_dataset(d, 800, 300, seed=4)

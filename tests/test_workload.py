@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, from_dtype
 
 import powertree as pt
 from powertree.workload import (_KINDS, RATE_MODES, DesignSpec, Dataset,
-                                ToggleTrace, _table_rows, _table_text)
+                                ToggleTrace, _binary, _table_rows, _table_text)
 from test_model import _mutant, assert_plain
 
 
@@ -298,6 +299,106 @@ class TestTrace:
     def test_zero_cycle_trace_accepted(self):
         assert ToggleTrace(("a",), np.zeros((1, 0), dtype=np.uint8)) \
             .n_cycles == 0
+
+
+def old_binary(a) -> bool:
+    """The elementwise 0/1 test ToggleTrace ran before _binary."""
+    return bool(((a == 0) | (a == 1)).all())
+
+
+LEVEL_DTYPES = [np.bool_, np.uint8, np.uint16, np.uint32, np.uint64,
+                np.int8, np.int16, np.int32, np.int64,
+                np.float16, np.float32, np.float64]
+
+
+def _outliers(dtype: np.dtype) -> list:
+    """Entries that are not 0/1 but sit near it or at a dtype's edge."""
+    if dtype.kind == "b":
+        return []
+    if dtype.kind == "f":
+        return [0.5, np.nan, np.inf, -np.inf, -0.0, 2.0, -1.0,
+                float(np.finfo(dtype).max)]
+    info = np.iinfo(dtype)
+    return [2, info.max] + ([-1, info.min, -2] if dtype.kind == "i" else [])
+
+
+@st.composite
+def level_arrays(draw, min_side=0):
+    """A 2-D array of 0/1 entries with up to three others written in, of
+    any LEVEL_DTYPES dtype in either byte order, laid out row-major,
+    column-major or as a strided (possibly reversed) slice."""
+    dtype = np.dtype(draw(st.sampled_from(LEVEL_DTYPES)))
+    rows, cols = (draw(st.integers(min_side, 6)) for _ in range(2))
+    a = draw(arrays(dtype, (2 * rows, 2 * cols), elements=st.sampled_from(
+        [False, True] if dtype.kind == "b" else [0, 1])))
+    others = from_dtype(dtype)
+    if _outliers(dtype):
+        others = st.sampled_from(_outliers(dtype)) | others
+    if a.size:
+        for _ in range(draw(st.integers(0, 3))):
+            a.flat[draw(st.integers(0, a.size - 1))] = draw(others)
+    if draw(st.booleans()):
+        a = a.astype(dtype.newbyteorder())
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "slice":
+        step = draw(st.sampled_from([1, 2, -1, -2]))
+        return a[draw(st.integers(0, 1))::2, ::step]
+    return a
+
+
+class TestLevelCheck:
+    """_binary decides exactly what the elementwise test decided."""
+
+    @given(a=level_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_elementwise_test(self, a):
+        assert _binary(a) == old_binary(a)
+
+    @given(a=level_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_trace_rejects_exactly_what_the_test_rejects(self, a):
+        ids = tuple(f"s{i}" for i in range(a.shape[0]))
+        if old_binary(a):
+            assert ToggleTrace(ids, a).levels is a
+        else:
+            with pytest.raises(ValueError, match="levels must be 0/1"):
+                ToggleTrace(ids, a)
+
+    @pytest.mark.parametrize("dtype", LEVEL_DTYPES[1:])
+    def test_every_outlier_rejected(self, dtype):
+        for bad in _outliers(np.dtype(dtype)):
+            levels = np.zeros((2, 6), dtype=dtype)
+            levels[1, 4] = bad
+            assert _binary(levels) == old_binary(levels)
+            if bad != 0:  # -0.0 is a 0
+                with pytest.raises(ValueError, match="levels must be 0/1"):
+                    ToggleTrace(("a", "b"), levels)
+
+    def test_check_copies_nothing(self):
+        # monitor_long's trace: 120 x 30000 uint8 levels, 3.6 MB, where
+        # the elementwise test made two bool temporaries of that size
+        levels = np.random.default_rng(0).integers(0, 2, (120, 30000),
+                                                   dtype=np.uint8)
+        ids = tuple(f"n{i}" for i in range(120))
+        tracemalloc.start()
+        try:
+            ToggleTrace(ids, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_synthesize_trace_peaks_at_its_levels(self):
+        design = pt.generate_design(pt.hybrid_design_spec(1))
+        tracemalloc.start()
+        try:
+            trace = pt.synthesize_trace(design, 100, 300, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.levels.nbytes + 2**20
 
 
 class TestDatasetIO:
