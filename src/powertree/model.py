@@ -41,12 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Tree growth limits.
-
-    min_leaf_impurity is a dimensionless stopping rule: a node may only be
-    split while its target variance is at least that fraction of the root's
-    target variance.
-    """
+    """Tree growth limits.  A node stays a leaf at depth max_depth or
+    deeper, with fewer than min_split_sample samples, or with a target
+    variance below min_leaf_impurity times the root's (every node, when
+    that is zero): _stopped states these tests.  A split must leave at
+    least min_leaf_sample samples on each side."""
 
     max_depth: int = 6
     min_split_sample: int = 5
@@ -63,6 +62,17 @@ class HyperParams:
             raise ValueError("min_leaf_sample must be >= 1")
         if not (0.0 <= self.min_leaf_impurity < 1.0):
             raise ValueError("min_leaf_impurity must lie in [0, 1)")
+
+
+def _stopped(depth, n_samples, impurity, root_var, max_depth, min_split,
+             min_impurity):
+    """Whether HyperParams' limits stop a node of this depth, n_samples
+    and impurity, root_var being the root's impurity.  The arguments
+    broadcast; Python numbers give a bool.  A zero root_var stops every
+    node, and is divided as 1.0 so that no warning is raised."""
+    zero = root_var == 0.0
+    return ((depth >= max_depth) | (n_samples < min_split) | zero
+            | (impurity / (root_var + zero) < min_impurity))
 
 
 @dataclass(eq=False)
@@ -368,10 +378,9 @@ def _search_chunk(keys: np.ndarray, values: np.ndarray, nodes: list,
 def fit_tree(dataset: Dataset, hp: HyperParams) -> DecisionTree:
     """Grow a variance-minimizing binary regression tree.
 
-    A node becomes a leaf when it is at max_depth, holds fewer than
-    min_split_sample samples, is pure, falls below the min_leaf_impurity
-    variance fraction, or no candidate split reduces variance (candidates
-    that would starve a child below min_leaf_sample are skipped).
+    A node becomes a leaf when hp's limits stop it (HyperParams), it is
+    pure, or no candidate split reduces variance (candidates that would
+    starve a child below min_leaf_sample are skipped).
 
     Each column's counts are ranked once, and the tree is grown level by
     level, each level's nodes binned by rank together (_grow_many).
@@ -387,12 +396,12 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
 
     Each row set keeps its order, and a split partitions its node's rows
     stably, so every node's targets are in the order fit_tree takes them
-    in.  The stopping rules use fit_tree's float expressions.  A child's
-    n_samples, impurity and value are the ones its parent's winning split
-    was scored with (_moments over the same targets in the same order), so
-    only the roots take a variance of their own.  At each level the nodes
-    of all trees that no rule stops are searched together (_best_splits),
-    and each tree is emitted in preorder at the end.
+    in.  A node stops when _stopped says so or its targets are pure.  A
+    child's n_samples, impurity and value are the ones its parent's winning
+    split was scored with (_moments over the same targets in the same
+    order), so only the roots take a variance of their own.  At each level
+    the nodes of all trees that do not stop are searched together
+    (_best_splits), and each tree is emitted in preorder at the end.
 
     Sharing one rank table across row sets is exact.  A rank that none of
     a node's rows hold adds an exact 0.0 to every cumulative sum after it,
@@ -476,8 +485,9 @@ def _grow_many(dataset: Dataset, row_sets: list, hp: HyperParams,
                         (prior.left[p], left), (prior.right[p], ~left))]))
                 continue
             n, var = records[t][i][:2]
-            if (depth >= hp.max_depth or n < min_rows or root_var[t] == 0.0
-                    or var / root_var[t] < hp.min_leaf_impurity
+            # min_rows also stops nodes that can have no candidate split
+            if (_stopped(depth, n, var, root_var[t], hp.max_depth, min_rows,
+                         hp.min_leaf_impurity)
                     or np.minimum.reduce(ys) == np.maximum.reduce(ys)):
                 continue
             search.append(node)
@@ -522,6 +532,33 @@ def _paths(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
         paths[d] = np.where(tree.left[cur] < 0, cur,
                             np.where(go_left, tree.left[cur], tree.right[cur]))
     return paths
+
+
+def _truncated_predict(grown: DecisionTree, X: np.ndarray,
+                       hps: list[HyperParams]) -> np.ndarray:
+    """Predictions for X of the grown tree cut back to each of hps, as a
+    (len(hps), n_rows) array: row c is bitwise predict_tree_batch(
+    fit_tree(data, hps[c]), X) when grown is fit_tree(data, loosest) and
+    hps[c] has loosest's min_leaf_sample and limits no looser.
+
+    Only min_leaf_sample changes which split a node takes.  The other
+    three limits are monotone tests of the node alone (_stopped), so a
+    node that loosest's limits stop, hp's stop too, and a node that no
+    limit stops takes the same split under either.  A pure node, or one
+    with too few rows for two min_leaf_sample children, is a leaf under
+    both.  So fit_tree's tree at hp is a prefix of grown, with grown's node
+    statistics: a node is a leaf of it exactly when it is a leaf of grown
+    or _stopped fires at hp's limits.  Each row is predicted the value of
+    the first such node on its path in grown.
+    """
+    paths = _paths(grown, X)
+    stop = (grown.left < 0) | _stopped(
+        grown.node_depth, grown.n_samples, grown.impurity, grown.impurity[0],
+        *(np.array([getattr(hp, name) for hp in hps])[:, None] for name in (
+            "max_depth", "min_split_sample", "min_leaf_impurity")))
+    # the first stopping node on each path; a path's leaf always stops
+    first = stop[:, paths].argmax(axis=1)
+    return grown.value[paths[first, np.arange(X.shape[0])]]
 
 
 def predict_tree(tree: DecisionTree, features) -> float:

@@ -7,8 +7,8 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .model import (DecisionTree, HyperParams, _grow_many, _paths, fit_linear,
-                    fit_tree, mae_percent, predict_linear_batch,
+from .model import (DecisionTree, HyperParams, _grow_many, _truncated_predict,
+                    fit_linear, fit_tree, mae_percent, predict_linear_batch,
                     predict_tree_batch)
 from .workload import Dataset, _check_fields, _table_text, _value
 
@@ -85,27 +85,15 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
                    seed: int = 0) -> CvResult:
     """Exhaustive grid search scored by mean validation MAE% over k folds.
 
-    Score ties prefer simpler models: smaller max_depth first, then larger
-    min_leaf_impurity.  The returned best_model is retrained on the entire
+    Score ties prefer simpler models, in this order: smaller max_depth,
+    larger min_leaf_impurity, smaller min_split_sample, then smaller
+    min_leaf_sample.  The returned best_model is retrained on the entire
     dataset (training plus validation folds).
 
-    The search is exact with one tree grown per fold and min_leaf_sample
-    value.  Of the four axes, only min_leaf_sample changes which split a
-    node takes.  max_depth, min_split_sample and min_leaf_impurity are
-    monotone stopping rules tested on the node alone (its depth, sample
-    count and variance fraction), and a node that is not stopped takes the
-    same split whatever their values.  So the tree fit_tree grows for any
-    combination is a prefix of the tree grown at the loosest limits of the
-    grid (largest max_depth, smallest min_split_sample and
-    min_leaf_impurity) with the same min_leaf_sample: a node is a leaf of
-    the combination's tree exactly when it is a leaf of the loosest tree or
-    one of the combination's own rules stops it.  Each validation row then
-    lands on the first node of its loosest-tree path where the
-    combination's rule fires, and is predicted that node's training-target
-    mean.  The rules use the float expressions fit_tree uses, so every fold
-    score is bitwise equal to fitting each combination on its own.  The k
-    trees of one min_leaf_sample value are grown together over the whole
-    dataset's ranks (model._grow_many).
+    Per min_leaf_sample value, the k fold trees are grown together at the
+    grid's loosest limits (model._grow_many), and each combination is
+    scored on them cut back to its own limits (model._truncated_predict),
+    bitwise as if it were fitted on its own.
     """
     if len(dataset) < _value(k, int, "k"):
         raise ValueError("dataset smaller than the number of folds")
@@ -133,31 +121,6 @@ def grid_search_cv(dataset: Dataset, grid: Grid, k: int = 10,
     best_model = fit_tree(dataset, best.params)
     return CvResult(tuple(rows), best.params, best.mean_score, k, seed,
                     best_model)
-
-
-def _truncated_predict(grown: DecisionTree, X: np.ndarray,
-                       hps: list[HyperParams]) -> np.ndarray:
-    """Predictions of the grown tree cut back to each of hps, as an
-    (len(hps), n_rows) array.
-
-    A node stops a combination when it is a leaf of the grown tree or one of
-    the combination's limits fires there, with fit_tree's tests:
-    depth >= max_depth, n_samples < min_split_sample, or
-    impurity / root impurity < min_leaf_impurity.
-    """
-    max_depth = np.array([hp.max_depth for hp in hps])[:, None]
-    min_split = np.array([hp.min_split_sample for hp in hps])[:, None]
-    min_impurity = np.array([hp.min_leaf_impurity for hp in hps])[:, None]
-    paths = _paths(grown, X)
-    root_var = grown.impurity[0]
-    # a zero-variance root is a leaf, which stops every combination before
-    # the ratio is read
-    ratio = grown.impurity / root_var if root_var > 0.0 else grown.impurity
-    stop = ((grown.left < 0) | (grown.node_depth >= max_depth)
-            | (grown.n_samples < min_split) | (ratio < min_impurity))
-    # the first stopping node on each path; a path's leaf always stops
-    first = stop[:, paths].argmax(axis=1)
-    return grown.value[paths[first, np.arange(X.shape[0])]]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +186,46 @@ class TestHyperParams:
         hp = pt.HyperParams(np.int64(3), np.int32(4), np.uint8(2), 0.0)
         assert (hp.max_depth, hp.min_split_sample, hp.min_leaf_sample) \
             == (3, 4, 2)
+
+
+class TestStopped:
+    """model._stopped, the one statement of HyperParams' stop tests."""
+
+    def test_equality_boundaries(self):
+        stopped = model._stopped
+        assert stopped(3, 10, 0.5, 1.0, 3, 5, 0.1) is True  # depth == max
+        assert stopped(2, 10, 0.5, 1.0, 3, 5, 0.1) is False
+        assert stopped(2, 5, 0.5, 1.0, 3, 5, 0.1) is False  # n == min_split
+        assert stopped(2, 4, 0.5, 1.0, 3, 5, 0.1) is True
+        # a ratio equal to min_impurity, rounded as the test rounds it
+        ratio = 0.3 / 0.7
+        assert stopped(0, 10, 0.3, 0.7, 3, 5, ratio) is False
+        assert stopped(0, 10, 0.3, 0.7, 3, 5,
+                       math.nextafter(ratio, 1.0)) is True
+
+    def test_zero_root_variance_stops_every_node_without_warning(self):
+        impurity = np.array([0.0, 1e-300, 0.5, 2.0])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert model._stopped(0, 100, 0.0, 0.0, 5, 2, 0.0) is True
+            assert model._stopped(0, 100, 0.0, -0.0, 5, 2, 0.0) is True
+            got = model._stopped(np.arange(4), 100, impurity, 0.0, 5, 2, 0.0)
+        assert got.tolist() == [True] * 4
+
+    def test_broadcast_form_agrees_with_scalar_form(self):
+        # node statistics along one axis, limits along the other, as the
+        # cut-back of a grown tree reads them
+        nodes = list(itertools.product([0, 2, 3, 4], [4, 5, 6],
+                                       [0.0, 0.3, 0.5], [0.0, 0.7, 1.0]))
+        limits = list(itertools.product([3, 4], [5, 6],
+                                        [0.0, 0.3 / 0.7, 0.5]))
+        got = model._stopped(*map(np.array, zip(*nodes)),
+                             *(np.array(c)[:, None] for c in zip(*limits)))
+        expect = [[model._stopped(*node, *limit) for node in nodes]
+                  for limit in limits]
+        assert {type(v) for row in expect for v in row} == {bool}
+        assert got.dtype == bool
+        assert got.tolist() == expect
 
 
 class TestFitTree:
@@ -508,6 +550,66 @@ class TestGrowMany:
             for y in (rng.normal(size=n), 1e6 + rng.uniform(0.0, 1e-3, n),
                       rng.integers(0, 4, n).astype(np.float64)):
                 assert model._moments(y) == (np.mean(y), np.var(y))
+
+
+@st.composite
+def cut_back_cases(draw):
+    """A tie-heavy integer dataset, maybe with constant targets, the tree
+    grown at loose limits on a shuffled subset of its rows, and
+    combinations of those limits with tighter ones taken from the grown
+    tree's decision nodes (their depths, sizes and variance ratios), so
+    that each stop test sits on its boundary."""
+    n = draw(st.integers(10, 60))
+    # every element drawn, not filled with one value
+    X = draw(arrays(np.int64, (n, draw(st.integers(1, 3))),
+                    elements=st.integers(0, 4), fill=st.nothing()))
+    if draw(st.integers(0, 7)) == 0:  # zero root variance
+        y = np.full(n, 3.0)
+    else:
+        y = draw(arrays(np.float64, n, elements=st.integers(1, 6).map(float),
+                        fill=st.nothing()))
+    ds = make_dataset(X, y)
+    sub = ds.take(np.array(draw(st.permutations(range(n)))[
+        :draw(st.integers(n // 2, n))]))
+    loosest = pt.HyperParams(draw(st.integers(2, 8)), draw(st.integers(2, 4)),
+                             draw(st.integers(1, 3)),
+                             draw(st.sampled_from([0.0, 0.01])))
+    grown = pt.fit_tree(sub, loosest)
+    inner = grown.left >= 0
+    depths = grown.node_depth[inner & (grown.node_depth >= 1)]
+    sizes = grown.n_samples[inner]
+    # empty, so no 0 / 0, when a zero root variance leaves the root a leaf
+    ratios = grown.impurity[inner] / grown.impurity[0]
+
+    def axis(loose, tighter):
+        """loose and up to two of the tighter values."""
+        tighter = sorted(set(tighter.tolist()) - {loose})
+        return [loose] + (draw(st.lists(st.sampled_from(tighter), max_size=2,
+                                        unique=True)) if tighter else [])
+
+    hps = [pt.HyperParams(d, s, loosest.min_leaf_sample, i)
+           for d, s, i in itertools.product(
+               axis(loosest.max_depth, depths),
+               axis(loosest.min_split_sample, sizes),
+               axis(loosest.min_leaf_impurity, ratios[ratios < 1.0]))]
+    return ds, sub, grown, hps
+
+
+class TestCutBack:
+    """_truncated_predict of a grown tree against predict_tree_batch of
+    fit_tree at each combination's own limits: every prediction must be
+    bitwise equal, not only the fold scores built from them."""
+
+    @given(cut_back_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fit_tree_predictions(self, case):
+        ds, sub, grown, hps = case
+        got = model._truncated_predict(grown, ds.features, hps)
+        assert got.shape == (len(hps), len(ds))
+        for hp, row in zip(hps, got):
+            expect = pt.predict_tree_batch(pt.fit_tree(sub, hp), ds.features)
+            assert row.dtype == expect.dtype
+            assert row.tobytes() == expect.tobytes(), hp
 
 
 def fast_score(y, order, k):
