@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hwsim, model, pdn, selection, tuning, workload
-from .workload import (_KINDS, _field, _json_doc, _json_text, _table_rows,
-                       _table_text, _value)
+from .workload import (_KINDS, _field, _json_doc, _json_text, _names,
+                       _table_rows, _table_text, _value)
 
 __all__ = ["main", "ConfigError", "StaleArtifactError"]
 
@@ -270,10 +270,8 @@ def _split_dataset(ctx: Context) -> tuple[workload.Dataset, workload.Dataset]:
 
 def _load_selection(ctx: Context) -> tuple[str, ...]:
     doc = _json_doc(ctx.read("selection.json"), None, "selection.json")
-    retained = _field(doc, "retained", [str], "selection.json")
-    if len(set(retained)) != len(retained):
-        raise ValueError("selection.json: field 'retained' repeats a name")
-    return retained
+    return _names(_field(doc, "retained", [str], "selection.json"),
+                  "selection.json: field 'retained'")
 
 
 def _load_best_params(ctx: Context) -> model.HyperParams:

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import DecisionTree, _preorder
-from .workload import ToggleTrace, _binary, _check_fields, _value
+from .workload import (_INTEGER_TYPES, ToggleTrace, _binary, _check_fields,
+                       _value)
 
 __all__ = [
     "LEAF_FLAG_BIT",
@@ -68,10 +69,6 @@ VALUE_BITS = 16
 _LAYOUT = {"is_leaf": (LEAF_FLAG_BIT, 1), "feature": (48, FEATURE_BITS),
            "threshold": (28, THRESHOLD_BITS), "left": (14, CHILD_BITS),
            "right": (0, CHILD_BITS), "value": (0, VALUE_BITS)}
-
-# what a feature may be: an int or any numpy integer, never a bool
-_INTEGER_TYPES = frozenset([int, *(np.dtype(c).type
-                                   for c in np.typecodes["AllInteger"])])
 
 IMAGE_MAGIC = b"PTMI"
 _HEADER = struct.Struct("<4sIII")  # magic, n_nodes, max_depth, leaf_unit in uW
@@ -220,7 +217,7 @@ def quantize(tree: DecisionTree) -> TreeMemoryImage:
     leaf = tree.left[order] < 0
     watts = tree.value[order[leaf]]
     if (watts < 0).any():  # in (-0.0005, 0) W it would round to 0 mW
-        raise ValueError("leaf values must be >= 0")
+        raise ValueError("leaf values must all be >= 0")
     node = order[~leaf]
     words = np.empty(n, dtype=np.uint64)
     words[leaf] = _pack(is_leaf=1, value=np.floor(watts * 1000.0 + 0.5))
@@ -243,13 +240,9 @@ class MonitorConfig:
     counter_width: int = 20
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-        if self.n_counters < 1:
-            raise ValueError("n_counters must be >= 1")
+        _check_fields(self, n_counters=1, estimation_period=1)
         if not (1 <= self.counter_width <= 64):
             raise ValueError("counter_width must lie in [1, 64]")
-        if self.estimation_period < 1:
-            raise ValueError("estimation_period must be >= 1")
         if self.estimation_period > (1 << self.counter_width):
             raise ValueError("estimation_period must not exceed 2^counter_width")
 

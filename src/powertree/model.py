@@ -7,13 +7,14 @@ per-component trees, and the MAE% metric used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .workload import (Dataset, _check_fields, _field, _json_doc, _json_text,
-                       _value)
+                       _names, _positive, _value)
 
 __all__ = [
     "HyperParams",
@@ -53,13 +54,7 @@ class HyperParams:
     min_leaf_impurity: float = 0.01
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_split_sample < 2:
-            raise ValueError("min_split_sample must be >= 2")
-        if self.min_leaf_sample < 1:
-            raise ValueError("min_leaf_sample must be >= 1")
+        _check_fields(self, max_depth=1, min_split_sample=2, min_leaf_sample=1)
         if not (0.0 <= self.min_leaf_impurity < 1.0):
             raise ValueError("min_leaf_impurity must lie in [0, 1)")
 
@@ -129,12 +124,8 @@ class LinearModel:
                 and w.dtype.kind == "f" and np.isfinite(w).all()):
             raise ValueError("weights must be a finite 1-D float array")
         _value(self.intercept, float, "intercept")
-        if not _value(self.model_freq, float, "model_freq") > 0:
-            raise ValueError(f"model_freq must be finite and > 0, not "
-                             f"{self.model_freq!r}")
-        ids = _value(self.feature_ids, [str], "feature_ids")
-        if len(set(ids)) != len(ids):
-            raise ValueError("feature_ids must be unique")
+        _positive(self.model_freq, "model_freq")
+        ids = _names(self.feature_ids, "feature_ids")
         if ids and len(ids) != w.size:
             raise ValueError("feature_ids must name one feature per weight")
         object.__setattr__(self, "feature_ids", ids)
@@ -149,7 +140,7 @@ class EnsembleModel:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for tree, ids in self.components:
-            if len(ids) != tree.n_features:
+            if len(_names(ids, "component feature ids")) != tree.n_features:
                 raise ValueError("feature-id subset must match the tree width")
             overlap = seen & set(ids)
             if overlap:
@@ -631,9 +622,8 @@ def predict_linear_batch(model: LinearModel, X) -> np.ndarray:
 
 def scale_prediction(p: float, model_freq: float, current_freq: float) -> float:
     """Retarget a prediction to another clock: power is proportional to f."""
-    if model_freq <= 0 or current_freq <= 0:
-        raise ValueError("frequencies must be positive")
-    return p * (current_freq / model_freq)
+    return p * (_positive(current_freq, "current_freq")
+                / _positive(model_freq, "model_freq"))
 
 
 def predict_ensemble(em: EnsembleModel, dataset: Dataset) -> np.ndarray:
@@ -644,15 +634,20 @@ def predict_ensemble(em: EnsembleModel, dataset: Dataset) -> np.ndarray:
 
 
 def mae_percent(predictions, truths) -> float:
-    """100 * mean(|pred - truth|) / mean(truth)."""
+    """100 * mean(|pred - truth|) / mean(truth), both means finite."""
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)
     if p.shape != t.shape or p.ndim != 1 or p.size == 0:
         raise ValueError("predictions and truths must be equal-length, non-empty")
     mt = float(t.mean())
+    if not math.isfinite(mt):
+        raise ValueError("truths must be finite")
     if mt <= 0:
         raise ValueError("mean true power must be positive")
-    return float(100.0 * np.mean(np.abs(p - t)) / mt)
+    mae = float(np.mean(np.abs(p - t)))
+    if not math.isfinite(mae):
+        raise ValueError("predictions must be finite")
+    return 100.0 * mae / mt
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +701,16 @@ def _tree_from_doc(doc: dict, source) -> DecisionTree:
     """Rebuild a tree from its document, its nodes in preorder whatever
     their order in the document.  A malformed document raises ValueError
     naming ``source`` and the node or field at fault: a field missing or
-    not of its kind by ``workload._value``, feature_ids not one per
-    feature, no nodes, a node that is not an object or of no known kind,
-    an n_samples outside [0, 2**63), a feature outside
-    [0, n_features), nodes that are not one tree by ``_preorder``, or a
-    recorded depth the nodes do not reach."""
+    not of its kind by ``workload._value``, a model_freq_hz not above 0,
+    feature_ids repeated or not one per feature, no nodes, a node that is
+    not an object or of no known kind, an n_samples outside [0, 2**63), a
+    feature outside [0, n_features), nodes that are not one tree by
+    ``_preorder``, or a recorded depth the nodes do not reach."""
     n_features = _field(doc, "n_features", int, source)
-    feature_ids = _field(doc, "feature_ids", [str], source)
-    model_freq = _field(doc, "model_freq_hz", float, source)
+    feature_ids = _names(_field(doc, "feature_ids", [str], source),
+                         f"{source}: field 'feature_ids'")
+    model_freq = _positive(_field(doc, "model_freq_hz", float, source),
+                           f"{source}: field 'model_freq_hz'")
     depth = _field(doc, "depth", int, source)
     if len(feature_ids) != n_features:
         raise ValueError(f"{source}: {len(feature_ids)} feature_ids for "

@@ -19,7 +19,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .workload import _check_fields, _json_text, _table_text, _value
+from .workload import (_INTEGER_TYPES, _check_fields, _json_text, _positive,
+                       _table_text, _value)
 
 __all__ = [
     "PdnModel",
@@ -45,14 +46,9 @@ class PdnModel:
     nominal_power: float = 20.0  # watts
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-        if self.max_phases < 1:
-            raise ValueError("max_phases must be >= 1")
-        if min(self.per_phase_fixed_loss, self.conduction_resistance,
-               self.transition_loss) < 0:
-            raise ValueError("loss parameters must be >= 0")
-        if self.output_voltage <= 0:
-            raise ValueError("output_voltage must be positive")
+        _check_fields(self, max_phases=1, per_phase_fixed_loss=0,
+                      conduction_resistance=0, transition_loss=0)
+        _positive(self.output_voltage, "output_voltage")
 
 
 @dataclass(frozen=True)
@@ -73,19 +69,23 @@ class PhaseLut:
         if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError("breakpoints must be strictly ascending")
         if min(self.phases) < 1:
-            raise ValueError("phase counts must be >= 1")
+            raise ValueError("phase counts must all be >= 1")
 
     def lookup(self, power: float) -> int:
+        if not -math.inf < power < math.inf:
+            raise ValueError(f"power must be finite, not {power!r}")
         i = bisect.bisect_right(self.breakpoints, power) - 1
         return self.phases[max(i, 0)]
 
 
 def input_power(model: PdnModel, load: float, n: int) -> float:
-    """Total power drawn from the input rail to deliver `load` on n phases."""
-    if not (1 <= n <= model.max_phases):
-        raise ValueError(f"n must lie in [1, {model.max_phases}]")
-    if load < 0:
-        raise ValueError("load must be >= 0")
+    """Total power drawn from the input rail to deliver `load` on n phases;
+    load must be finite and >= 0, n an integer in [1, max_phases]."""
+    if not (type(n) in _INTEGER_TYPES and 1 <= n <= model.max_phases):
+        raise ValueError(f"n must be an integer in [1, {model.max_phases}], "
+                         f"not {n!r}")
+    if not 0 <= load < math.inf:
+        raise ValueError(f"load must be finite and >= 0, not {load!r}")
     current = load / model.output_voltage
     return (load + n * model.per_phase_fixed_loss
             + current * current * model.conduction_resistance / n)

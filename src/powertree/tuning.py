@@ -10,7 +10,7 @@ import numpy as np
 from .model import (DecisionTree, HyperParams, _grow_many, _truncated_predict,
                     fit_linear, fit_tree, mae_percent, predict_linear_batch,
                     predict_tree_batch)
-from .workload import Dataset, _check_fields, _table_text, _value
+from .workload import Dataset, _at_least, _check_fields, _table_text, _value
 
 __all__ = [
     "Grid",
@@ -67,9 +67,7 @@ class CvResult:
 
 def kfold_split(n_samples: int, k: int, seed: int) -> list[np.ndarray]:
     """Shuffled partition into k folds with sizes differing by at most one."""
-    if _value(k, int, "k") < 2:
-        raise ValueError("k must be >= 2")
-    if k > _value(n_samples, int, "n_samples"):
+    if _at_least(k, int, 2, "k") > _value(n_samples, int, "n_samples"):
         raise ValueError("k must not exceed n_samples")
     rng = np.random.default_rng(_value(seed, int, "seed"))
     return list(np.array_split(rng.permutation(n_samples), k))

@@ -95,26 +95,18 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        _check_fields(self, n_linear_nets=0, n_nonlinear_units=0,
+                      static_power=0, nonlinear_strength=0,
+                      correlation_groups=1)
         cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
-        if self.vdd <= 0:
-            raise ValueError("vdd must be positive")
-        if self.clock_freq <= 0:
-            raise ValueError("clock_freq must be positive")
-        if self.n_linear_nets < 0 or self.n_nonlinear_units < 0:
-            raise ValueError("net and unit counts must be non-negative")
+        _positive(self.vdd, "vdd")
+        _positive(self.clock_freq, "clock_freq")
         if self.n_linear_nets + self.n_nonlinear_units < 1:
             raise ValueError("design must contain at least one net or unit")
         if self.n_nonlinear_units > 0 and self.n_linear_nets == 0:
             raise ValueError("nonlinear units need nets to draw inputs from")
-        if self.nonlinear_strength < 0:
-            raise ValueError("nonlinear_strength must be >= 0")
-        if self.correlation_groups < 1:
-            raise ValueError("correlation_groups must be >= 1")
-        if self.static_power < 0:
-            raise ValueError("static_power must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,7 @@ class Net:
     group: int
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-        if self.capacitance < 0:
-            raise ValueError("capacitance must be >= 0")
-        if self.group < 0:
-            raise ValueError("group must be >= 0")
+        _check_fields(self, capacitance=0, group=0)
 
 
 @dataclass(frozen=True)
@@ -153,16 +141,10 @@ class SyntheticDesign:
     static_power: float
 
     def __post_init__(self) -> None:
-        if not _value(self.vdd, float, "vdd") > 0:
-            raise ValueError("vdd must be positive")
-        if not _value(self.clock_freq, float, "clock_freq") > 0:
-            raise ValueError("clock_freq must be positive")
-        if _value(self.static_power, float, "static_power") < 0:
-            raise ValueError("static_power must be >= 0")
-        ids = [n.id for n in self.nets]
-        if len(set(ids)) != len(ids):
-            raise ValueError("net ids must be unique")
-        known = set(ids)
+        _positive(self.vdd, "vdd")
+        _positive(self.clock_freq, "clock_freq")
+        _at_least(self.static_power, float, 0, "static_power")
+        known = set(_names([n.id for n in self.nets], "net ids"))
         for u in self.nonlinear_units:
             missing = set(u.inputs) - known
             if missing:
@@ -223,9 +205,7 @@ class ToggleTrace:
     levels: np.ndarray  # (n_signals, n_cycles), values 0/1
 
     def __post_init__(self) -> None:
-        ids = _value(self.signal_ids, [str], "signal_ids")
-        if len(set(ids)) != len(ids):
-            raise ValueError("signal_ids must be unique")
+        ids = _names(self.signal_ids, "signal_ids")
         object.__setattr__(self, "signal_ids", ids)
         if self.levels.ndim != 2 or self.levels.shape[0] != len(ids):
             raise ValueError("levels must be (n_signals, n_cycles)")
@@ -288,19 +268,51 @@ def _value(value, kind, name: str):
     raise ValueError(f"{name} must be {want}, not {value!r}")
 
 
+# an integer's types, for a hot loop's check: int or a numpy integer, no bool
+_INTEGER_TYPES = frozenset([int, *(np.dtype(c).type
+                                   for c in np.typecodes["AllInteger"])])
+
+
+def _at_least(value, kind, low, name: str):
+    """``value`` checked as ``kind`` by ``_value``, then as ``>= low``."""
+    checked = _value(value, kind, name)
+    if checked >= low:
+        return checked
+    raise ValueError(f"{name} must be >= {low}, not {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """``value`` checked as a float by ``_value``, then as ``> 0``."""
+    checked = _value(value, float, name)
+    if checked > 0:
+        return checked
+    raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+
+
+def _names(ids, name: str) -> tuple[str, ...]:
+    """``ids`` checked as ``[str]`` by ``_value``, then as distinct."""
+    ids = _value(ids, [str], name)
+    if len(set(ids)) == len(ids):
+        return ids
+    raise ValueError(f"{name} must be unique")
+
+
 # Each field annotation of the value dataclasses: the _value kind it names.
 _KINDS = {"int": int, "float": float, "str": str,
           "tuple[float, float]": (float, float), "tuple[int, ...]": [int],
           "tuple[float, ...]": [float], "tuple[str, ...]": [str]}
 
 
-def _check_fields(obj) -> None:
+def _check_fields(obj, **lows) -> None:
     """Check each field of the frozen dataclass ``obj`` as the kind its
-    annotation names, and store what ``_value`` returns: a float field
+    annotation names, and as at least its bound in ``lows`` if it has one
+    (``_at_least``), and store what ``_value`` returns: a float field
     holds a float, a list field a tuple."""
     for f in fields(obj):
-        object.__setattr__(obj, f.name, _value(getattr(obj, f.name),
-                                               _KINDS[f.type], f.name))
+        value, kind = getattr(obj, f.name), _KINDS[f.type]
+        object.__setattr__(obj, f.name, _value(value, kind, f.name)
+                           if f.name not in lows
+                           else _at_least(value, kind, lows[f.name], f.name))
 
 
 def _count_dtype(period_cycles: int) -> np.dtype:
@@ -329,16 +341,10 @@ class Dataset:
         f, p = self.features, self.powers
         if f.ndim != 2 or p.ndim != 1 or f.shape[0] != p.shape[0]:
             raise ValueError("features must be (n, F) with matching powers (n,)")
-        if f.shape[1] != len(_value(self.feature_names, [str],
-                                    "feature_names")):
+        if f.shape[1] != len(_names(self.feature_names, "feature_names")):
             raise ValueError("feature_names must match feature columns")
-        if len(set(self.feature_names)) != len(self.feature_names):
-            raise ValueError("feature_names must be unique")
-        if _value(self.period_cycles, int, "period_cycles") < 1:
-            raise ValueError(f"period_cycles must be >= 1, not {self.period_cycles}")
-        if not _value(self.clock_freq, float, "clock_freq") > 0:
-            raise ValueError(f"clock_freq must be finite and > 0, not "
-                             f"{self.clock_freq!r}")
+        _at_least(self.period_cycles, int, 1, "period_cycles")
+        _positive(self.clock_freq, "clock_freq")
         if not np.issubdtype(f.dtype, np.integer):
             raise ValueError(f"activity counts must be integers, not {f.dtype}")
         if not np.isfinite(p).all():
@@ -347,7 +353,7 @@ class Dataset:
             if f.min() < 0 or f.max() > self.period_cycles:
                 raise ValueError("activity counts must lie in [0, period_cycles]")
             if p.min() < 0:
-                raise ValueError("true dynamic power must be >= 0")
+                raise ValueError("true dynamic powers must all be >= 0")
         object.__setattr__(self, "features", f.astype(
             _count_dtype(self.period_cycles), copy=False))
 
@@ -422,8 +428,9 @@ def _draw_rates(rng: np.random.Generator, shape) -> np.ndarray:
 
 def activity(trace: ToggleTrace, sig: str, t_start: int, t_end: int) -> int:
     """Positive-edge count of ``sig`` over cycles (t_start, t_end]."""
-    if not (0 <= t_start <= t_end <= trace.n_cycles):
-        raise ValueError("need 0 <= t_start <= t_end <= n_cycles")
+    _at_least(t_end, int, _at_least(t_start, int, 0, "t_start"), "t_end")
+    if t_end > trace.n_cycles:
+        raise ValueError(f"t_end must not exceed n_cycles {trace.n_cycles}")
     s = trace.cumulative_counts(sig)
     return int(s[t_end] - s[t_start])
 
@@ -444,8 +451,7 @@ def dynamic_power(design: SyntheticDesign, activities, period_cycles: int) -> fl
     a = np.asarray(activities, dtype=np.float64)
     if a.shape != (design.n_nets,):
         raise ValueError(f"expected {design.n_nets} activities, got shape {a.shape}")
-    if period_cycles < 1:
-        raise ValueError("period_cycles must be >= 1")
+    _at_least(period_cycles, int, 1, "period_cycles")
     if a.size and (a.min() < 0 or a.max() > period_cycles):
         raise ValueError("activities must lie in [0, period_cycles]")
     return float(_dynamic_power_batch(design, a[None, :], period_cycles)[0])
@@ -459,10 +465,8 @@ def simulate_dataset(design: SyntheticDesign, n_samples: int,
     count is then binomial over the period's pulse slots at its group's rate.
     Deterministic given seed.
     """
-    if _value(n_samples, int, "n_samples") < 1:
-        raise ValueError("n_samples must be >= 1")
-    if _value(period_cycles, int, "period_cycles") < 1:
-        raise ValueError("period_cycles must be >= 1")
+    _at_least(n_samples, int, 1, "n_samples")
+    _at_least(period_cycles, int, 1, "period_cycles")
     rng = np.random.default_rng(_value(seed, int, "seed"))
     group = design.group_array()
     n_groups = int(group.max()) + 1 if group.size else 1
@@ -487,10 +491,8 @@ def synthesize_trace(design: SyntheticDesign, n_periods: int,
     Pulses occupy the odd cycle of each two-cycle slot, so every pulse is a
     clean rising edge and period boundaries never hide or fabricate edges.
     """
-    if _value(n_periods, int, "n_periods") < 1:
-        raise ValueError("n_periods must be >= 1")
-    if _value(period_cycles, int, "period_cycles") < 1:
-        raise ValueError("period_cycles must be >= 1")
+    _at_least(n_periods, int, 1, "n_periods")
+    _at_least(period_cycles, int, 1, "period_cycles")
     rng = np.random.default_rng(_value(seed, int, "seed"))
     group = design.group_array()
     n_groups = int(group.max()) + 1 if group.size else 1

@@ -131,7 +131,7 @@ BAD_INPUTS = [
     # a repeat would train on one column twice under one feature id
     ("selection.json", json_edit(
         lambda d: d["retained"].__setitem__(1, d["retained"][0])), "train",
-     "selection.json: field 'retained' repeats a name"),
+     "selection.json: field 'retained' must be unique"),
     ("monitor.csv", lambda t: t.replace("estimate_mw", "estimate_w", 1),
      "shed", "monitor.csv, line 1: the header must begin with "
      "'period,cycles,estimate_mw'"),
@@ -787,6 +787,31 @@ class TestConfigTable:
                 asked -= rule
             assert not asked, f"{path.name} asks for a bool on {asked}"
         assert fields >= 10
+
+    def test_ranges_pass_one_rule(self):
+        # a lower bound, a positive number and distinct names are each
+        # raised by one helper beside workload._value; only mae_percent
+        # says "must be positive", of the mean of a whole array
+        owner = {"must be >= ": ("workload.py", "_at_least"),
+                 "must be finite and > 0": ("workload.py", "_positive"),
+                 "must be unique": ("workload.py", "_names"),
+                 "must be positive": ("model.py", "mae_percent")}
+        gone = ("must be non-negative", "loss parameters", "repeats a name")
+        raised = set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                text = " ".join(
+                    n.value for r in ast.walk(top) if isinstance(r, ast.Raise)
+                    for n in ast.walk(r) if isinstance(n, ast.Constant)
+                    and isinstance(n.value, str))
+                where = f"{path.name}:{top.lineno}"
+                for phrase, helper in owner.items():
+                    if phrase in text:
+                        raised.add(phrase)
+                        assert (path.name, getattr(top, "name", None)) \
+                            == helper, f"{where} raises {phrase!r}"
+                assert not [g for g in gone if g in text], where
+        assert raised == set(owner)
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -758,6 +758,38 @@ class TestMonitorConfig:
                          counter_width=width)
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: pt.CounterState(4, 16),
+                     "value out of counter range", id="CounterState-value"),
+        pytest.param(lambda: pt.CounterState(4, -1),
+                     "value out of counter range", id="CounterState-negative"),
+        pytest.param(lambda: pt.node_decode(-1),
+                     "word must be an unsigned 64-bit value",
+                     id="node_decode-negative"),
+        pytest.param(lambda: pt.node_decode(1 << 64),
+                     "word must be an unsigned 64-bit value",
+                     id="node_decode-wide"),
+        pytest.param(lambda: pt.TreeMemoryImage(np.zeros(2, np.uint64), 3, 0),
+                     "words must hold n_nodes >= 1 entries",
+                     id="TreeMemoryImage-shape"),
+        pytest.param(lambda: pt.TreeMemoryImage(np.zeros(0, np.uint64), 0, 0),
+                     "words must hold n_nodes >= 1 entries",
+                     id="TreeMemoryImage-empty"),
+        pytest.param(lambda: pt.MonitorConfig(0), "n_counters must be >= 1, "
+                     "not 0", id="MonitorConfig-n_counters"),
+        pytest.param(lambda: pt.MonitorConfig(3, 0),
+                     "estimation_period must be >= 1, not 0",
+                     id="MonitorConfig-estimation_period"),
+        pytest.param(lambda: pt.quantize(edited_tree(leaf_tree(0.5), "value",
+                                                     -0.25)),
+                     "leaf values must all be >= 0", id="quantize-leaf"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
 class TestImageFile:
     LEAF = np.array([pt.node_encode(MemNode(True, value=7))], dtype=np.uint64)
 

@@ -365,14 +365,16 @@ class TestFitTree:
 @st.composite
 def tie_heavy_growths(draw):
     """Small integer datasets full of value ties, with duplicated and
-    constant columns (or none at all), counts that may be spread sparsely
-    so that their ranks differ from them, targets that may be constant or
-    sit on a large offset, and growth limits around min_leaf_sample in
-    {1, 3, 5}."""
+    constant columns (or, in a minority, none at all), counts that may be
+    spread sparsely so that their ranks differ from them, targets on up to
+    four levels that may sit on a large offset (constant in a minority),
+    and growth limits around min_leaf_sample in {1, 3, 5}.  Every element
+    is drawn, none filled with one repeated value, so that most cases grow
+    a split."""
     m = draw(st.integers(1, 40))
-    n_feat = draw(st.integers(0, 5))
-    X = draw(arrays(np.int64, (m, n_feat),
-                    elements=st.integers(0, draw(st.integers(0, 4)))))
+    n_feat = draw(st.sampled_from([1, 2, 3, 4, 5, 0]))
+    X = draw(arrays(np.int64, (m, n_feat), fill=st.nothing(),
+                    elements=st.integers(0, draw(st.integers(1, 4)))))
     if n_feat > 1 and draw(st.booleans()):
         X[:, draw(st.integers(1, n_feat - 1))] = X[:, 0]
     if n_feat and draw(st.booleans()):
@@ -383,12 +385,13 @@ def tie_heavy_growths(draw):
         X = (X * draw(arrays(np.int64, n_feat,
                              elements=st.sampled_from([1, 3, 1000])))
              + draw(arrays(np.int64, n_feat, elements=st.integers(0, 10))))
-    levels = draw(arrays(np.int64, m, elements=st.integers(0, 3)))
+    levels = draw(arrays(np.int64, m, elements=st.integers(0, 3),
+                         fill=st.nothing()))
     y = (draw(st.sampled_from([0.0, 1.0, 1e6]))
-         + draw(st.sampled_from([0.0, 1e-3, 1.0])) * levels)
+         + draw(st.sampled_from([1e-3, 1.0])) * levels)
     if draw(st.booleans()):
-        y = y + draw(arrays(np.float64, m,
-                            elements=st.floats(0.0, 1e-3)))
+        y = y + draw(arrays(np.float64, m, elements=st.floats(0.0, 1e-3),
+                            fill=st.nothing()))
     hp = pt.HyperParams(draw(st.integers(1, 6)), draw(st.integers(2, 6)),
                         draw(st.sampled_from([1, 3, 5])),
                         draw(st.sampled_from([0.0, 0.01])))
@@ -1129,6 +1132,78 @@ class TestMaePercent:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             pt.mae_percent([1.0], [1.0, 2.0])
+
+
+def _stump():
+    return pt.fit_tree(make_dataset([0, 0, 10, 10], [1.0, 1.0, 2.0, 2.0]),
+                       pt.HyperParams(1, 2, 1, 0.0))
+
+
+def _edited_tree_text(key, value):
+    """A stump's model.json with one top-level field set to value."""
+    doc = json.loads(pt.tree_text(_stump()))
+    doc[key] = value
+    return json.dumps(doc)
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: pt.HyperParams(max_depth=0),
+                     "max_depth must be >= 1, not 0", id="max_depth"),
+        pytest.param(lambda: pt.HyperParams(min_split_sample=1),
+                     "min_split_sample must be >= 2, not 1",
+                     id="min_split_sample"),
+        pytest.param(lambda: pt.HyperParams(min_leaf_sample=0),
+                     "min_leaf_sample must be >= 1, not 0",
+                     id="min_leaf_sample"),
+        pytest.param(lambda: pt.EnsembleModel(((_stump(), ("a", "b")),)),
+                     "feature-id subset must match the tree width",
+                     id="EnsembleModel-width"),
+        # built, and only predict_ensemble failed
+        pytest.param(lambda: pt.EnsembleModel(((_stump(), ("x", "x")),)),
+                     "component feature ids must be unique",
+                     id="EnsembleModel-repeat"),
+        # accepted, and gave a tree with model_freq 0.0 or -5.0
+        pytest.param(lambda: pt.parse_tree(_edited_tree_text(
+            "model_freq_hz", 0), "model.json"),
+            "model.json: field 'model_freq_hz' must be finite and > 0, "
+            "not 0.0", id="parse_tree-model_freq_hz-zero"),
+        pytest.param(lambda: pt.parse_tree(_edited_tree_text(
+            "model_freq_hz", -5), "model.json"),
+            "model.json: field 'model_freq_hz' must be finite and > 0, "
+            "not -5.0", id="parse_tree-model_freq_hz-negative"),
+        pytest.param(lambda: pt.parse_tree(_edited_tree_text(
+            "feature_ids", ["a", "a"]), "model.json"),
+            "model.json: field 'feature_ids' must be unique",
+            id="parse_tree-feature_ids"),
+        # nan and inf were returned
+        pytest.param(lambda: pt.scale_prediction(1.0, float("nan"), 1e8),
+                     "model_freq must be a finite number, not nan",
+                     id="scale_prediction-nan"),
+        pytest.param(lambda: pt.scale_prediction(1.0, 1e8, float("inf")),
+                     "current_freq must be a finite number, not inf",
+                     id="scale_prediction-inf"),
+        pytest.param(lambda: pt.scale_prediction(1.0, 0.0, 1e8),
+                     "model_freq must be finite and > 0, not 0.0",
+                     id="scale_prediction-zero"),
+        pytest.param(lambda: pt.scale_prediction(1.0, 1e8, -1),
+                     "current_freq must be finite and > 0, not -1",
+                     id="scale_prediction-negative"),
+        # nan was returned, with a RuntimeWarning for an infinite truth
+        pytest.param(lambda: pt.mae_percent([np.nan, 1.0], [1.0, 1.0]),
+                     "predictions must be finite", id="mae_percent-nan"),
+        pytest.param(lambda: pt.mae_percent([-np.inf, 1.0], [1.0, 1.0]),
+                     "predictions must be finite", id="mae_percent-inf"),
+        pytest.param(lambda: pt.mae_percent([1.0, 1.0], [np.inf, 1.0]),
+                     "truths must be finite", id="mae_percent-truth-inf"),
+        pytest.param(lambda: pt.mae_percent([1.0, 1.0], [1.0, np.nan]),
+                     "truths must be finite", id="mae_percent-truth-nan"),
+    ])
+    def test_rejected(self, make, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
 
 
 class TestSerialization:

@@ -41,6 +41,63 @@ class TestInputPower:
             pt.input_power(MODEL, -1.0, 1)
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: pt.PdnModel(max_phases=0),
+                     "max_phases must be >= 1, not 0", id="max_phases"),
+        pytest.param(lambda: pt.PdnModel(per_phase_fixed_loss=-0.1),
+                     "per_phase_fixed_loss must be >= 0, not -0.1",
+                     id="per_phase_fixed_loss"),
+        pytest.param(lambda: pt.PdnModel(conduction_resistance=-1),
+                     "conduction_resistance must be >= 0, not -1",
+                     id="conduction_resistance"),
+        pytest.param(lambda: pt.PdnModel(transition_loss=-1e-3),
+                     "transition_loss must be >= 0, not -0.001",
+                     id="transition_loss"),
+        pytest.param(lambda: pt.PdnModel(output_voltage=0.0),
+                     "output_voltage must be finite and > 0, not 0.0",
+                     id="output_voltage"),
+        pytest.param(lambda: pt.PhaseLut((0.0, 1.0), (1, 0)),
+                     "phase counts must all be >= 1", id="PhaseLut-phases"),
+        # each of these returned a number
+        pytest.param(lambda: pt.input_power(MODEL, 1.0, 2.5),
+                     "n must be an integer in [1, 5], not 2.5",
+                     id="input_power-fraction"),
+        pytest.param(lambda: pt.input_power(MODEL, 1.0, 2.0),
+                     "n must be an integer in [1, 5], not 2.0",
+                     id="input_power-float"),
+        pytest.param(lambda: pt.input_power(MODEL, 1.0, True),
+                     "n must be an integer in [1, 5], not True",
+                     id="input_power-bool"),
+        pytest.param(lambda: pt.input_power(MODEL, float("nan"), 2),
+                     "load must be finite and >= 0, not nan",
+                     id="input_power-nan"),
+        pytest.param(lambda: pt.input_power(MODEL, float("inf"), 2),
+                     "load must be finite and >= 0, not inf",
+                     id="input_power-inf"),
+        pytest.param(lambda: pt.efficiency(MODEL, float("nan"), 2),
+                     "load must be finite and >= 0, not nan",
+                     id="efficiency-nan"),
+        pytest.param(lambda: pt.efficiency(MODEL, float("inf"), 2),
+                     "load must be finite and >= 0, not inf",
+                     id="efficiency-inf"),
+        pytest.param(lambda: pt.optimal_phases(MODEL, float("nan")),
+                     "load must be finite and >= 0, not nan",
+                     id="optimal_phases-nan"),
+        pytest.param(lambda: pt.build_lut(MODEL, [0.0, 20.0]).lookup(
+            float("nan")), "power must be finite, not nan", id="lookup-nan"),
+        pytest.param(lambda: pt.build_lut(MODEL, [0.0, 20.0]).lookup(
+            float("-inf")), "power must be finite, not -inf", id="lookup-inf"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_numpy_phase_count_accepted(self):
+        assert pt.input_power(MODEL, 1.0, np.int64(2)) \
+            == pt.input_power(MODEL, 1.0, 2)
+
+
 class TestBuildLut:
     def test_single_phase_model(self):
         model = pt.PdnModel(max_phases=1)

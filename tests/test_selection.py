@@ -112,3 +112,10 @@ class TestRfe:
                             *prior: [model.fit_tree(sub, hp)])
         assert len(result.history) > 1
         assert pt.rfe(ds, hp, 0.2) == result
+
+
+class TestRangeChecks:
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="cannot select features on an "
+                           "empty dataset"):
+            pt.rfe(planted_dataset().take([]), HP)

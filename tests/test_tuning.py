@@ -63,6 +63,26 @@ class TestKfold:
         assert all((x == y).all() for x, y in zip(a, b))
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: pt.kfold_split(10, 1, 0), "k must be >= 2, not 1",
+                     id="kfold_split-k"),
+        pytest.param(lambda: pt.kfold_split(10, 11, 0),
+                     "k must not exceed n_samples", id="kfold_split-n"),
+        pytest.param(lambda: pt.grid_search_cv(
+            make_dataset(np.arange(5)[:, None], np.ones(5)), pt.Grid(), k=10),
+            "dataset smaller than the number of folds", id="grid_search_cv"),
+        pytest.param(lambda: pt.learning_curve(
+            make_dataset(np.arange(40).reshape(20, 2), np.ones(20)),
+            pt.HyperParams(), [2, 5], k=2),
+            "smallest size must exceed the feature count",
+            id="learning_curve"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
 class TestGrid:
     def test_default_grid_counts_576_combinations(self):
         assert len(pt.Grid().combinations()) == 6 * 4 * 4 * 6 == 576

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays, from_dtype
 
 import powertree as pt
 from powertree.workload import (_KINDS, RATE_MODES, DesignSpec, Dataset,
-                                ToggleTrace, _binary, _table_rows, _table_text)
+                                ToggleTrace, _at_least, _binary, _names,
+                                _positive, _table_rows, _table_text)
 from test_model import _mutant, assert_plain
 
 
@@ -649,6 +650,131 @@ class TestCompose:
         b = pt.simulate_dataset(small_design(seed=2), 11, 300, 2)
         with pytest.raises(ValueError):
             pt.compose_datasets([("x", a), ("y", b)])
+
+
+class TestRangeRule:
+    """Lower bounds, positive numbers and distinct names each go through
+    one helper beside _value: _at_least, _positive and _names."""
+
+    def test_helpers_return_what_value_returns(self):
+        assert _at_least(3, int, 1, "k") == 3
+        assert _at_least(0, float, 0, "x") == 0.0
+        assert type(_at_least(0, float, 0, "x")) is float
+        assert _positive(np.int64(2), "f") == 2.0
+        assert type(_positive(np.int64(2), "f")) is float
+        assert _names(["a", "b"], "ids") == ("a", "b")
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: _at_least(0, int, 1, "k"), "k must be >= 1, not 0",
+                     id="_at_least"),
+        pytest.param(lambda: _at_least(True, int, 1, "k"),
+                     "k must be an integer, not True", id="_at_least-kind"),
+        pytest.param(lambda: _positive(0, "f"), "f must be finite and > 0, "
+                     "not 0", id="_positive"),
+        pytest.param(lambda: _positive(float("nan"), "f"),
+                     "f must be a finite number, not nan", id="_positive-kind"),
+        pytest.param(lambda: _names(("a", "a"), "ids"), "ids must be unique",
+                     id="_names"),
+        pytest.param(lambda: _names("ab", "ids"), "ids must be a list, not "
+                     "'ab'", id="_names-kind"),
+        pytest.param(lambda: DesignSpec(4, static_power=-0.5),
+                     "static_power must be >= 0, not -0.5",
+                     id="DesignSpec-static_power"),
+        pytest.param(lambda: DesignSpec(-1), "n_linear_nets must be >= 0, "
+                     "not -1", id="DesignSpec-n_linear_nets"),
+        pytest.param(lambda: DesignSpec(4, n_nonlinear_units=-2),
+                     "n_nonlinear_units must be >= 0, not -2",
+                     id="DesignSpec-n_nonlinear_units"),
+        pytest.param(lambda: DesignSpec(4, nonlinear_strength=-0.1),
+                     "nonlinear_strength must be >= 0, not -0.1",
+                     id="DesignSpec-nonlinear_strength"),
+        pytest.param(lambda: DesignSpec(4, correlation_groups=0),
+                     "correlation_groups must be >= 1, not 0",
+                     id="DesignSpec-correlation_groups"),
+        pytest.param(lambda: DesignSpec(4, vdd=0.0),
+                     "vdd must be finite and > 0, not 0.0", id="DesignSpec-vdd"),
+        pytest.param(lambda: DesignSpec(4, clock_freq=-1),
+                     "clock_freq must be finite and > 0, not -1",
+                     id="DesignSpec-clock_freq"),
+        pytest.param(lambda: dataclasses.replace(small_design(), vdd=0.0),
+                     "vdd must be finite and > 0, not 0.0",
+                     id="SyntheticDesign-vdd"),
+        pytest.param(lambda: small_design().with_clock_freq(-1e8),
+                     "clock_freq must be finite and > 0, not -100000000.0",
+                     id="SyntheticDesign-clock_freq"),
+        pytest.param(lambda: ToggleTrace(("a",), np.zeros(4, np.uint8)),
+                     "levels must be (n_signals, n_cycles)",
+                     id="ToggleTrace-ndim"),
+        pytest.param(lambda: ToggleTrace(("a", "b"), np.zeros((1, 4), np.uint8)),
+                     "levels must be (n_signals, n_cycles)",
+                     id="ToggleTrace-rows"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1), np.int64), np.zeros(3),
+                                     ("a",), 300, 1e8),
+                     "features must be (n, F) with matching powers (n,)",
+                     id="Dataset-shape"),
+        pytest.param(lambda: Dataset(np.zeros((2, 2), np.int64), np.zeros(2),
+                                     ("a",), 300, 1e8),
+                     "feature_names must match feature columns",
+                     id="Dataset-names"),
+        pytest.param(lambda: Dataset(np.zeros((2, 1), np.int64), np.zeros(2),
+                                     ("a",), 0, 1e8),
+                     "period_cycles must be >= 1, not 0",
+                     id="Dataset-period_cycles"),
+        pytest.param(lambda: pt.dynamic_power(small_design(), np.zeros(49), 300),
+                     "expected 50 activities, got shape (49,)",
+                     id="dynamic_power-count"),
+        pytest.param(lambda: pt.dynamic_power(small_design(), np.zeros(50), 0),
+                     "period_cycles must be >= 1, not 0",
+                     id="dynamic_power-period"),
+        # both returned a power
+        pytest.param(lambda: pt.dynamic_power(small_design(), np.zeros(50),
+                                              300.5),
+                     "period_cycles must be an integer, not 300.5",
+                     id="dynamic_power-fraction"),
+        pytest.param(lambda: pt.dynamic_power(small_design(), np.zeros(50),
+                                              True),
+                     "period_cycles must be an integer, not True",
+                     id="dynamic_power-bool"),
+        pytest.param(lambda: pt.simulate_dataset(small_design(), 0, 300, 0),
+                     "n_samples must be >= 1, not 0",
+                     id="simulate_dataset-n_samples"),
+        pytest.param(lambda: pt.simulate_dataset(small_design(), 4, 0, 0),
+                     "period_cycles must be >= 1, not 0",
+                     id="simulate_dataset-period"),
+        pytest.param(lambda: pt.synthesize_trace(small_design(), 0, 300, 0),
+                     "n_periods must be >= 1, not 0",
+                     id="synthesize_trace-n_periods"),
+        pytest.param(lambda: pt.synthesize_trace(small_design(), 2, -3, 0),
+                     "period_cycles must be >= 1, not -3",
+                     id="synthesize_trace-period"),
+        pytest.param(lambda: pt.compose_datasets([]), "need at least one part",
+                     id="compose_datasets-empty"),
+        pytest.param(lambda: pt.parse_design("[1]"),
+                     "design: not a JSON object", id="_json_doc-list"),
+        pytest.param(lambda: pt.parse_dataset(b"\xff,power_w\n1,0.5\n", META),
+                     "dataset, line 1: 'utf-8' codec can't decode byte 0xff",
+                     id="parse_dataset-header-bytes"),
+        # IndexError and TypeError before
+        pytest.param(lambda: pt.activity(levels_trace({"a": [0, 1, 0]}), "a",
+                                         0.5, 3),
+                     "t_start must be an integer, not 0.5",
+                     id="activity-fraction"),
+        pytest.param(lambda: pt.activity(levels_trace({"a": [0, 1, 0]}), "a",
+                                         True, 3),
+                     "t_start must be an integer, not True", id="activity-bool"),
+        pytest.param(lambda: pt.activity(levels_trace({"a": [0, 1, 0]}), "a",
+                                         -1, 3),
+                     "t_start must be >= 0, not -1", id="activity-negative"),
+        pytest.param(lambda: pt.activity(levels_trace({"a": [0, 1, 0]}), "a",
+                                         2, 1),
+                     "t_end must be >= 2, not 1", id="activity-reversed"),
+        pytest.param(lambda: pt.activity(levels_trace({"a": [0, 1, 0]}), "a",
+                                         0, 4),
+                     "t_end must not exceed n_cycles 3", id="activity-past-end"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 class TestInvariants:
