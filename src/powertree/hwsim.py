@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import DecisionTree, _preorder
-from .workload import (_INTEGER_TYPES, ToggleTrace, _binary, _check_fields,
-                       _value)
+from .workload import _INTEGER_TYPES, ToggleTrace, _binary, _check_fields
 
 __all__ = [
     "LEAF_FLAG_BIT",
@@ -171,14 +170,12 @@ class TreeMemoryImage:
     leaf_unit: float = 1.0  # milliwatts per LSB
 
     def __post_init__(self) -> None:
-        for name in ("n_nodes", "max_depth"):
-            _value(getattr(self, name), int, name)
+        _check_fields(self)
         if self.n_nodes < 1 or self.words.shape != (self.n_nodes,):
             raise ValueError("words must hold n_nodes >= 1 entries")
         if self.words.dtype != np.uint64:
             raise ValueError(f"words must be uint64, not {self.words.dtype}")
-        # image_bytes stores leaf_unit as a u32 of whole microwatts
-        unit = _value(self.leaf_unit, float, "leaf_unit")
+        unit = self.leaf_unit  # image_bytes stores it as u32 microwatts
         uw = round(min(abs(unit), 1 << 32) * 1000)
         if not (1 <= uw < 1 << 32 and uw / 1000 == unit):
             raise ValueError(f"leaf_unit must be a whole number of microwatts "

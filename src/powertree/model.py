@@ -119,16 +119,13 @@ class LinearModel:
     feature_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_fields(self, model_freq=_positive, feature_ids=_names)
         w = self.weights
         if not (isinstance(w, np.ndarray) and w.ndim == 1
                 and w.dtype.kind == "f" and np.isfinite(w).all()):
             raise ValueError("weights must be a finite 1-D float array")
-        _value(self.intercept, float, "intercept")
-        _positive(self.model_freq, "model_freq")
-        ids = _names(self.feature_ids, "feature_ids")
-        if ids and len(ids) != w.size:
+        if self.feature_ids and len(self.feature_ids) != w.size:
             raise ValueError("feature_ids must name one feature per weight")
-        object.__setattr__(self, "feature_ids", ids)
 
 
 @dataclass(frozen=True)
@@ -565,6 +562,8 @@ def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
         X = X.astype(np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise ValueError(f"expected (n, {tree.n_features}) features")
+    if X.dtype.kind == "f" and not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     return tree.value[_paths(tree, X)[-1]]
 
 
@@ -614,16 +613,21 @@ def predict_linear(model: LinearModel, features) -> float:
 
 
 def predict_linear_batch(model: LinearModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    finite = np.issubdtype(X.dtype, np.integer)  # no integer is NaN or inf
+    X = X.astype(np.float64, copy=False)
     if X.ndim != 2 or X.shape[1] != model.weights.size:
         raise ValueError("feature dimensionality mismatch")
+    if not (finite or np.isfinite(X).all()):
+        raise ValueError("features must be finite")
     return X @ model.weights + model.intercept
 
 
 def scale_prediction(p: float, model_freq: float, current_freq: float) -> float:
     """Retarget a prediction to another clock: power is proportional to f."""
-    return p * (_positive(current_freq, "current_freq")
-                / _positive(model_freq, "model_freq"))
+    return _value(p, float, "prediction") * (
+        _positive(current_freq, "current_freq")
+        / _positive(model_freq, "model_freq"))
 
 
 def predict_ensemble(em: EnsembleModel, dataset: Dataset) -> np.ndarray:

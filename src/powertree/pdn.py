@@ -47,8 +47,8 @@ class PdnModel:
 
     def __post_init__(self) -> None:
         _check_fields(self, max_phases=1, per_phase_fixed_loss=0,
-                      conduction_resistance=0, transition_loss=0)
-        _positive(self.output_voltage, "output_voltage")
+                      conduction_resistance=0, output_voltage=_positive,
+                      transition_loss=0)
 
 
 @dataclass(frozen=True)

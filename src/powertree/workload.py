@@ -96,13 +96,11 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         _check_fields(self, n_linear_nets=0, n_nonlinear_units=0,
-                      static_power=0, nonlinear_strength=0,
-                      correlation_groups=1)
+                      vdd=_positive, clock_freq=_positive, static_power=0,
+                      nonlinear_strength=0, correlation_groups=1)
         cmin, cmax = self.capacitance_range
         if not (cmin > 0 and cmin <= cmax):
             raise ValueError("capacitance_range must satisfy 0 < min <= max")
-        _positive(self.vdd, "vdd")
-        _positive(self.clock_freq, "clock_freq")
         if self.n_linear_nets + self.n_nonlinear_units < 1:
             raise ValueError("design must contain at least one net or unit")
         if self.n_nonlinear_units > 0 and self.n_linear_nets == 0:
@@ -141,9 +139,8 @@ class SyntheticDesign:
     static_power: float
 
     def __post_init__(self) -> None:
-        _positive(self.vdd, "vdd")
-        _positive(self.clock_freq, "clock_freq")
-        _at_least(self.static_power, float, 0, "static_power")
+        _check_fields(self, vdd=_positive, clock_freq=_positive,
+                      static_power=0)
         known = set(_names([n.id for n in self.nets], "net ids"))
         for u in self.nonlinear_units:
             missing = set(u.inputs) - known
@@ -205,9 +202,8 @@ class ToggleTrace:
     levels: np.ndarray  # (n_signals, n_cycles), values 0/1
 
     def __post_init__(self) -> None:
-        ids = _names(self.signal_ids, "signal_ids")
-        object.__setattr__(self, "signal_ids", ids)
-        if self.levels.ndim != 2 or self.levels.shape[0] != len(ids):
+        _check_fields(self, signal_ids=_names)
+        if self.levels.ndim != 2 or self.levels.shape[0] != self.n_signals:
             raise ValueError("levels must be (n_signals, n_cycles)")
         if not _binary(self.levels):
             raise ValueError("levels must be 0/1")
@@ -240,10 +236,10 @@ class ToggleTrace:
 
 def _value(value, kind, name: str):
     """``value`` checked as ``kind``, else ValueError "<name> must be ...":
-    ``int`` (never a bool), ``float`` (an integer or float that a float holds
-    finitely, returned as a float), ``str``, ``[kind]`` (a list or tuple of
-    any length) or ``(kind, ...)`` (one entry per kind), returned as a
-    tuple; only an entry that raises has its name built."""
+    ``int`` (never a bool) or ``float`` (an integer or float that a float
+    holds finitely), returned as a Python one, ``str``, ``[kind]`` (a list
+    or tuple of any length) or ``(kind, ...)`` (one entry per kind),
+    returned as a tuple; only an entry that raises has its name built."""
     if kind is int:
         ok, want = isinstance(value, (int, np.integer)), "an integer"
     elif kind is float:
@@ -264,7 +260,7 @@ def _value(value, kind, name: str):
         ok, want = False, ("a list" if isinstance(kind, list)
                            else f"a list of {len(kind)} entries")
     if ok and not isinstance(value, bool):
-        return float(value) if kind is float else value
+        return kind(value) if kind is float or kind is int else value
     raise ValueError(f"{name} must be {want}, not {value!r}")
 
 
@@ -297,22 +293,30 @@ def _names(ids, name: str) -> tuple[str, ...]:
     raise ValueError(f"{name} must be unique")
 
 
-# Each field annotation of the value dataclasses: the _value kind it names.
+# Each field annotation of the value dataclasses: the _value kind it names,
+# or None for a field its class checks itself.
 _KINDS = {"int": int, "float": float, "str": str,
           "tuple[float, float]": (float, float), "tuple[int, ...]": [int],
-          "tuple[float, ...]": [float], "tuple[str, ...]": [str]}
+          "tuple[float, ...]": [float], "tuple[str, ...]": [str],
+          "np.ndarray": None, "tuple[Net, ...]": None,
+          "tuple[NonlinearUnit, ...]": None}
 
 
-def _check_fields(obj, **lows) -> None:
+def _check_fields(obj, **rules) -> None:
     """Check each field of the frozen dataclass ``obj`` as the kind its
-    annotation names, and as at least its bound in ``lows`` if it has one
-    (``_at_least``), and store what ``_value`` returns: a float field
-    holds a float, a list field a tuple."""
+    annotation names and by its rule in ``rules``, if it has one: a lower
+    bound (``_at_least``), ``_positive`` or ``_names``, called as
+    ``rule(value, name)``.  Store what the check returns: a float field
+    holds a float, a list field a tuple.  A field of kind None is left to
+    its class to check, and kept as it is."""
     for f in fields(obj):
-        value, kind = getattr(obj, f.name), _KINDS[f.type]
-        object.__setattr__(obj, f.name, _value(value, kind, f.name)
-                           if f.name not in lows
-                           else _at_least(value, kind, lows[f.name], f.name))
+        kind, rule = _KINDS[f.type], rules.get(f.name)
+        if kind is not None:
+            value = getattr(obj, f.name)
+            object.__setattr__(obj, f.name, (
+                _value(value, kind, f.name) if rule is None
+                else rule(value, f.name) if callable(rule)
+                else _at_least(value, kind, rule, f.name)))
 
 
 def _count_dtype(period_cycles: int) -> np.dtype:
@@ -338,13 +342,13 @@ class Dataset:
     clock_freq: float
 
     def __post_init__(self) -> None:
+        _check_fields(self, feature_names=_names, period_cycles=1,
+                      clock_freq=_positive)
         f, p = self.features, self.powers
         if f.ndim != 2 or p.ndim != 1 or f.shape[0] != p.shape[0]:
             raise ValueError("features must be (n, F) with matching powers (n,)")
-        if f.shape[1] != len(_names(self.feature_names, "feature_names")):
+        if f.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
-        _at_least(self.period_cycles, int, 1, "period_cycles")
-        _positive(self.clock_freq, "clock_freq")
         if not np.issubdtype(f.dtype, np.integer):
             raise ValueError(f"activity counts must be integers, not {f.dtype}")
         if not np.isfinite(p).all():
@@ -382,7 +386,7 @@ class Dataset:
         except KeyError as e:
             raise ValueError(f"unknown feature name: {e.args[0]!r}") from None
         return Dataset(self.features[:, cols], self.powers,
-                       tuple(names), self.period_cycles, self.clock_freq)
+                       names, self.period_cycles, self.clock_freq)
 
 
 def generate_design(spec: DesignSpec) -> SyntheticDesign:
@@ -795,7 +799,7 @@ def parse_dataset(csv_text: str | bytes, meta_text: str | bytes,
     try:
         # the meta and the header are checked before any row is read
         empty = Dataset(np.empty((0, n_features), np.uint8), np.empty(0),
-                        tuple(names[:-1]), period, freq)
+                        names[:-1], period, freq)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
     starts, stops = starts[1:], stops[1:]

@@ -788,6 +788,44 @@ class TestConfigTable:
             assert not asked, f"{path.name} asks for a bool on {asked}"
         assert fields >= 10
 
+    def test_fields_pass_one_call(self):
+        # a value dataclass checks its fields by one _check_fields call,
+        # its first statement; no __post_init__ hands a self.<field> to
+        # _value or a range helper, which leaves two _names calls on ids
+        # that are no field: the net ids and an ensemble's component ids
+        def reads_field(node):
+            return (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) == "self"
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "getattr"
+                    and getattr(node.args[0], "id", None) == "self")
+
+        helpers = {"_value", "_positive", "_names", "_at_least"}
+        checked, first, left = set(), set(), []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            classes = [c for c in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(c, ast.ClassDef)]
+            for cls in classes:
+                post = [f for f in cls.body
+                        if getattr(f, "name", None) == "__post_init__"]
+                if not post:
+                    continue
+                checked.add(cls.name)
+                head = getattr(post[0].body[0], "value", None)
+                if getattr(getattr(head, "func", None), "id", None) \
+                        == "_check_fields":
+                    first.add(cls.name)
+                for call in ast.walk(post[0]):
+                    if isinstance(call, ast.Call) \
+                            and getattr(call.func, "id", None) in helpers:
+                        where = f"{path.name}:{call.lineno}"
+                        assert not any(reads_field(a) for a in call.args), \
+                            f"{where} checks a field by hand"
+                        left.append((cls.name, call.func.id))
+        assert len(checked) == 15 and first == checked - {"EnsembleModel"}
+        assert sorted(left) == [("EnsembleModel", "_names"),
+                                ("SyntheticDesign", "_names")]
+
     def test_ranges_pass_one_rule(self):
         # a lower bound, a positive number and distinct names are each
         # raised by one helper beside workload._value; only mae_percent

@@ -821,6 +821,21 @@ class TestPredict:
         with pytest.raises(ValueError):
             pt.predict_tree(tree, [1, 2])
 
+    # a NaN row was sent right and given a leaf
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf]],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("batch, single, fit", [
+        (pt.predict_tree_batch, pt.predict_tree,
+         lambda ds: pt.fit_tree(ds, pt.HyperParams(1, 2, 1, 0.0))),
+        (pt.predict_linear_batch, pt.predict_linear, pt.fit_linear)],
+        ids=["tree", "linear"])
+    def test_non_finite_feature_rejected(self, batch, single, fit, bad):
+        fitted = fit(make_dataset(STUMP_X, STUMP_Y))
+        for predict, X in ((batch, [[3.0], bad]), (single, bad)):
+            with pytest.raises(ValueError, match="features must be finite"):
+                predict(fitted, X)
+        assert batch(fitted, np.array([[3], [2]], np.uint16)).shape == (2,)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         ds = make_dataset(rng.integers(0, 25, (150, 4)), rng.uniform(0.0, 10.0, 150))
@@ -1183,6 +1198,12 @@ class TestRangeChecks:
         pytest.param(lambda: pt.scale_prediction(1.0, 1e8, float("inf")),
                      "current_freq must be a finite number, not inf",
                      id="scale_prediction-inf"),
+        pytest.param(lambda: pt.scale_prediction(float("nan"), 1e8, 1e8),
+                     "prediction must be a finite number, not nan",
+                     id="scale_prediction-prediction-nan"),
+        pytest.param(lambda: pt.scale_prediction(float("inf"), 1e8, 5e7),
+                     "prediction must be a finite number, not inf",
+                     id="scale_prediction-prediction-inf"),
         pytest.param(lambda: pt.scale_prediction(1.0, 0.0, 1e8),
                      "model_freq must be finite and > 0, not 0.0",
                      id="scale_prediction-zero"),

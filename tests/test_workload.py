@@ -658,6 +658,7 @@ class TestRangeRule:
 
     def test_helpers_return_what_value_returns(self):
         assert _at_least(3, int, 1, "k") == 3
+        assert type(_at_least(np.uint8(3), int, 1, "k")) is int
         assert _at_least(0, float, 0, "x") == 0.0
         assert type(_at_least(0, float, 0, "x")) is float
         assert _positive(np.int64(2), "f") == 2.0
@@ -720,6 +721,15 @@ class TestRangeRule:
                                      ("a",), 0, 1e8),
                      "period_cycles must be >= 1, not 0",
                      id="Dataset-period_cycles"),
+        # the fields are checked before the arrays: the shape was reported
+        pytest.param(lambda: Dataset(np.zeros((2, 1), np.int64), np.zeros(3),
+                                     ("a", "a"), 300, 1e8),
+                     "feature_names must be unique", id="Dataset-fields-first"),
+        # and before the capacitance range
+        pytest.param(lambda: DesignSpec(4, capacitance_range=(0.0, 1.0),
+                                        vdd=0),
+                     "vdd must be finite and > 0, not 0",
+                     id="DesignSpec-fields-first"),
         pytest.param(lambda: pt.dynamic_power(small_design(), np.zeros(49), 300),
                      "expected 50 activities, got shape (49,)",
                      id="dynamic_power-count"),
@@ -864,6 +874,22 @@ class TestInvariants:
     def test_bad_design_part_rejected(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
+
+    def test_integer_design_round_trips(self):
+        # integers are stored as the floats a loaded design holds, and a
+        # numpy integer as a Python one, which JSON can write
+        design = pt.SyntheticDesign((pt.Net("n", 1e-12, np.int64(0)),), (),
+                                    1, 10**8, 0)
+        text = pt.design_text(design)
+        assert pt.design_text(pt.parse_design(text)) == text
+        assert_plain([design.vdd, design.clock_freq, design.static_power],
+                     float)
+        assert_plain([design.nets[0].group], int)
+
+    def test_dataset_fields_are_stored_as_their_kinds(self):
+        ds = Dataset(np.array([[1]]), np.array([1.0]), ["a"], 300, 10**8)
+        assert type(ds.feature_names) is tuple and ds.feature_names == ("a",)
+        assert '"clock_freq_hz": 100000000.0' in pt.dataset_meta_text(ds)
 
     def test_trace_ids_are_stored_as_a_tuple(self):
         trace = ToggleTrace(["a", "b"], np.zeros((2, 4), np.uint8))
@@ -1116,14 +1142,30 @@ def assert_holds(value, kind) -> None:
 
 
 class TestValueClassFuzz:
-    """Every field of the nine value dataclasses drawn from ints, floats
-    (NaN and infinities too), bools, strings, None, lists and tuples: each
-    build holds each field in the kind its annotation names, as a plain
-    int, finite float or tuple, or raises ValueError, never TypeError."""
+    """Every field but an array or tuple of nets or units (of kind None,
+    which its class checks) of the 14 value dataclasses drawn from ints,
+    floats (NaN and infinities too), bools, strings, None, lists and
+    tuples: each build holds each such field in the kind its annotation
+    names, as a plain int, finite float or tuple, or raises ValueError,
+    never TypeError."""
 
+    # a valid value of every field of each class with a field of kind None
+    VALID = {
+        pt.SyntheticDesign: dict(nets=(pt.Net("a", 1e-12, 0),),
+                                 nonlinear_units=(), vdd=1.0, clock_freq=1e8,
+                                 static_power=0.5),
+        ToggleTrace: dict(signal_ids=("a",), levels=np.zeros((1, 4), np.uint8)),
+        Dataset: dict(features=np.ones((2, 1), np.int64), powers=np.ones(2),
+                      feature_names=("a",), period_cycles=300, clock_freq=1e8),
+        pt.LinearModel: dict(weights=np.array([1e-3]), intercept=0.5,
+                             model_freq=1e8, feature_ids=("a",)),
+        pt.TreeMemoryImage: dict(words=np.array(
+            [pt.node_encode(pt.MemNode(True, value=5))], np.uint64),
+            n_nodes=1, max_depth=0, leaf_unit=1.0),
+    }
     CLASSES = (DesignSpec, pt.HyperParams, pt.Grid, pt.PdnModel,
                pt.PhaseLut, pt.MonitorConfig, pt.CounterState, pt.Net,
-               pt.NonlinearUnit)
+               pt.NonlinearUnit, *VALID)
     SCALARS = st.one_of(st.integers(-2, 70), st.integers(), st.floats(),
                         st.floats(0.0, 1.0), st.booleans(),
                         st.text(max_size=3), st.none())
@@ -1131,17 +1173,21 @@ class TestValueClassFuzz:
                        st.lists(SCALARS, max_size=4).map(tuple))
 
     @given(st.sampled_from(CLASSES), st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_build_holds_its_kinds_or_raises_value_error(self, cls, data):
-        # a field with a default keeps it half the time, so that more
-        # builds succeed
+        # a field with a default or a valid value keeps it half the time,
+        # so that more builds succeed; a field of kind None always does
+        valid = self.VALID.get(cls, {})
         kw = {f.name: data.draw(self.VALUES, label=f.name)
-              for f in dataclasses.fields(cls)
-              if f.default is dataclasses.MISSING or data.draw(st.booleans())}
+              for f in dataclasses.fields(cls) if _KINDS[f.type] is not None
+              and (f.default is dataclasses.MISSING and f.name not in valid
+                   or data.draw(st.booleans()))}
         try:
-            obj = cls(**kw)
+            obj = cls(**{**valid, **kw})
         except ValueError:
             return
         for f in dataclasses.fields(obj):
-            assert_holds(getattr(obj, f.name), _KINDS[f.type])
-        hash(obj)
+            if _KINDS[f.type] is not None:
+                assert_holds(getattr(obj, f.name), _KINDS[f.type])
+        if not valid:  # an array field is not hashable
+            hash(obj)
