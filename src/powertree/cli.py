@@ -383,7 +383,7 @@ def cmd_ensemble(ctx: Context) -> int:
     """Score an additive ensemble of trees on a composite dataset."""
     components, (name, data), (_, meta) = ctx.cfg["ensemble"]
     trees = [model.parse_tree(text, source) for source, text in components]
-    em = model.EnsembleModel(tuple((t, t.feature_ids) for t in trees))
+    em = model.EnsembleModel([(t, t.feature_ids) for t in trees])
     composite = workload.parse_dataset(data, meta, name)
     preds = model.predict_ensemble(em, composite)
     mae = model.mae_percent(preds, composite.powers)

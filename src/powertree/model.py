@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .workload import (Dataset, _check_fields, _field, _json_doc, _json_text,
-                       _names, _positive, _value)
+from .workload import (_KINDS, Dataset, _check_fields, _field, _json_doc,
+                       _json_text, _names, _positive, _value)
 
 __all__ = [
     "HyperParams",
@@ -105,6 +105,10 @@ class DecisionTree:
         return int((self.left < 0).sum())
 
 
+_KINDS["tuple[tuple[DecisionTree, tuple[str, ...]], ...]"] = [
+    (DecisionTree, [str])]  # an EnsembleModel's (tree, feature ids) pairs
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """power = features @ weights + intercept, in watts at model_freq.
@@ -121,8 +125,7 @@ class LinearModel:
     def __post_init__(self) -> None:
         _check_fields(self, model_freq=_positive, feature_ids=_names)
         w = self.weights
-        if not (isinstance(w, np.ndarray) and w.ndim == 1
-                and w.dtype.kind == "f" and np.isfinite(w).all()):
+        if not (w.ndim == 1 and w.dtype.kind == "f" and np.isfinite(w).all()):
             raise ValueError("weights must be a finite 1-D float array")
         if self.feature_ids and len(self.feature_ids) != w.size:
             raise ValueError("feature_ids must name one feature per weight")
@@ -135,6 +138,7 @@ class EnsembleModel:
     components: tuple[tuple[DecisionTree, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         seen: set[str] = set()
         for tree, ids in self.components:
             if len(_names(ids, "component feature ids")) != tree.n_features:
@@ -554,17 +558,20 @@ def predict_tree(tree: DecisionTree, features) -> float:
     return float(predict_tree_batch(tree, np.asarray(features)[None])[0])
 
 
-def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
+def _feature_matrix(X, width: int) -> np.ndarray:
+    """X as an (n, width) array of integers or finite floats, uncast."""
     X = np.asarray(X)
-    # an integer compared with a float64 threshold is promoted exactly as
-    # astype(np.float64) would, so integer counts are read as they are
-    if not np.issubdtype(X.dtype, np.integer):
-        X = X.astype(np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.n_features:
-        raise ValueError(f"expected (n, {tree.n_features}) features")
-    if X.dtype.kind == "f" and not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    return tree.value[_paths(tree, X)[-1]]
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"expected (n, {width}) features")
+    if X.dtype.kind not in "iuf" or X.dtype.kind == "f" \
+            and not np.isfinite(X).all():
+        raise ValueError("features must be finite integers or floats")
+    return X
+
+
+def predict_tree_batch(tree: DecisionTree, X) -> np.ndarray:
+    # an integer or float is compared with a float64 threshold exactly, uncast
+    return tree.value[_paths(tree, _feature_matrix(X, tree.n_features))[-1]]
 
 
 def feature_importances(tree: DecisionTree) -> np.ndarray:
@@ -613,14 +620,8 @@ def predict_linear(model: LinearModel, features) -> float:
 
 
 def predict_linear_batch(model: LinearModel, X) -> np.ndarray:
-    X = np.asarray(X)
-    finite = np.issubdtype(X.dtype, np.integer)  # no integer is NaN or inf
-    X = X.astype(np.float64, copy=False)
-    if X.ndim != 2 or X.shape[1] != model.weights.size:
-        raise ValueError("feature dimensionality mismatch")
-    if not (finite or np.isfinite(X).all()):
-        raise ValueError("features must be finite")
-    return X @ model.weights + model.intercept
+    X = _feature_matrix(X, model.weights.size)
+    return X.astype(np.float64, copy=False) @ model.weights + model.intercept
 
 
 def scale_prediction(p: float, model_freq: float, current_freq: float) -> float:

@@ -134,15 +134,14 @@ def build_lut(model: PdnModel, power_grid) -> PhaseLut:
     decisions = [optimal_phases(model, p) for p in grid]
     if any(b > a for a, b in zip(decisions[1:], decisions)):
         raise ValueError("optimal phase count must be non-decreasing in load")
-    breakpoints = [grid[0]]
-    phases = [decisions[0]]
+    breakpoints, phases = [grid[0]], [decisions[0]]
     for lo, hi, target in zip(grid, grid[1:], decisions[1:]):
         while phases[-1] != target:
             edge = _phase_boundary(model, phases[-1], lo, hi)
             breakpoints.append(edge)
             phases.append(optimal_phases(model, edge))
             lo = edge
-    return PhaseLut(tuple(breakpoints), tuple(phases))
+    return PhaseLut(breakpoints, phases)
 
 
 def shed(model: PdnModel, lut: PhaseLut,

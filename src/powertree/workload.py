@@ -163,10 +163,8 @@ class SyntheticDesign:
 
     def unit_index_arrays(self) -> list[np.ndarray]:
         pos = {n.id: i for i, n in enumerate(self.nets)}
-        return [
-            np.array([pos[s] for s in u.inputs], dtype=np.intp)
-            for u in self.nonlinear_units
-        ]
+        return [np.array([pos[s] for s in u.inputs], dtype=np.intp)
+                for u in self.nonlinear_units]
 
     def with_clock_freq(self, clock_freq: float) -> "SyntheticDesign":
         """Same netlist retargeted to a different operating frequency."""
@@ -231,15 +229,16 @@ class ToggleTrace:
 
     def select_signals(self, ids: list[str] | tuple[str, ...]) -> "ToggleTrace":
         rows = [self.signal_index(s) for s in ids]
-        return ToggleTrace(tuple(ids), self.levels[rows])
+        return ToggleTrace(ids, self.levels[rows])
 
 
 def _value(value, kind, name: str):
     """``value`` checked as ``kind``, else ValueError "<name> must be ...":
     ``int`` (never a bool) or ``float`` (an integer or float that a float
-    holds finitely), returned as a Python one, ``str``, ``[kind]`` (a list
-    or tuple of any length) or ``(kind, ...)`` (one entry per kind),
-    returned as a tuple; only an entry that raises has its name built."""
+    holds finitely), returned as a Python one, ``str`` or another class (an
+    instance, as it is), ``[kind]`` (a list or tuple of any length) or
+    ``(kind, ...)`` (one entry per kind), returned as a tuple; only an entry
+    that raises has its name built."""
     if kind is int:
         ok, want = isinstance(value, (int, np.integer)), "an integer"
     elif kind is float:
@@ -248,6 +247,11 @@ def _value(value, kind, name: str):
                     and abs(value) <= sys.float_info.max), "a finite number"
     elif kind is str:
         ok, want = isinstance(value, str), "a string"
+    elif isinstance(kind, type):
+        if isinstance(value, kind):
+            return value
+        raise ValueError(f"{name} must be a {kind.__name__}, "
+                         f"not a {type(value).__name__}")
     else:
         if isinstance(value, (list, tuple)) and (isinstance(kind, list)
                                                  or len(value) == len(kind)):
@@ -293,13 +297,13 @@ def _names(ids, name: str) -> tuple[str, ...]:
     raise ValueError(f"{name} must be unique")
 
 
-# Each field annotation of the value dataclasses: the _value kind it names,
-# or None for a field its class checks itself.
+# Each field annotation of the value dataclasses: the _value kind it names
+# (model adds its ensemble's components).
 _KINDS = {"int": int, "float": float, "str": str,
           "tuple[float, float]": (float, float), "tuple[int, ...]": [int],
           "tuple[float, ...]": [float], "tuple[str, ...]": [str],
-          "np.ndarray": None, "tuple[Net, ...]": None,
-          "tuple[NonlinearUnit, ...]": None}
+          "np.ndarray": np.ndarray, "tuple[Net, ...]": [Net],
+          "tuple[NonlinearUnit, ...]": [NonlinearUnit]}
 
 
 def _check_fields(obj, **rules) -> None:
@@ -307,16 +311,14 @@ def _check_fields(obj, **rules) -> None:
     annotation names and by its rule in ``rules``, if it has one: a lower
     bound (``_at_least``), ``_positive`` or ``_names``, called as
     ``rule(value, name)``.  Store what the check returns: a float field
-    holds a float, a list field a tuple.  A field of kind None is left to
-    its class to check, and kept as it is."""
+    holds a float, a list field a tuple."""
     for f in fields(obj):
         kind, rule = _KINDS[f.type], rules.get(f.name)
-        if kind is not None:
-            value = getattr(obj, f.name)
-            object.__setattr__(obj, f.name, (
-                _value(value, kind, f.name) if rule is None
-                else rule(value, f.name) if callable(rule)
-                else _at_least(value, kind, rule, f.name)))
+        value = getattr(obj, f.name)
+        object.__setattr__(obj, f.name, (
+            _value(value, kind, f.name) if rule is None
+            else rule(value, f.name) if callable(rule)
+            else _at_least(value, kind, rule, f.name)))
 
 
 def _count_dtype(period_cycles: int) -> np.dtype:
@@ -351,8 +353,8 @@ class Dataset:
             raise ValueError("feature_names must match feature columns")
         if not np.issubdtype(f.dtype, np.integer):
             raise ValueError(f"activity counts must be integers, not {f.dtype}")
-        if not np.isfinite(p).all():
-            raise ValueError("true dynamic power must be finite")
+        if p.dtype.kind not in "iuf" or not np.isfinite(p).all():
+            raise ValueError("true dynamic powers must be finite numbers")
         if f.size:
             if f.min() < 0 or f.max() > self.period_cycles:
                 raise ValueError("activity counts must lie in [0, period_cycles]")
@@ -417,10 +419,9 @@ def generate_design(spec: DesignSpec) -> SyntheticDesign:
             k = min(len(pool), int(rng.integers(8, 17)))
             chosen = rng.choice(pool, size=k, replace=False)
             coeff = float(unit_scale * rng.uniform(0.5, 1.5))
-            units.append(NonlinearUnit(
-                tuple(ids[int(i)] for i in sorted(chosen)), coeff))
+            units.append(NonlinearUnit([ids[i] for i in sorted(chosen)], coeff))
 
-    return SyntheticDesign(nets, tuple(units), spec.vdd, spec.clock_freq,
+    return SyntheticDesign(nets, units, spec.vdd, spec.clock_freq,
                            spec.static_power)
 
 
@@ -651,9 +652,8 @@ def parse_design(text: str | bytes, source="design") -> SyntheticDesign:
     scalars = [_field(doc, k, float, source)
                for k in ("vdd_v", "clock_freq_hz", "static_power_w")]
     try:
-        return SyntheticDesign(tuple(Net(*n) for n in nets),
-                               tuple(NonlinearUnit(*u) for u in units),
-                               *scalars)
+        return SyntheticDesign([Net(*n) for n in nets],
+                               [NonlinearUnit(*u) for u in units], *scalars)
     except ValueError as e:
         raise ValueError(f"{source}: {e}") from None
 

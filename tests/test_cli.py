@@ -790,9 +790,10 @@ class TestConfigTable:
 
     def test_fields_pass_one_call(self):
         # a value dataclass checks its fields by one _check_fields call,
-        # its first statement; no __post_init__ hands a self.<field> to
-        # _value or a range helper, which leaves two _names calls on ids
-        # that are no field: the net ids and an ensemble's component ids
+        # its first statement, and every annotation names a kind; no
+        # __post_init__ hands a self.<field> to _value or a range helper,
+        # which leaves two _names calls on ids that are no field: the net
+        # ids and an ensemble's component ids
         def reads_field(node):
             return (isinstance(node, ast.Attribute)
                     and getattr(node.value, "id", None) == "self"
@@ -822,7 +823,8 @@ class TestConfigTable:
                         assert not any(reads_field(a) for a in call.args), \
                             f"{where} checks a field by hand"
                         left.append((cls.name, call.func.id))
-        assert len(checked) == 15 and first == checked - {"EnsembleModel"}
+        assert len(checked) == 15 and first == checked
+        assert None not in cli._KINDS.values()
         assert sorted(left) == [("EnsembleModel", "_names"),
                                 ("SyntheticDesign", "_names")]
 

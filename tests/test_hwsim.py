@@ -776,6 +776,10 @@ class TestRangeChecks:
         pytest.param(lambda: pt.TreeMemoryImage(np.zeros(0, np.uint64), 0, 0),
                      "words must hold n_nodes >= 1 entries",
                      id="TreeMemoryImage-empty"),
+        # raised AttributeError
+        pytest.param(lambda: pt.TreeMemoryImage([1 << 63], 1, 0),
+                     "words must be a ndarray, not a list",
+                     id="TreeMemoryImage-list"),
         pytest.param(lambda: pt.MonitorConfig(0), "n_counters must be >= 1, "
                      "not 0", id="MonitorConfig-n_counters"),
         pytest.param(lambda: pt.MonitorConfig(3, 0),

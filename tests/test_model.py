@@ -804,6 +804,13 @@ class TestNarrowCountsMatchInt64:
         assert pt.dataset_csv_text(narrow) == pt.dataset_csv_text(wide)
 
 
+# each batch predictor with a fit of one feature to STUMP_X
+BATCH_PREDICTORS = [
+    (pt.predict_tree_batch,
+     lambda ds: pt.fit_tree(ds, pt.HyperParams(1, 2, 1, 0.0))),
+    (pt.predict_linear_batch, pt.fit_linear)]
+
+
 class TestPredict:
     def test_single_leaf(self):
         ds = make_dataset([[1], [2]], [3.0, 3.0])
@@ -818,7 +825,8 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         tree = pt.fit_tree(make_dataset(STUMP_X, STUMP_Y), pt.HyperParams())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected (n, 1) features")):
             pt.predict_tree(tree, [1, 2])
 
     # a NaN row was sent right and given a leaf
@@ -835,6 +843,29 @@ class TestPredict:
             with pytest.raises(ValueError, match="features must be finite"):
                 predict(fitted, X)
         assert batch(fitted, np.array([[3], [2]], np.uint16)).shape == (2,)
+
+    # bool and string arrays were read as numbers, and a complex one lost
+    # its imaginary part with a ComplexWarning
+    @pytest.mark.parametrize("X", [
+        np.array([[True], [False]]), np.array([["3"], ["2"]]),
+        np.array([[3], [2j]]), np.array([[3], [2]], dtype=object)],
+        ids=["bool", "str", "complex", "object"])
+    @pytest.mark.parametrize("batch, fit", BATCH_PREDICTORS,
+                             ids=["tree", "linear"])
+    def test_non_number_feature_rejected(self, batch, fit, X):
+        fitted = fit(make_dataset(STUMP_X, STUMP_Y))
+        with pytest.raises(ValueError,
+                           match="features must be finite integers or floats"):
+            batch(fitted, X)
+
+    @pytest.mark.parametrize("batch, fit", BATCH_PREDICTORS,
+                             ids=["tree", "linear"])
+    def test_number_dtypes_predict_as_float64(self, batch, fit):
+        fitted = fit(make_dataset(STUMP_X, STUMP_Y))
+        X = np.arange(6)[:, None]
+        want = batch(fitted, X.astype(np.float64))
+        for dtype in (np.uint8, np.uint16, np.int64, np.float32):
+            assert batch(fitted, X.astype(dtype)).tobytes() == want.tobytes()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -949,7 +980,7 @@ class TestLinear:
         (pt.predict_linear_batch, [1, 2, 3])])
     def test_width_mismatch_rejected(self, predict, bad):
         model = pt.LinearModel(np.array([1e-3, 0.0, 2e-3]), 0.5, 1e8)
-        with pytest.raises(ValueError, match="feature dimensionality mismatch"):
+        with pytest.raises(ValueError, match=r"expected \(n, 3\) features"):
             predict(model, bad)
 
     def test_zero_features_gives_intercept(self):
@@ -1005,7 +1036,7 @@ class TestLinear:
         ((np.array([np.inf]), 0.5, 1e8), "weights must be a finite"),
         ((np.array([1, 2]), 0.5, 1e8), "weights must be a finite"),
         ((np.array([[1e-3]]), 0.5, 1e8), "weights must be a finite"),
-        (([1e-3, 2e-3], 0.5, 1e8), "weights must be a finite"),
+        (([1e-3, 2e-3], 0.5, 1e8), "weights must be a ndarray, not a list"),
         ((W, np.inf, 1e8), "intercept must be a finite number"),
         ((W, np.nan, 1e8), "intercept must be a finite number"),
         ((W, "0.5", 1e8), "intercept must be a finite number"),
@@ -1174,6 +1205,13 @@ class TestRangeChecks:
         pytest.param(lambda: pt.EnsembleModel(((_stump(), ("a", "b")),)),
                      "feature-id subset must match the tree width",
                      id="EnsembleModel-width"),
+        # raised AttributeError
+        pytest.param(lambda: pt.EnsembleModel((("t", ("a",)),)),
+                     "components[0][0] must be a DecisionTree, not a str",
+                     id="EnsembleModel-tree"),
+        pytest.param(lambda: pt.EnsembleModel(((_stump(), "a", "b"),)),
+                     "components[0] must be a list of 2 entries",
+                     id="EnsembleModel-pair"),
         # built, and only predict_ensemble failed
         pytest.param(lambda: pt.EnsembleModel(((_stump(), ("x", "x")),)),
                      "component feature ids must be unique",

@@ -875,6 +875,34 @@ class TestInvariants:
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
 
+    # each raised AttributeError or TypeError
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Dataset([[1]], np.array([1.0]), ("a",), 300, 1e8),
+         "features must be a ndarray, not a list"),
+        (lambda: Dataset(np.array([[1]]), [1.0], ("a",), 300, 1e8),
+         "powers must be a ndarray, not a list"),
+        (lambda: ToggleTrace(("a",), [[0, 1]]),
+         "levels must be a ndarray, not a list"),
+        (lambda: pt.SyntheticDesign(("n",), (), 1.0, 1e8, 0.0),
+         "nets[0] must be a Net, not a str"),
+        (lambda: pt.SyntheticDesign((), ("u",), 1.0, 1e8, 0.0),
+         "nonlinear_units[0] must be a NonlinearUnit, not a str"),
+        (lambda: pt.SyntheticDesign(pt.Net("n", 1e-12, 0), (), 1.0, 1e8, 0.0),
+         "nets must be a list"),
+    ], ids=["Dataset-features", "Dataset-powers", "ToggleTrace-levels",
+            "SyntheticDesign-net", "SyntheticDesign-unit",
+            "SyntheticDesign-nets"])
+    def test_field_of_wrong_class_rejected(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_design_parts_are_stored_as_tuples(self):
+        net, unit = pt.Net("n", 1e-12, 0), pt.NonlinearUnit(("n",), 1.0)
+        design = pt.SyntheticDesign([net], [unit], 1.0, 1e8, 0.0)
+        assert type(design.nets) is tuple and type(design.nonlinear_units) \
+            is tuple
+        assert design == pt.SyntheticDesign((net,), (unit,), 1.0, 1e8, 0.0)
+
     def test_integer_design_round_trips(self):
         # integers are stored as the floats a loaded design holds, and a
         # numpy integer as a Python one, which JSON can write
@@ -933,6 +961,20 @@ class TestInvariants:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[3], [4]]), np.array([1.0, power]), ("a",),
                     300, 1e8)
+
+    # a string array raised TypeError; bool and complex ones were stored
+    @pytest.mark.parametrize("powers", [
+        np.array(["1", "2"]), np.array([True, False]), np.array([1.0, 2j]),
+        np.array([1.0, 2.0], dtype=object)], ids=["str", "bool", "complex",
+                                                  "object"])
+    def test_non_real_powers_rejected(self, powers):
+        with pytest.raises(ValueError,
+                           match="true dynamic powers must be finite numbers"):
+            Dataset(np.array([[3], [4]]), powers, ("a",), 300, 1e8)
+
+    def test_integer_powers_accepted(self):
+        ds = Dataset(np.array([[3], [4]]), np.array([1, 2]), ("a",), 300, 1e8)
+        assert ds.powers.tolist() == [1, 2]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
     def test_non_integer_features_rejected(self, dtype):
@@ -1131,25 +1173,27 @@ class TestWorkloadFuzz:
 
 def assert_holds(value, kind) -> None:
     """``value`` is of the ``workload._value`` kind ``kind``, normalized: a
-    list kind as a tuple of plain entries."""
+    list kind as a tuple of plain entries, a class kind as an instance."""
     if isinstance(kind, (list, tuple)):
         kinds = kind * len(value) if isinstance(kind, list) else kind
         assert type(value) is tuple and len(value) == len(kinds), value
         for entry, each in zip(value, kinds):
             assert_holds(entry, each)
-    else:
+    elif kind in (int, float, str):
         assert_plain([value], kind)
+    else:
+        assert isinstance(value, kind), value
 
 
 class TestValueClassFuzz:
-    """Every field but an array or tuple of nets or units (of kind None,
-    which its class checks) of the 14 value dataclasses drawn from ints,
-    floats (NaN and infinities too), bools, strings, None, lists and
-    tuples: each build holds each such field in the kind its annotation
-    names, as a plain int, finite float or tuple, or raises ValueError,
-    never TypeError."""
+    """Every field of the 15 value dataclasses drawn from ints, floats (NaN
+    and infinities too), bools, strings, None, nets, units, trees, arrays
+    of eight dtypes, lists and tuples: each build holds each field in the kind
+    its annotation names, as a plain int, finite float, instance or tuple,
+    or raises ValueError, never AttributeError or TypeError."""
 
-    # a valid value of every field of each class with a field of kind None
+    TREE = pt.fit_tree(TINY, pt.HyperParams(1, 2, 1, 0.0))
+    # a valid value of every field of each class with a field of no default
     VALID = {
         pt.SyntheticDesign: dict(nets=(pt.Net("a", 1e-12, 0),),
                                  nonlinear_units=(), vdd=1.0, clock_freq=1e8,
@@ -1162,32 +1206,40 @@ class TestValueClassFuzz:
         pt.TreeMemoryImage: dict(words=np.array(
             [pt.node_encode(pt.MemNode(True, value=5))], np.uint64),
             n_nodes=1, max_depth=0, leaf_unit=1.0),
+        pt.EnsembleModel: dict(components=((TREE, ("a", "b")),)),
     }
     CLASSES = (DesignSpec, pt.HyperParams, pt.Grid, pt.PdnModel,
                pt.PhaseLut, pt.MonitorConfig, pt.CounterState, pt.Net,
                pt.NonlinearUnit, *VALID)
     SCALARS = st.one_of(st.integers(-2, 70), st.integers(), st.floats(),
                         st.floats(0.0, 1.0), st.booleans(),
-                        st.text(max_size=3), st.none())
-    VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
-                       st.lists(SCALARS, max_size=4).map(tuple))
+                        st.text(max_size=3), st.none(), st.sampled_from([
+                            pt.Net("a", 1e-12, 0),
+                            pt.NonlinearUnit(("a",), 1.0), TREE]))
+    ARRAYS = arrays(st.sampled_from([bool, np.uint8, np.int64, np.uint64,
+                                     np.float32, np.float64, complex, "U2"]),
+                    st.lists(st.integers(0, 3), max_size=2).map(tuple))
+    VALUES = st.one_of(SCALARS, ARRAYS, st.lists(SCALARS, max_size=4),
+                       st.lists(SCALARS, max_size=4).map(tuple),
+                       st.tuples(st.just(TREE), st.lists(st.text(max_size=2),
+                                                         max_size=3)))
 
     @given(st.sampled_from(CLASSES), st.data())
     @settings(max_examples=600, deadline=None)
     def test_build_holds_its_kinds_or_raises_value_error(self, cls, data):
         # a field with a default or a valid value keeps it half the time,
-        # so that more builds succeed; a field of kind None always does
+        # so that more builds succeed
         valid = self.VALID.get(cls, {})
         kw = {f.name: data.draw(self.VALUES, label=f.name)
-              for f in dataclasses.fields(cls) if _KINDS[f.type] is not None
-              and (f.default is dataclasses.MISSING and f.name not in valid
-                   or data.draw(st.booleans()))}
+              for f in dataclasses.fields(cls)
+              if f.default is dataclasses.MISSING and f.name not in valid
+              or data.draw(st.booleans())}
         try:
             obj = cls(**{**valid, **kw})
         except ValueError:
             return
-        for f in dataclasses.fields(obj):
-            if _KINDS[f.type] is not None:
-                assert_holds(getattr(obj, f.name), _KINDS[f.type])
-        if not valid:  # an array field is not hashable
+        kinds = [_KINDS[f.type] for f in dataclasses.fields(obj)]
+        for f, kind in zip(dataclasses.fields(obj), kinds):
+            assert_holds(getattr(obj, f.name), kind)
+        if np.ndarray not in kinds:  # an array field is not hashable
             hash(obj)
