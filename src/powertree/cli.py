@@ -7,12 +7,12 @@ rule of its kind (an unknown key or a bad value exits 2, naming the key),
 then the command's inputs, before the command runs.  It is the one door to
 the output directory: a command parses the bytes that were checked and
 writes only its own artifacts, each atomically.  Every artifact has a
-``<name>.prov.json`` sidecar recording the SHA-256 of the artifact, of each
-input ``_ARTIFACTS`` gives it and, under ``config``, of each key its command
-reads (of a file's bytes for a file path).  An input is stale, exit 3, if
-its sidecar is missing, its producer's keys changed (the message names the
-first such key), its bytes differ from its sidecar or one of its recorded
-inputs changed.  Each artifact is hashed at most once per command.
+``<name>.prov.json`` sidecar, ``_record``'s: the SHA-256 of the artifact,
+of each input ``_ARTIFACTS`` (not the sidecar) gives it and, under
+``config``, of each key its command reads (of a file's bytes for a file
+path).  ``_stale`` finds an input stale, exit 3, if its sidecar is missing,
+its producer's keys changed (naming the first), or its bytes or one of its
+inputs differ from its sidecar.  A command hashes each file at most once.
 
 All randomness flows from the config seed: dataset synthesis uses ``seed``,
 the train/test split ``seed + 1``, cross-validation folds ``seed + 2`` and
@@ -73,8 +73,8 @@ _KEYS = {
 _WANT = {"fraction": "a fraction in (0, 1)", "file": "the path of a file",
          "ensemble": "an object of 'components' and 'dataset' paths"}
 
-# Every artifact in pipeline order, with the command that writes it and the
-# inputs its sidecar records; a command reads those it does not write.
+# Every artifact in pipeline order, with the command that writes it and its
+# inputs, which its sidecar records; a command reads those it does not write.
 _SPLIT = ("dataset.csv", "dataset.csv.meta.json", "split.json")
 _ARTIFACTS = {name: (command, inputs) for command, names, inputs in (
     ("gen", ("design.json",), ()),
@@ -128,14 +128,43 @@ def _build(what: str, make):
         raise ConfigError(f"bad {what}: {e}") from None
 
 
+def _record(config: dict, digests: dict, name: str) -> dict:
+    """The sidecar of a fresh ``name``: the digests of its command's config
+    keys (``config`` by command), its own and those of the inputs
+    ``_ARTIFACTS`` gives it, from ``digests`` (None for a file not there)."""
+    command, inputs = _ARTIFACTS[name]
+    return {"config": config[command], "sha256": digests.get(name),
+            "inputs": {n: digests.get(n) for n in sorted(inputs)}}
+
+
+def _stale(out: Path, config: dict, digests: dict, name: str) -> str | None:
+    """Why artifact ``name`` in ``out`` is stale: the first way its sidecar
+    differs from ``_record``'s, or None if it is fresh."""
+    try:
+        prov = json.loads((out / f"{name}.prov.json").read_bytes())
+        keys, own, deps = dict(prov["config"]), prov["sha256"], \
+            dict(prov["inputs"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return "its provenance sidecar is missing or unreadable"
+    fresh = _record(config, digests, name)
+    changed = [k for k in _KEYS if keys.get(k) != fresh["config"].get(k)]
+    if changed:
+        return f"it was produced with a different config key {changed[0]}"
+    if own != fresh["sha256"]:
+        return "its bytes differ from the digest its sidecar records"
+    changed = [n for n, d in fresh["inputs"].items() if deps.get(n) != d]
+    if changed:
+        return f"input {changed[0]} changed since it was produced"
+    return None
+
+
 class Context:
     """The checked configuration plus the one door to pipeline artifacts."""
 
     def __init__(self, args: argparse.Namespace):
         config_path = Path(args.config)
         doc = _load_json(config_path, "config")
-        grid = args.grid and _load_json(Path(args.grid), "grid file")
-        doc.update((k, v) for k, v in (("seed", args.seed), ("grid", grid),
+        doc.update((k, v) for k, v in (("seed", args.seed),
                                        ("period_cycles", args.period))
                    if v is not None)
         unknown = sorted(set(doc) - set(_KEYS))
@@ -192,16 +221,14 @@ class Context:
         raise ConfigError(f"config key {key} must be {want}, not {value!r}")
 
     def write_artifact(self, name: str, data: bytes | str) -> Path:
-        """Atomically write one of the command's artifacts, then its sidecar
-        recording the inputs ``_ARTIFACTS`` gives it."""
-        command, inputs = _ARTIFACTS.get(name, ("", ()))
-        if command != self.command:
+        """Atomically write one of the command's artifacts, then its sidecar,
+        ``_record``'s."""
+        if _ARTIFACTS.get(name, ("",))[0] != self.command:
             raise ValueError(f"{name} is not an artifact of '{self.command}'")
         if isinstance(data, str):
             data = data.encode()
-        digest = _sha256(data)
-        prov = {"config": self._config[self.command], "sha256": digest,
-                "inputs": {n: self._digests[n] for n in sorted(inputs)}}
+        self._digests[name] = _sha256(data)
+        prov = _record(self._config, self._digests, name)
         path, sidecar = self.out / name, self.out / f"{name}.prov.json"
         for target, payload in ((path, data),
                                 (sidecar, _json_text(prov).encode())):
@@ -212,46 +239,29 @@ class Context:
             except BaseException:
                 tmp.unlink(missing_ok=True)
                 raise
-        self._digests[name] = digest
         return path
 
     def _check_inputs(self) -> None:
-        """Check the command's inputs fresh, all before any is loaded."""
+        """Hash the command's inputs and the table's inputs of those, each
+        file once, then check the command's inputs fresh, all before any is
+        loaded; only the command's own inputs keep their bytes."""
         own = {n for n, (c, _) in _ARTIFACTS.items() if c == self.command}
         names = [n for n in _ARTIFACTS if n not in own
                  and any(n in _ARTIFACTS[o][1] for o in own)]
-        for name in names:
-            path = self.out / name
-            if not path.is_file():
+        deps = {d for n in names for d in _ARTIFACTS[n][1]}
+        for name in [*names, *sorted(deps.difference(names))]:
+            if (self.out / name).is_file():
+                data, self._digests[name] = _read_hashed(self.out / name)
+                if name in names:
+                    self._checked[name] = data
+            elif name in names:
                 raise ConfigError(f"missing artifact {name}; "
                                   f"run '{_ARTIFACTS[name][0]}' first")
-            self._checked[name], self._digests[name] = _read_hashed(path)
         for name in names:
-            if reason := self._stale(name):
+            if reason := _stale(self.out, self._config, self._digests, name):
                 raise StaleArtifactError(
                     f"{name} is stale: {reason}; rerun the pipeline from "
                     f"'{_ARTIFACTS[name][0]}'")
-
-    def _stale(self, name: str) -> str | None:
-        """Why an input artifact is stale, or None if it is fresh."""
-        try:
-            prov = json.loads((self.out / f"{name}.prov.json").read_bytes())
-            config, own = dict(prov["config"]), prov["sha256"]
-            deps = dict(prov["inputs"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return "its provenance sidecar is missing or unreadable"
-        expected = self._config[_ARTIFACTS[name][0]]
-        changed = [k for k in _KEYS if config.get(k) != expected.get(k)]
-        if changed:
-            return f"it was produced with a different config key {changed[0]}"
-        if own != self._digests[name]:
-            return "its bytes differ from the digest its sidecar records"
-        for dep, digest in sorted(deps.items()):
-            if dep not in self._digests and (self.out / dep).is_file():
-                _, self._digests[dep] = _read_hashed(self.out / dep)
-            if self._digests.get(dep) != digest:
-                return f"input {dep} changed since it was produced"
-        return None
 
     def read(self, name: str) -> bytes:
         """The checked bytes of one of the command's inputs, once."""
@@ -468,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--period", type=int, default=None,
                        help="estimation period override, cycles")
-        p.add_argument("--grid", help="hyper-parameter grid JSON override")
         p.set_defaults(func=func)
     return parser
 

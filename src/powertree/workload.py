@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -265,7 +266,7 @@ def _value(value, kind, name: str):
                            else f"a list of {len(kind)} entries")
     if ok and not isinstance(value, bool):
         return kind(value) if kind is float or kind is int else value
-    raise ValueError(f"{name} must be {want}, not {value!r}")
+    raise ValueError(f"{name} must be {want}, not {reprlib.repr(value)}")
 
 
 # an integer's types, for a hot loop's check: int or a numpy integer, no bool

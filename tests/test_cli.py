@@ -610,18 +610,41 @@ class TestExitCodes:
     def test_changed_input_of_an_input_is_stale(self, pipeline, capsys):
         # best_params.json is fresh by its own sidecar, but model.json's
         # sidecar recorded the bytes it was trained from
+        edit_best_params(pipeline.parent / "out")
+        capsys.readouterr()
+        assert main(["quantize", "--config", str(pipeline)]) == 3
+        assert ("model.json is stale: input best_params.json changed since "
+                "it was produced") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omit", [RECORDED_INPUTS["model.json"],
+                                      ("best_params.json",)],
+                             ids=["all", "one"])
+    def test_input_its_sidecar_omits_is_checked(self, pipeline, capsys,
+                                                omit):
+        # the table, not model.json's sidecar, names the inputs checked
         out = pipeline.parent / "out"
-        params = out / "best_params.json"
-        params.write_text(json_edit(lambda d: d.update(max_depth=3))(
-            params.read_text()))
-        sidecar = out / "best_params.json.prov.json"
+        edit_best_params(out)
+        sidecar = out / "model.json.prov.json"
         doc = json.loads(sidecar.read_text())
-        doc["sha256"] = hashlib.sha256(params.read_bytes()).hexdigest()
+        doc["inputs"] = {n: d for n, d in doc["inputs"].items()
+                         if n not in omit}
         sidecar.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["quantize", "--config", str(pipeline)]) == 3
         assert ("model.json is stale: input best_params.json changed since "
                 "it was produced") in capsys.readouterr().err
+
+
+def edit_best_params(out: Path) -> None:
+    """Edit best_params.json and record its new digest in its own sidecar
+    only, so that it is fresh and the artifacts made from it are not."""
+    params = out / "best_params.json"
+    params.write_text(json_edit(lambda d: d.update(max_depth=3))(
+        params.read_text()))
+    sidecar = out / "best_params.json.prov.json"
+    doc = json.loads(sidecar.read_text())
+    doc["sha256"] = hashlib.sha256(params.read_bytes()).hexdigest()
+    sidecar.write_text(json.dumps(doc))
 
 
 def context(cfg: Path) -> cli.Context:
@@ -875,7 +898,7 @@ class TestConfigTable:
 
 def test_json_is_read_in_one_place():
     # every artifact goes through _json_doc; the provenance sidecar read
-    # in Context._stale is tolerant on purpose
+    # in _stale is tolerant on purpose
     readers = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -1052,18 +1075,27 @@ class TestArtifactDoor:
         monkeypatch.setattr(cli, "_read_hashed", read)
         monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(Path, "write_bytes", write)
+        pinned = {"select": {"design.json", *SPLIT},
+                  "monitor": {"design.json", *SPLIT, "model.json",
+                              "image.bin", "selection.json"},
+                  "shed": {"design.json", "image.bin", "monitor.csv",
+                           "selection.json"}}
         for command in COMMANDS:
             hashed.clear()
             replaced.clear()
             written.clear()
             assert main([command, "--config", str(cfg)]) == 0
-            assert sorted(hashed) == sorted(set(hashed)), command
+            # its inputs and their inputs, each once
+            inputs = {n for own in WRITES[command]
+                      for n in RECORDED_INPUTS[own]}.difference(
+                          WRITES[command])
+            assert sorted(hashed) == sorted(inputs.union(
+                *(RECORDED_INPUTS[n] for n in inputs))), command
+            assert set(hashed) == pinned.get(command, set(hashed)), command
             assert sorted(replaced) == sorted(set(replaced)), command
             assert len(written) == len(replaced), command
             if command == "gen":
                 assert replaced.count("dataset.csv") == 1
-            if command == "report":
-                assert len(hashed) <= 8, hashed
 
 
 class TestArtifactTable:
@@ -1079,6 +1111,26 @@ class TestArtifactTable:
         for name, inputs in RECORDED_INPUTS.items():
             prov = json.loads((out / f"{name}.prov.json").read_text())
             assert sorted(prov["inputs"]) == sorted(inputs), name
+
+    def test_every_artifact_is_checked_by_one_rule(self, pipeline):
+        # the check a status listing would run over the whole table
+        cfg = ensemble_config(pipeline.parent)
+        assert main(["ensemble", "--config", str(cfg)]) == 0
+        out, config = pipeline.parent / "out", context(cfg)._config
+        digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
+                   for n in cli._ARTIFACTS}
+        for name in cli._ARTIFACTS:
+            assert json.loads((out / f"{name}.prov.json").read_text()) \
+                == cli._record(config, digests, name), name
+        for gone in cli._ARTIFACTS:
+            sidecar = out / f"{gone}.prov.json"
+            kept = sidecar.read_bytes()
+            sidecar.unlink()
+            assert {n: cli._stale(out, config, digests, n)
+                    for n in cli._ARTIFACTS} == {
+                n: "its provenance sidecar is missing or unreadable"
+                if n == gone else None for n in cli._ARTIFACTS}
+            sidecar.write_bytes(kept)
 
     @pytest.mark.parametrize("name", ["monitor.csv", "ensemble.json",
                                       "shed.txt"])

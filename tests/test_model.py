@@ -1264,6 +1264,22 @@ class TestRangeChecks:
             with pytest.raises(ValueError, match=re.escape(message)):
                 make()
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: pt.SyntheticDesign("x" * 100000, (), 1.0, 1e8,
+                                                0.0),
+                     "nets must be a list, not 'xxx", id="SyntheticDesign"),
+        pytest.param(lambda: pt.EnsembleModel(((pt.fit_tree(make_dataset(
+            np.arange(512) % 97, np.arange(512) % 89 + 1.0),
+            pt.HyperParams(8, 2, 1, 0.0)), "a", "b"),)),
+            "components[0] must be a list of 2 entries, not (DecisionTree(",
+            id="EnsembleModel-depth-8"),
+    ])
+    def test_rejected_value_is_cut_short(self, make, message):
+        # the whole repr was 100,027 and about 24,000 characters long
+        with pytest.raises(ValueError, match=re.escape(message)) as e:
+            make()
+        assert len(str(e.value)) < 300
+
 
 class TestSerialization:
     def test_tree_round_trip_lossless(self, tmp_path):
